@@ -6,14 +6,8 @@ sequence."""
 from .config import RunConfig
 from .env import (
     EnvironmentModel,
-    EnvironmentStep,
     EnvSteps,
-    ImmigrationLaw,
-    OffspringLaw,
-    draw_step,
     draw_steps,
-    immigration_mean,
-    log_mean,
     normal_model,
     pareto_model,
     validate_model,
@@ -29,32 +23,24 @@ from .walk import (
     summarize,
 )
 from .ladder import LadderTables, estimate_ladder_tables
-from .conditioned import (
-    ConditionedSample,
-    sample_conditioned_batch,
-    sample_conditioned_negative,
-    sample_conditioned_positive,
-)
+from .conditioned import ConditionedSample, sample_conditioned_batch
 from .bpire import (
     NormalizerPair,
     Trajectory,
+    advance,
+    cohort_log_sizes,
     compute_normalizers,
     normalized_process,
     simulate_bpire,
-    simulate_decomposed,
 )
 from .limit import (
-    GammaSample,
-    LevyPath,
-    LimitFdd,
-    level_of,
-    sample_gamma,
-    sample_limit_fdd,
-    sample_two_sided_environment,
-    simulate_levy,
+    levy_levels,
+    sample_gamma_batch,
+    sample_limit_fdd_batch,
+    sample_two_sided_batch,
     stable_standard,
 )
-from .stats import bootstrap_ci, ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
+from .stats import ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
 from .streams import derive_stream
 
 __version__ = "0.1.0"

@@ -15,6 +15,10 @@ branch is disabled and crossing the int64 range raises
 Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
 to matter, and the log value is always finite-precision meaningful.
+
+Every simulation in the package is built from two kernels over
+``branch_generation``: ``advance`` (one generation with immigration)
+and ``cohort_log_sizes`` (one immigrant cohort, no further immigration).
 """
 
 from __future__ import annotations
@@ -23,43 +27,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvSteps, EnvironmentStep
+from .env import EnvSteps
 
 __all__ = [
     "Trajectory",
-    "DecomposedTrajectory",
     "NormalizerPair",
     "NormalizedPath",
     "SaturationError",
     "EXACT_CAP",
+    "branch_generation",
+    "advance",
+    "cohort_log_sizes",
     "simulate_bpire",
-    "simulate_decomposed",
+    "simulate_normalized_at",
     "compute_normalizers",
     "normalized_process",
-    "cohort_martingale_value",
-    "branch_generation",
-    "simulate_normalized_at",
-    "export_trajectory_csv",
 ]
 
 EXACT_CAP = 2 ** 31          # parent counts above this use the log-space update
 _INT64_MAX = 2 ** 63 - 1
 _LN_POISSON_CAP = 30 * np.log(2.0)  # below this log-mean, draw an exact Poisson
 _NB_DRAW_MARGIN = 59 * np.log(2.0)  # keep exact draws well inside int64
+_LN_EXACT_FLOAT = np.log(2.0 ** 53)  # linear counts above 2^53 are stored as inf
 
 
 class SaturationError(RuntimeError):
     """Population left the exact integer range in exact-only mode."""
 
 
-def _as_env_steps(env) -> EnvSteps:
-    if isinstance(env, EnvSteps):
-        return env
-    steps = list(env)
-    if steps and isinstance(steps[0], EnvironmentStep):
-        return EnvSteps(x=np.array([s.x for s in steps]),
-                        mu=np.array([s.mu for s in steps]))
-    raise TypeError("env must be EnvSteps or a sequence of EnvironmentStep")
+def _log_count(c):
+    """ln c of nonnegative counts, -inf at zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(c)
 
 
 def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
@@ -74,7 +73,6 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
     c_lin = np.asarray(c_lin, dtype=float)
     c_log = np.asarray(c_log, dtype=float)
     x = np.broadcast_to(np.asarray(x, dtype=float), c_lin.shape)
-    q = 1.0 / (1.0 + np.exp(x))
 
     z_lin = np.zeros_like(c_lin)
     z_log = np.full_like(c_lin, -np.inf)
@@ -91,10 +89,10 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
     big = nonzero & ~exact
 
     if exact.any():
-        draws = rng.negative_binomial(c_lin[exact].astype(np.int64), q[exact])
-        z_lin[exact] = draws.astype(float)
-        with np.errstate(divide="ignore"):
-            z_log[exact] = np.log(z_lin[exact])
+        # exact draws have x <= _NB_DRAW_MARGIN, so e^x cannot overflow
+        q = 1.0 / (1.0 + np.exp(x[exact]))
+        z_lin[exact] = rng.negative_binomial(c_lin[exact].astype(np.int64), q)
+        z_log[exact] = _log_count(z_lin[exact])
 
     if big.any():
         cb = c_log[big]
@@ -108,8 +106,7 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
             draws = rng.poisson(lam).astype(float)
             idx = np.nonzero(big)[0][small_lam]
             z_lin[idx] = draws
-            with np.errstate(divide="ignore"):
-                z_log[idx] = np.log(draws)
+            z_log[idx] = _log_count(draws)
         if (~small_lam).any():
             ll = lam_log[~small_lam]
             # Poisson noise on the log scale: relative sd 1/sqrt(lam)
@@ -118,17 +115,52 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
             )
             idx = np.nonzero(big)[0][~small_lam]
             z_log[idx] = ll
-            z_lin[idx] = np.where(ll < np.log(2.0 ** 53), np.exp(ll), np.inf)
+            small = ll < _LN_EXACT_FLOAT
+            z_lin[idx] = np.inf
+            z_lin[idx[small]] = np.exp(ll[small])
     return z_lin, z_log
+
+
+def advance(z_lin, z_log, x, mu, rng: np.random.Generator,
+            exact_only: bool = False):
+    """One generation with immigration: Poisson(``mu``) immigrants join
+    the parents, then all of them branch with log offspring mean ``x``.
+
+    Returns the offspring counts (linear, log) and the immigrant counts.
+    """
+    eta = rng.poisson(mu, np.shape(z_lin)).astype(float)
+    z_lin, z_log = branch_generation(z_lin + eta, np.logaddexp(z_log, _log_count(eta)),
+                                     x, rng, exact_only=exact_only)
+    return z_lin, z_log, eta
+
+
+def cohort_log_sizes(mu, x, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """ln Z_k of one immigrant cohort after k = 1..J generations.
+
+    The cohort starts from Poisson(``mu``) immigrants (a scalar or one
+    rate per replica) and branches with no further immigration through
+    the steps ``x``, of shape (J,) shared by all replicas or (J, reps).
+    Returns a (J, reps) array, -inf where the cohort died; the cohort
+    martingale value is a_k Z_k = exp(ln Z_k - (S_k - S_0)) for the
+    caller's walk S.
+    """
+    z_lin = rng.poisson(mu, reps).astype(float)
+    z_log = _log_count(z_lin)
+    out = np.empty((len(x), reps))
+    for k, x_k in enumerate(x):
+        z_lin, z_log = branch_generation(z_lin, z_log, x_k, rng)
+        out[k] = z_log
+    return out
 
 
 @dataclass
 class Trajectory:
-    """Population sizes Z_0..Z_n, immigrant counts, and the environment.
+    """Population sizes Z_0..Z_n and immigrant counts, one row per replica.
 
     ``z`` holds exact integer counts as floats while representable and
     ``inf`` beyond the float range; ``z_log`` always carries ln Z_k
-    (-inf at zero).
+    (-inf at zero). ``eta[:, k]`` counts the immigrants joining
+    generation k.
     """
 
     z: np.ndarray
@@ -138,88 +170,27 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return len(self.z) - 1
+        return self.z.shape[-1] - 1
 
 
-@dataclass
-class DecomposedTrajectory:
-    """Immigrant-cohort decomposition: cohorts[i, k] descendants at k.
-
-    Cohort i holds the descendants at generation k of the immigrants that
-    joined generation i (zero for k <= i). Row sums over i reproduce the
-    merged population exactly because the merged trajectory is defined as
-    that sum.
-    """
-
-    cohorts: np.ndarray
-    eta: np.ndarray
-    env: EnvSteps
-
-    @property
-    def n(self) -> int:
-        return self.cohorts.shape[1] - 1
-
-    def merged(self) -> Trajectory:
-        z = self.cohorts.sum(axis=0).astype(float)
-        with np.errstate(divide="ignore"):
-            z_log = np.log(z)
-        return Trajectory(z=z, z_log=z_log, eta=self.eta, env=self.env)
-
-
-def simulate_bpire(env, n: int, rng: np.random.Generator,
+def simulate_bpire(env: EnvSteps, n: int, reps: int, rng: np.random.Generator,
                    exact_only: bool = False) -> Trajectory:
-    """Simulate Z_0..Z_n in the given environment (Z_0 = 0).
+    """Simulate ``reps`` independent Z_0..Z_n in one environment (Z_0 = 0).
 
     Immigrants joining generation k-1 are Poisson with the (k-1)-indexed
     rate; generation k is the pooled geometric offspring of residents
     plus those immigrants, drawn as one negative-binomial variate.
     """
-    steps = _as_env_steps(env)
-    if len(steps) < n:
-        raise ValueError(f"environment has {len(steps)} steps, need {n}")
-    z_lin = np.zeros(1)
-    z_log = np.full(1, -np.inf)
-    z_out = np.zeros(n + 1)
-    zlog_out = np.full(n + 1, -np.inf)
-    eta = np.zeros(n, dtype=np.int64)
+    if len(env) < n:
+        raise ValueError(f"environment has {len(env)} steps, need {n}")
+    z = np.zeros((reps, n + 1))
+    z_log = np.full((reps, n + 1), -np.inf)
+    eta = np.zeros((reps, n))
     for k in range(1, n + 1):
-        eta[k - 1] = rng.poisson(steps.mu[k - 1])
-        c_lin = z_lin + eta[k - 1]
-        c_log = np.logaddexp(z_log, np.log(eta[k - 1]) if eta[k - 1] > 0 else -np.inf)
-        z_lin, z_log = branch_generation(c_lin, c_log, steps.x[k - 1:k], rng,
-                                         exact_only=exact_only)
-        z_out[k] = z_lin[0]
-        zlog_out[k] = z_log[0]
-    return Trajectory(z=z_out, z_log=zlog_out, eta=eta, env=steps)
-
-
-def simulate_decomposed(env, n: int, rng: np.random.Generator,
-                        exact_only: bool = True) -> DecomposedTrajectory:
-    """Simulate per-cohort descendant counts Z_{i,k} for 0 <= i < k <= n.
-
-    Each cohort starts from its own immigrant draw and branches through
-    the shared environment independently of the other cohorts. Cohort
-    tracking is quadratic in n; intended for n up to a few hundred.
-    """
-    steps = _as_env_steps(env)
-    if len(steps) < n:
-        raise ValueError(f"environment has {len(steps)} steps, need {n}")
-    cohorts_lin = np.zeros((n, n + 1))
-    cohorts_log = np.full((n, n + 1), -np.inf)
-    eta = np.zeros(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        i = k - 1
-        eta[i] = rng.poisson(steps.mu[i])
-        live = np.arange(k)  # cohorts 0..k-1 branch into generation k
-        c_lin = cohorts_lin[live, k - 1].copy()
-        c_lin[i] = float(eta[i])
-        with np.errstate(divide="ignore"):
-            c_log = np.where(c_lin > 0, np.log(np.maximum(c_lin, 1e-300)), -np.inf)
-        z_lin, z_log = branch_generation(c_lin, c_log, steps.x[k - 1], rng,
-                                         exact_only=exact_only)
-        cohorts_lin[live, k] = z_lin
-        cohorts_log[live, k] = z_log
-    return DecomposedTrajectory(cohorts=cohorts_lin, eta=eta, env=steps)
+        z[:, k], z_log[:, k], eta[:, k - 1] = advance(
+            z[:, k - 1], z_log[:, k - 1], env.x[k - 1], env.mu[k - 1], rng,
+            exact_only=exact_only)
+    return Trajectory(z=z, z_log=z_log, eta=eta, env=env)
 
 
 @dataclass
@@ -232,15 +203,14 @@ class NormalizerPair:
     b_log: np.ndarray
 
 
-def compute_normalizers(env) -> NormalizerPair:
+def compute_normalizers(env: EnvSteps) -> NormalizerPair:
     """Exact normalizer sequences from realized environment steps."""
-    steps = _as_env_steps(env)
-    if len(steps) == 0:
+    if len(env) == 0:
         raise ValueError("environment must be nonempty")
-    s = np.concatenate([[0.0], np.cumsum(steps.x)])
+    s = np.concatenate([[0.0], np.cumsum(env.x)])
     a_log = -s
     with np.errstate(divide="ignore"):
-        terms = np.log(steps.mu) - s[:-1]  # mu_{i+1} e^{-S_i}
+        terms = np.log(env.mu) - s[:-1]  # mu_{i+1} e^{-S_i}
     b_log = np.concatenate([[-np.inf], np.logaddexp.accumulate(terms)])
     with np.errstate(over="ignore"):
         return NormalizerPair(a=np.exp(a_log), b=np.exp(b_log), a_log=a_log, b_log=b_log)
@@ -256,39 +226,17 @@ class NormalizedPath:
 
 def normalized_process(traj: Trajectory, norms: NormalizerPair, n: int,
                        grid) -> NormalizedPath:
-    """Evaluate Y_n(t) = (a_k/b_k) Z_k at k = floor(n t), with Y_n(0) = 0."""
+    """Evaluate Y_n(t) = (a_k/b_k) Z_k at k = floor(n t), with Y_n(0) = 0,
+    one row per replica of a batched trajectory."""
     t = np.asarray(grid, dtype=float)
     k = np.floor(n * t).astype(int)
     if k.max() > traj.n:
         raise ValueError("trajectory horizon too short for the requested grid")
-    y = np.zeros_like(t)
-    pos = k >= 1
-    kk = k[pos]
+    z_log = traj.z_log[..., k]
     with np.errstate(invalid="ignore"):
-        val = np.exp(traj.z_log[kk] + norms.a_log[kk] - norms.b_log[kk])
-    y[pos] = np.where(np.isfinite(traj.z_log[kk]), val, 0.0)
+        val = np.exp(z_log + norms.a_log[k] - norms.b_log[k])
+    y = np.where((k >= 1) & np.isfinite(z_log), val, 0.0)
     return NormalizedPath(t=t, y=y)
-
-
-def cohort_martingale_value(decomp: DecomposedTrajectory, i: int, n: int) -> float:
-    """a_{i,n} Z_{i,n} = e^{-(S_n - S_i)} Z_{i,n} for one cohort."""
-    if not 0 <= i < n <= decomp.n:
-        raise ValueError("need 0 <= i < n within the trajectory horizon")
-    s = np.concatenate([[0.0], np.cumsum(decomp.env.x)])
-    return float(np.exp(-(s[n] - s[i])) * decomp.cohorts[i, n])
-
-
-def export_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write one trajectory as rows (k, Z_k, eta_k, S_k, a_k, b_k)."""
-    norms = compute_normalizers(traj.env)
-    s = np.concatenate([[0.0], np.cumsum(traj.env.x)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# horizon = {traj.n}\n")
-        fh.write("k,z,eta,s,a,b\n")
-        for k in range(traj.n + 1):
-            eta = int(traj.eta[k]) if k < traj.n else ""
-            fh.write(f"{k},{float(traj.z[k])!r},{eta},{float(s[k])!r},"
-                     f"{float(norms.a[k])!r},{float(norms.b[k])!r}\n")
 
 
 def simulate_normalized_at(model, n: int, ts, reps: int,
@@ -318,12 +266,7 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
         mu_k = np.asarray(model.draw_rate(rng, reps), dtype=float)
         b_log = np.logaddexp(b_log, np.log(mu_k) - s)  # mu_k e^{-S_{k-1}}
         s = s + x_k
-        eta = rng.poisson(mu_k).astype(float)
-        with np.errstate(divide="ignore"):
-            eta_log = np.where(eta > 0, np.log(np.maximum(eta, 1.0)), -np.inf)
-        c_lin = z_lin + eta
-        c_log = np.logaddexp(z_log, eta_log)
-        z_lin, z_log = branch_generation(c_lin, c_log, x_k, rng)
+        z_lin, z_log, _ = advance(z_lin, z_log, x_k, mu_k, rng)
         for j in want.get(k, ()):
             out[:, j] = np.where(np.isfinite(z_log), np.exp(z_log - s - b_log), 0.0)
     return out

@@ -31,13 +31,10 @@ import numpy as np
 
 from .env import EnvironmentModel
 from .ladder import LadderTables
-from .walk import WalkPath
 
 __all__ = [
     "ConditionedSample",
     "RejectionExhausted",
-    "sample_conditioned_positive",
-    "sample_conditioned_negative",
     "sample_conditioned_batch",
     "resample_by_weight",
 ]
@@ -199,21 +196,3 @@ def resample_by_weight(values: np.ndarray, weights: np.ndarray, reps: int,
     """Importance-resample rows (or scalars) into an equal-weight sample."""
     idx = rng.choice(len(values), size=reps, replace=True, p=weights)
     return values[idx]
-
-
-def sample_conditioned_positive(model: EnvironmentModel, n: int, method: str,
-                                rng: np.random.Generator,
-                                tables: LadderTables | None = None) -> WalkPath:
-    """One path of the walk conditioned to stay nonnegative up to n."""
-    batch = sample_conditioned_batch(model, n, method, 1 if method == "rejection" else 256,
-                                     rng, "positive", tables)
-    return WalkPath(s=batch.s[0].copy())
-
-
-def sample_conditioned_negative(model: EnvironmentModel, n: int, method: str,
-                                rng: np.random.Generator,
-                                tables: LadderTables | None = None) -> WalkPath:
-    """One path of the walk conditioned to stay negative from step 1 to n."""
-    batch = sample_conditioned_batch(model, n, method, 1 if method == "rejection" else 256,
-                                     rng, "negative", tables)
-    return WalkPath(s=batch.s[0].copy())

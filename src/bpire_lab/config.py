@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .env import EnvironmentModel, validate_model
+from .env import EnvironmentModel, check_stable_params, validate_model
 from .walk import StableSpec
 
 
@@ -85,10 +85,10 @@ class RunConfig:
             problems.append(f"x_param: pareto tail index must lie in (0,2), got {self.x_param}")
         if self.rate_family not in ("constant", "lognormal"):
             problems.append(f"rate_family: unknown family {self.rate_family!r}")
-        if not 0 < self.alpha <= 2:
-            problems.append(f"alpha: must lie in (0,2], got {self.alpha}")
-        if not 0 < self.rho < 1:
-            problems.append(f"rho: must lie in (0,1), got {self.rho}")
+        try:
+            check_stable_params(self.alpha, self.rho)
+        except ValueError as exc:
+            problems.append(f"alpha/rho: {exc}")
         if self.eps <= 0:
             problems.append(f"eps: must be positive, got {self.eps}")
         if self.stable_scale is not None and self.stable_scale <= 0:

@@ -1,12 +1,13 @@
 """Parametric i.i.d. random-environment families.
 
-One environment step is a pair (offspring law, immigration law). The
-offspring law is fractional-linear (geometric on {0,1,...} with success
-parameter q), so its log conditional mean is x = ln((1-q)/q) and sums of
-offspring can be drawn as single negative-binomial variates. Immigration
-is Poisson, so mu equals the rate. The step law is driven by the law of
-x: we draw x from a named family and couple q = 1/(1+e^x), which keeps
-the law of x exactly the declared family.
+One environment step is a pair (offspring law, immigration law), carried
+in array form as the pair (x, mu) of ``EnvSteps``. The offspring law is
+fractional-linear (geometric on {0,1,...} with success parameter q), so
+its log conditional mean is x = ln((1-q)/q) and sums of offspring can be
+drawn as single negative-binomial variates. Immigration is Poisson, so
+mu equals the rate. The step law is driven by the law of x: we draw x
+from a named family and couple q = 1/(1+e^x), which keeps the law of x
+exactly the declared family.
 
 Shipped x families:
 
@@ -26,9 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "OffspringLaw",
-    "ImmigrationLaw",
-    "EnvironmentStep",
     "EnvironmentModel",
     "EnvSteps",
     "ValidationCheck",
@@ -36,10 +34,8 @@ __all__ = [
     "InvalidModelError",
     "normal_model",
     "pareto_model",
-    "draw_step",
     "draw_steps",
-    "log_mean",
-    "immigration_mean",
+    "check_stable_params",
     "validate_model",
 ]
 
@@ -51,55 +47,23 @@ class InvalidModelError(ValueError):
     """Raised when an environment model fails validation."""
 
 
-@dataclass(frozen=True)
-class OffspringLaw:
-    """Fractional-linear (geometric) offspring law.
+def check_stable_params(alpha: float, rho: float) -> None:
+    """Reject (alpha, rho) pairs with no two-sided strictly stable law.
 
-    ``q`` is the success parameter of a geometric law on {0, 1, ...};
-    the mean number of offspring is (1-q)/q.
+    For alpha in (1, 2) the positivity parameter is constrained to
+    [1 - 1/alpha, 1/alpha]; alpha = 2 forces rho = 1/2; rho in the open
+    interval (0, 1) excludes one-sided laws throughout.
     """
-
-    q: float
-    family: str = "geometric"
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise InvalidModelError(f"offspring q must lie in (0,1), got {self.q}")
-
-    @property
-    def mean(self) -> float:
-        return (1.0 - self.q) / self.q
-
-
-@dataclass(frozen=True)
-class ImmigrationLaw:
-    """Poisson immigration law with rate ``rate`` > 0."""
-
-    rate: float
-    family: str = "poisson"
-
-    def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise InvalidModelError(f"immigration rate must be positive finite, got {self.rate}")
-
-    @property
-    def mean(self) -> float:
-        return self.rate
-
-
-@dataclass(frozen=True)
-class EnvironmentStep:
-    """One realized environment step.
-
-    ``x`` is the log mean of the offspring law and ``mu`` the expected
-    number of immigrants; both are redundant with the laws themselves but
-    kept explicit because every downstream computation runs on them.
-    """
-
-    offspring: OffspringLaw
-    immigration: ImmigrationLaw
-    x: float
-    mu: float
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0,2], got {alpha}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    if alpha == 2.0 and rho != 0.5:
+        raise ValueError("alpha=2 admits only rho=1/2")
+    if 1.0 < alpha < 2.0 and not (1.0 - 1.0 / alpha <= rho <= 1.0 / alpha):
+        raise ValueError(
+            f"alpha={alpha} requires rho in [{1 - 1/alpha:.4f}, {1/alpha:.4f}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -199,35 +163,11 @@ def pareto_model(alpha: float, rate: float = 2.0, eps: float = 1.0) -> Environme
     )
 
 
-def draw_step(model: EnvironmentModel, rng: np.random.Generator) -> EnvironmentStep:
-    """Draw one environment step; q is coupled to x as q = 1/(1+e^x)."""
-    x = float(model.draw_x(rng))
-    lam = float(model.draw_rate(rng))
-    q = 1.0 / (1.0 + math.exp(x))
-    return EnvironmentStep(
-        offspring=OffspringLaw(q=q),
-        immigration=ImmigrationLaw(rate=lam),
-        x=x,
-        mu=lam,
-    )
-
-
 def draw_steps(model: EnvironmentModel, n: int, rng: np.random.Generator) -> EnvSteps:
     """Draw ``n`` i.i.d. steps as arrays."""
     x = model.draw_x(rng, n)
     mu = np.asarray(model.draw_rate(rng, n), dtype=float)
     return EnvSteps(x=np.asarray(x, dtype=float), mu=mu)
-
-
-def log_mean(step: EnvironmentStep) -> float:
-    """ln((1-q)/q) of the step's offspring law."""
-    q = step.offspring.q
-    return math.log((1.0 - q) / q)
-
-
-def immigration_mean(step: EnvironmentStep) -> float:
-    """Expected number of immigrants under the step's immigration law."""
-    return step.immigration.rate
 
 
 @dataclass(frozen=True)

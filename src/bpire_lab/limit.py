@@ -18,54 +18,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bpire import branch_generation
+from .bpire import cohort_log_sizes
 from .conditioned import resample_by_weight, sample_conditioned_batch
-from .env import EnvironmentModel
+from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
 
 __all__ = [
-    "LevyPath",
-    "LevelPath",
-    "TwoSidedEnvironment",
     "TwoSidedBatch",
-    "GammaSample",
     "GammaBatch",
-    "LimitFdd",
-    "check_stable_params",
     "stable_standard",
-    "simulate_levy",
-    "level_of",
+    "levy_levels",
     "sample_two_sided_batch",
-    "sample_two_sided_environment",
     "series_terms",
-    "estimate_zeta",
-    "sample_gamma",
     "sample_gamma_batch",
-    "sample_limit_fdd",
     "sample_limit_fdd_batch",
     "estimate_level_change_prob",
-    "export_gamma_csv",
-    "export_fdd_csv",
 ]
-
-
-def check_stable_params(alpha: float, rho: float) -> None:
-    """Reject (alpha, rho) pairs with no two-sided strictly stable law.
-
-    For alpha in (1, 2) the positivity parameter is constrained to
-    [1 - 1/alpha, 1/alpha]; alpha = 2 forces rho = 1/2; rho in the open
-    interval (0, 1) excludes one-sided laws throughout.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0,2], got {alpha}")
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    if alpha == 2.0 and rho != 0.5:
-        raise ValueError("alpha=2 admits only rho=1/2")
-    if 1.0 < alpha < 2.0 and not (1.0 - 1.0 / alpha <= rho <= 1.0 / alpha):
-        raise ValueError(
-            f"alpha={alpha} requires rho in [{1 - 1/alpha:.4f}, {1/alpha:.4f}]"
-        )
 
 
 def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) -> np.ndarray:
@@ -94,46 +62,34 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
     return num / den * fac
 
 
-@dataclass(frozen=True)
-class LevyPath:
-    """A strictly stable Lévy path sampled on a uniform grid."""
+def levy_levels(alpha: float, rho: float, delta: float, idx, reps: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Levels of a strictly stable Lévy path W at grid indices ``idx``.
 
-    t: np.ndarray
-    w: np.ndarray
-    alpha: float
-    rho: float
-
-
-@dataclass(frozen=True)
-class LevelPath:
-    """Running infimum of a Lévy path on its grid."""
-
-    t: np.ndarray
-    l: np.ndarray
-
-
-def simulate_levy(alpha: float, rho: float, grid, rng: np.random.Generator) -> LevyPath:
-    """Simulate W on a uniform grid starting at t=0 with W(0)=0.
-
-    Increments over cells of width delta are independent standard stable
-    variates scaled by delta^{1/alpha}.
+    W(0) = 0 and increments over cells of width delta are standard
+    stable variates scaled by delta^{1/alpha}; the level at index k is
+    the discretized running infimum min(0, W(delta), ..., W(k delta)).
+    ``idx`` must be nondecreasing and nonnegative; the path runs to
+    ``idx[-1]``. Returns an array of shape (reps, len(idx)). Replicas
+    are drawn in chunks of about 2e7 cells, and each chunk is summed in
+    place and reduced segment by segment, so memory holds one chunk.
     """
-    t = np.asarray(grid, dtype=float)
-    if len(t) < 2 or t[0] != 0.0:
-        raise ValueError("grid must start at 0 and have at least two points")
-    deltas = np.diff(t)
-    if not np.allclose(deltas, deltas[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("grid must be uniform")
-    if deltas[0] <= 0:
-        raise ValueError("grid step must be positive")
-    inc = deltas[0] ** (1.0 / alpha) * stable_standard(alpha, rho, len(deltas), rng)
-    w = np.concatenate([[0.0], np.cumsum(inc)])
-    return LevyPath(t=t, w=w, alpha=alpha, rho=rho)
-
-
-def level_of(path: LevyPath) -> LevelPath:
-    """Discretized running infimum of the path."""
-    return LevelPath(t=path.t, l=np.minimum.accumulate(path.w))
+    idx = [int(k) for k in idx]
+    if delta <= 0 or not idx or idx[0] < 0 or any(b < a for a, b in zip(idx, idx[1:])):
+        raise ValueError("need delta > 0 and nondecreasing nonnegative grid indices")
+    levels = np.empty((reps, len(idx)))
+    chunk = max(1, int(2e7 // max(idx[-1], 1)))
+    for lo in range(0, reps, chunk):
+        w = stable_standard(alpha, rho, (min(chunk, reps - lo), idx[-1]), rng)
+        w *= delta ** (1.0 / alpha)
+        np.cumsum(w, axis=1, out=w)
+        level = np.zeros(len(w))
+        start = 0
+        for j, k in enumerate(idx):
+            level = np.minimum(level, w[:, start:k].min(axis=1, initial=0.0))
+            levels[lo:lo + len(w), j] = level
+            start = k
+    return levels
 
 
 @dataclass
@@ -168,21 +124,6 @@ class TwoSidedBatch:
         if j >= 1:
             return self.s_pos[:, j] - self.s_pos[:, j - 1]
         return self.s_neg[:, -j + 1] - self.s_neg[:, -j]
-
-
-@dataclass(frozen=True)
-class TwoSidedEnvironment:
-    """One glued environment covering indices -half_width..half_width."""
-
-    half_width: int
-    batch: TwoSidedBatch
-    row: int = 0
-
-    def s_star(self, i: int) -> float:
-        return float(self.batch.s_star(i)[self.row])
-
-    def mu_star(self, i: int) -> float:
-        return float(self.batch.mu_star(i)[self.row])
 
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, method: str,
@@ -230,22 +171,6 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, method: str,
     )
 
 
-def sample_two_sided_environment(model: EnvironmentModel, I: int, method: str,
-                                 rng: np.random.Generator,
-                                 tables: LadderTables | None = None,
-                                 pos_extra: int = 0) -> TwoSidedEnvironment:
-    """One glued environment (batch machinery with an internal pool).
-
-    Cohort evolution beyond the series half-width must be declared via
-    ``pos_extra`` at sampling time (the reweighted law is not extended
-    after the fact).
-    """
-    batch = sample_two_sided_batch(model, I, method, 256, rng, tables,
-                                   pos_extra=pos_extra,
-                                   face="tilt" if tables is not None else "conditional")
-    return TwoSidedEnvironment(half_width=I, batch=batch, row=0)
-
-
 def series_terms(env: TwoSidedBatch, I: int):
     """Per-index terms mu*_{i+1} e^{-S*_i} of the first series.
 
@@ -267,41 +192,9 @@ def _zeta_log_batch(env: TwoSidedBatch, i: int, J: int,
     result approximates the almost-sure martingale limit for the cohort.
     Returns -inf where the cohort died.
     """
-    eta = rng.poisson(env.mu_star(i + 1)).astype(float)
-    with np.errstate(divide="ignore"):
-        z_log = np.where(eta > 0, np.log(np.maximum(eta, 1.0)), -np.inf)
-    z_lin = eta
-    for j in range(i + 1, i + J + 1):
-        z_lin, z_log = branch_generation(z_lin, z_log, env.x_star(j), rng)
+    x = np.stack([env.x_star(j) for j in range(i + 1, i + J + 1)])
+    z_log = cohort_log_sizes(env.mu_star(i + 1), x, env.reps, rng)[-1]
     return z_log - (env.s_star(i + J) - env.s_star(i))
-
-
-def estimate_zeta(env: TwoSidedEnvironment, i: int, J: int,
-                  rng: np.random.Generator) -> float:
-    """Martingale-limit proxy for cohort i at depth J in one environment."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    one = TwoSidedBatch(
-        s_pos=env.batch.s_pos[env.row:env.row + 1],
-        mu_pos=env.batch.mu_pos[env.row:env.row + 1],
-        s_neg=env.batch.s_neg[env.row:env.row + 1],
-        mu_neg=env.batch.mu_neg[env.row:env.row + 1],
-    )
-    if i + J > one.s_pos.shape[1] - 1:
-        raise ValueError("environment horizon too short; resample with pos_extra")
-    return float(np.exp(_zeta_log_batch(one, i, J, rng)[0]))
-
-
-@dataclass(frozen=True)
-class GammaSample:
-    """One truncated realization of the series pair and their ratio."""
-
-    sigma1: float
-    sigma2: float
-    gamma: float
-    trunc_i: int
-    trunc_j: int
-    method: str
 
 
 @dataclass
@@ -337,27 +230,6 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, method: str,
                       trunc_i=I, trunc_j=J, method=method)
 
 
-def sample_gamma(model: EnvironmentModel, I: int, J: int, method: str,
-                 rng: np.random.Generator,
-                 tables: LadderTables | None = None) -> GammaSample:
-    """One gamma realization (internally batched for the resampling face)."""
-    batch = sample_gamma_batch(model, I, J, method, 64, rng, tables,
-                               face="tilt" if tables is not None else "conditional")
-    return GammaSample(sigma1=float(batch.sigma1[0]), sigma2=float(batch.sigma2[0]),
-                       gamma=float(batch.gamma[0]), trunc_i=I, trunc_j=J,
-                       method=method)
-
-
-@dataclass(frozen=True)
-class LimitFdd:
-    """One finite-dimensional draw of the limit process."""
-
-    ts: np.ndarray
-    y: np.ndarray
-    gammas: np.ndarray
-    level_changed: np.ndarray
-
-
 def _fdd_from_levels(levels: np.ndarray, gammas: np.ndarray):
     """Map per-time levels (reps x m) and gamma pools (reps x m) to values.
 
@@ -388,26 +260,11 @@ def sample_limit_fdd_batch(ts, model: EnvironmentModel, I: int, J: int,
     ts = np.asarray(ts, dtype=float)
     if len(ts) < 1 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
         raise ValueError("need strictly increasing positive times")
-    m = len(ts)
     if delta is None:
         delta = 1e-3 * ts[-1]
-    n_grid = int(np.ceil(ts[-1] / delta))
-    g_idx = np.minimum((np.ceil(ts / delta - 1e-9)).astype(int), n_grid)
-
-    check_stable_params(model.alpha, model.rho)
-    levels = np.empty((reps, m))
-    chunk = max(1, int(2e7 // max(n_grid, 1)))
-    done = 0
-    while done < reps:
-        b = min(chunk, reps - done)
-        inc = delta ** (1.0 / model.alpha) * stable_standard(
-            model.alpha, model.rho, (b, n_grid), rng)
-        w = np.cumsum(inc, axis=1)
-        run = np.minimum.accumulate(w, axis=1)
-        run = np.minimum(run, 0.0)  # W(0) = 0 participates in the infimum
-        levels[done:done + b] = run[:, g_idx - 1]
-        done += b
-
+    levels = levy_levels(model.alpha, model.rho, delta,
+                         np.ceil(ts / delta - 1e-9).astype(int), reps, rng)
+    m = len(ts)
     if gamma_pool is None:
         gamma_pool = sample_gamma_batch(model, I, J, method, reps * m, rng,
                                         tables).gamma
@@ -418,60 +275,10 @@ def sample_limit_fdd_batch(ts, model: EnvironmentModel, I: int, J: int,
     return y, changed, gammas
 
 
-def sample_limit_fdd(ts, model: EnvironmentModel, I: int, J: int,
-                     delta: float | None, rng: np.random.Generator,
-                     tables: LadderTables | None = None,
-                     gamma_pool: np.ndarray | None = None) -> LimitFdd:
-    """One finite-dimensional draw of the limit process."""
-    y, changed, gammas = sample_limit_fdd_batch(
-        ts, model, I, J, delta, 1, rng, tables, gamma_pool)
-    return LimitFdd(ts=np.asarray(ts, dtype=float), y=y[0],
-                    gammas=gammas[0], level_changed=changed[0])
-
-
-def export_gamma_csv(batch: GammaBatch, path: str) -> None:
-    """Write a gamma batch as CSV with sampler settings in the header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# trunc_i = {batch.trunc_i}\n")
-        fh.write(f"# trunc_j = {batch.trunc_j}\n")
-        fh.write(f"# method = {batch.method}\n")
-        fh.write("sigma1,sigma2,gamma\n")
-        for s1, s2, g in zip(batch.sigma1, batch.sigma2, batch.gamma):
-            fh.write(f"{float(s1)!r},{float(s2)!r},{float(g)!r}\n")
-
-
-def export_fdd_csv(ts, y: np.ndarray, changed: np.ndarray, path: str,
-                   settings: dict | None = None) -> None:
-    """Write finite-dimensional draws as CSV, one replica per row."""
-    ts = np.asarray(ts, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in sorted((settings or {}).items()):
-            fh.write(f"# {key} = {val}\n")
-        fh.write(f"# t_values = {ts.tolist()}\n")
-        cols = [f"y{k+1}" for k in range(y.shape[1])]
-        cols += [f"changed{k+1}{k+2}" for k in range(changed.shape[1])]
-        fh.write(",".join(cols) + "\n")
-        for row in range(y.shape[0]):
-            vals = [repr(float(v)) for v in y[row]]
-            vals += [str(int(c)) for c in changed[row]]
-            fh.write(",".join(vals) + "\n")
-
-
 def estimate_level_change_prob(alpha: float, rho: float, t1: float, t2: float,
                                delta: float, reps: int,
                                rng: np.random.Generator) -> float:
     """Fraction of Lévy paths whose level strictly decreases on (t1, t2]."""
-    n_grid = int(np.ceil(t2 / delta))
-    i1 = int(np.ceil(t1 / delta - 1e-9))
-    count = 0
-    chunk = max(1, int(2e7 // n_grid))
-    done = 0
-    while done < reps:
-        b = min(chunk, reps - done)
-        inc = delta ** (1.0 / alpha) * stable_standard(alpha, rho, (b, n_grid), rng)
-        w = np.cumsum(inc, axis=1)
-        l1 = np.minimum(w[:, :i1].min(axis=1), 0.0)
-        l2 = w[:, i1:].min(axis=1)
-        count += int((l2 < l1).sum())
-        done += b
-    return count / reps
+    idx = (int(np.ceil(t1 / delta - 1e-9)), int(np.ceil(t2 / delta)))
+    levels = levy_levels(alpha, rho, delta, idx, reps, rng)
+    return int((levels[:, 1] < levels[:, 0]).sum()) / reps

@@ -12,7 +12,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bpire import branch_generation, compute_normalizers, simulate_normalized_at
+from .bpire import (
+    cohort_log_sizes,
+    compute_normalizers,
+    simulate_bpire,
+    simulate_normalized_at,
+)
 from .conditioned import sample_conditioned_batch
 from .config import RunConfig
 from .env import EnvSteps, validate_model
@@ -158,39 +163,14 @@ def _gamma_block(count, rng, model, I, J, method, tables, face):
     return {"sigma1": g.sigma1, "sigma2": g.sigma2, "gamma": g.gamma}
 
 
-def _cohort_martingale_block(count, rng, x_steps, mu_start, depths):
-    """Cohort martingale values a_{0,k} Z_{0,k} at the requested depths."""
-    x_steps = np.asarray(x_steps, dtype=float)
-    eta = rng.poisson(mu_start, count).astype(float)
-    with np.errstate(divide="ignore"):
-        z_log = np.where(eta > 0, np.log(np.maximum(eta, 1.0)), -np.inf)
-    z_lin = eta
-    s = 0.0
-    out = {}
-    for k in range(1, max(depths) + 1):
-        z_lin, z_log = branch_generation(z_lin, z_log, x_steps[k - 1], rng)
-        s += x_steps[k - 1]
-        if k in depths:
-            out[k] = np.where(np.isfinite(z_log), np.exp(z_log - s), 0.0)
-    return out
+def _cohort_block(count, rng, x_steps, mu_start):
+    """ln Z_{0,k} of the first cohort, one row per generation k."""
+    return cohort_log_sizes(mu_start, x_steps, count, rng)
 
 
-def _fixed_env_population_block(count, rng, x_steps, mu_steps, ks):
-    """Population sizes at generations ``ks`` under a fixed environment."""
-    x_steps = np.asarray(x_steps, dtype=float)
-    mu_steps = np.asarray(mu_steps, dtype=float)
-    z_lin = np.zeros(count)
-    z_log = np.full(count, -np.inf)
-    out = {}
-    for k in range(1, max(ks) + 1):
-        eta = rng.poisson(mu_steps[k - 1], count).astype(float)
-        with np.errstate(divide="ignore"):
-            eta_log = np.where(eta > 0, np.log(np.maximum(eta, 1.0)), -np.inf)
-        z_lin, z_log = branch_generation(z_lin + eta, np.logaddexp(z_log, eta_log),
-                                         x_steps[k - 1], rng)
-        if k in ks:
-            out[k] = z_lin.copy()
-    return out
+def _population_block(count, rng, env, n):
+    """Population sizes Z_k under a fixed environment, one row per k."""
+    return simulate_bpire(env, n, count, rng).z.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +426,13 @@ class Runner:
         rows = []
         for label, env in self._fixed_envs().items():
             norms = compute_normalizers(env)
-            parts = _map_blocks(
-                _cohort_martingale_block, reps, cfg, f"martingale-cohort-{label}",
-                tuple(env.x), float(env.mu[0]), depths)
+            z_log = np.concatenate(_map_blocks(
+                _cohort_block, reps, cfg, f"martingale-cohort-{label}",
+                env.x[:max(depths)], float(env.mu[0])), axis=1)
+            s = np.cumsum(env.x)
             for depth in depths:
-                vals = _cat(parts, depth)
+                zl = z_log[depth - 1]
+                vals = np.where(np.isfinite(zl), np.exp(zl - s[depth - 1]), 0.0)
                 mean = float(vals.mean())
                 se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
                 target = float(env.mu[0])
@@ -459,11 +441,11 @@ class Runner:
                     f"martingale/{label}/depth{depth}", stat, 3.0, stat <= 3.0,
                     reps, mean=mean, se=se, target=target))
                 rows.append((label, "martingale", depth, mean, se, target))
-            parts = _map_blocks(
-                _fixed_env_population_block, reps, cfg, f"martingale-mean-{label}",
-                tuple(env.x), tuple(env.mu), ks)
+            z = np.concatenate(_map_blocks(
+                _population_block, reps, cfg, f"martingale-mean-{label}",
+                env, max(ks)), axis=1)
             for k in ks:
-                vals = _cat(parts, k)
+                vals = z[k]
                 mean = float(vals.mean())
                 se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
                 target = float(norms.b[k] / norms.a[k])
@@ -589,23 +571,9 @@ class Runner:
         return records
 
     def dispatch(self, subcommand: str):
-        method = {
-            "validate-env": self.run_validate_env,
-            "walk-stats": self.run_walk_stats,
-            "arcsine": self.run_arcsine,
-            "measure-change": self.run_measure_change,
-            "lemma1": self.run_lemma1,
-            "lemma5": self.run_lemma5,
-            "lemma7": self.run_lemma7,
-            "martingale": self.run_martingale,
-            "gamma-dist": self.run_gamma_dist,
-            "theorem1-onedim": self.run_theorem1_onedim,
-            "theorem1-twodim": self.run_theorem1_twodim,
-            "all": self.run_all,
-        }.get(subcommand)
-        if method is None:
+        if subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
-        return method()
+        return getattr(self, "run_" + subcommand.replace("-", "_"))()
 
 
 def run(subcommand: str, cfg: RunConfig) -> Report:

@@ -19,7 +19,6 @@ __all__ = [
     "ks_two_sample",
     "ks_against_cdf",
     "joint_two_time_test",
-    "bootstrap_ci",
 ]
 
 
@@ -174,17 +173,3 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
         max_discrepancy=float(np.abs(predicted - observed).max()),
         threshold=threshold,
     )
-
-
-def bootstrap_ci(sample, statistic, reps: int, rng: np.random.Generator,
-                 alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile bootstrap interval for a statistic of one sample."""
-    if reps < 200:
-        raise ValueError("use at least 200 bootstrap replicates")
-    xs = np.asarray(sample)
-    n = len(xs)
-    stats = np.empty(reps)
-    for r in range(reps):
-        stats[r] = statistic(xs[rng.integers(0, n, n)])
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return float(lo), float(hi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .env import EnvironmentModel
+from .env import EnvironmentModel, check_stable_params
 
 __all__ = [
     "WalkPath",
@@ -67,10 +67,7 @@ class StableSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0,2], got {self.alpha}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0,1), got {self.rho}")
+        check_stable_params(self.alpha, self.rho)
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 

@@ -5,19 +5,18 @@ import pytest
 
 import bpire_lab.bpire as bpire
 from bpire_lab.bpire import (
-    EXACT_CAP,
     SaturationError,
     Trajectory,
     branch_generation,
-    cohort_martingale_value,
+    cohort_log_sizes,
     compute_normalizers,
     normalized_process,
     simulate_bpire,
-    simulate_decomposed,
     simulate_normalized_at,
 )
 from bpire_lab.conditioned import sample_conditioned_batch
 from bpire_lab.env import EnvSteps, draw_steps
+from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
 
 
@@ -27,7 +26,7 @@ def flat_env(n, x=0.0, mu=2.0):
 
 def test_no_immigration_means_no_population(rng):
     env = EnvSteps(x=np.zeros(10), mu=np.zeros(10))
-    traj = simulate_bpire(env, 10, rng)
+    traj = simulate_bpire(env, 10, 50, rng)
     assert np.all(traj.z == 0.0)
     assert np.all(traj.eta == 0)
 
@@ -35,13 +34,9 @@ def test_no_immigration_means_no_population(rng):
 def test_first_generation_is_offspring_of_immigrants(rng):
     # Z_1 pools the offspring of eta_0 ~ Poisson(mu_1) immigrants
     env = flat_env(1, x=0.0, mu=3.0)
-    zs, etas = [], []
-    for _ in range(4000):
-        traj = simulate_bpire(env, 1, rng)
-        zs.append(traj.z[1])
-        etas.append(traj.eta[0])
-    zs = np.array(zs)
-    etas = np.array(etas)
+    traj = simulate_bpire(env, 1, 4000, rng)
+    zs = traj.z[:, 1]
+    etas = traj.eta[:, 0]
     assert abs(etas.mean() - 3.0) <= 3.0 * math.sqrt(3.0 / len(etas))
     se = zs.std(ddof=1) / math.sqrt(len(zs))
     assert abs(zs.mean() - 3.0) <= 3.0 * se  # critical step keeps the mean
@@ -73,56 +68,50 @@ def test_conditional_mean_identity(rng):
     norms = compute_normalizers(env)
     target = norms.b[3] / norms.a[3]
     assert target == pytest.approx(6.0)
-    vals = np.array([simulate_bpire(env, 3, rng).z[3] for _ in range(20_000)])
+    vals = simulate_bpire(env, 3, 20_000, rng).z[:, 3]
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
 
 
-def test_decomposition_identity(std_model, rng):
-    steps = draw_steps(std_model, 48, rng)
-    dec = simulate_decomposed(steps, 48, rng)
-    merged = dec.merged()
-    assert np.array_equal(dec.cohorts.sum(axis=0), merged.z)
-    # no cohort has descendants at or before its joining generation
-    for i in range(48):
-        assert np.all(dec.cohorts[i, : i + 1] == 0)
+def test_decomposition_identity(rng):
+    # Z_n is the sum of independent immigrant cohorts: the population
+    # step and the cohort kernel agree in law on a fixed environment
+    n, reps = 6, 6000
+    env = EnvSteps(x=np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0]),
+                   mu=np.array([1.0, 2.0, 0.5, 1.5, 1.0, 2.5]))
+    merged = simulate_bpire(env, n, reps, rng).z[:, n]
+    cohorts = sum(np.rint(np.exp(cohort_log_sizes(env.mu[i], env.x[i:n], reps, rng)[-1]))
+                  for i in range(n))
+    assert ks_two_sample(merged, cohorts).statistic <= 0.05
 
 
 def test_cohort_martingale_value_examples(rng):
-    steps = flat_env(6, x=math.log(2.0), mu=1.0)
-    dec = simulate_decomposed(steps, 6, rng)
-    # zero cohort gives zero value
-    dec.cohorts[2, 5] = 0
-    assert cohort_martingale_value(dec, 2, 5) == 0.0
-    dec.cohorts[2, 5] = 12
-    # a_{2,5} = e^{-3 ln 2} = 1/8
-    assert cohort_martingale_value(dec, 2, 5) == pytest.approx(12 / 8)
-    with pytest.raises(ValueError):
-        cohort_martingale_value(dec, 5, 5)
+    # a zero cohort gives zero value
+    zl = cohort_log_sizes(0.0, np.full(5, math.log(2.0)), 10, rng)
+    assert np.all(np.exp(zl) == 0.0)
+    # a_{2,5} = e^{-(S_5 - S_2)} = e^{-3 ln 2} = 1/8
+    norms = compute_normalizers(flat_env(6, x=math.log(2.0), mu=1.0))
+    assert norms.a[5] / norms.a[2] == pytest.approx(1 / 8)
 
 
 def test_cohort_martingale_mean(rng):
-    # E(a_{i,n} Z_{i,n} | env) = mu_{i+1} at every depth
-    env = EnvSteps(x=np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0]),
-                   mu=np.full(6, 1.7))
-    reps = 30_000
+    # E(a_{0,n} Z_{0,n} | env) = mu_1 at every depth
+    x = np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0])
+    s = np.cumsum(x)
+    z_log = cohort_log_sizes(1.7, x, 3000, rng)
     for n in (1, 3, 6):
-        vals = []
-        for _ in range(reps // 100):
-            dec = simulate_decomposed(env, n, rng)
-            vals.append(cohort_martingale_value(dec, 0, n))
-        vals = np.array(vals)
+        vals = np.exp(z_log[n - 1] - s[n - 1])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.7) <= 4.0 * se
 
 
 def test_normalized_process_conventions(std_model, rng):
     steps = draw_steps(std_model, 20, rng)
-    traj = simulate_bpire(steps, 20, rng)
+    traj = simulate_bpire(steps, 20, 1, rng)
     norms = compute_normalizers(steps)
-    path = normalized_process(traj, norms, 20, [0.0, 0.5, 1.0])
-    assert path.y[0] == 0.0
-    assert np.all(np.isfinite(path.y)) and np.all(path.y >= 0.0)
+    y = normalized_process(traj, norms, 20, [0.0, 0.5, 1.0]).y[0]
+    assert y[0] == 0.0
+    assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
 
 
 def test_normalized_process_zero_population():
@@ -148,14 +137,14 @@ def test_normalized_process_exact_ratio():
 def test_saturation_error_exact_only(rng):
     env = flat_env(200, x=math.log(4.0), mu=2.0)  # strongly supercritical
     with pytest.raises(SaturationError):
-        simulate_bpire(env, 200, rng, exact_only=True)
+        simulate_bpire(env, 200, 1, rng, exact_only=True)
 
 
 def test_hybrid_handles_supercritical_growth(rng):
     env = flat_env(300, x=math.log(4.0), mu=2.0)
-    traj = simulate_bpire(env, 300, rng)
+    traj = simulate_bpire(env, 300, 1, rng)
     expect = 300 * math.log(4.0)
-    assert abs(traj.z_log[300] - expect) < 0.1 * expect
+    assert abs(traj.z_log[0, 300] - expect) < 0.1 * expect
 
 
 def test_hybrid_matches_exact_engine(std_model, rng, monkeypatch):
@@ -163,12 +152,42 @@ def test_hybrid_matches_exact_engine(std_model, rng, monkeypatch):
     # against the exact integer engine on the same environment
     env = flat_env(12, x=0.05, mu=2.0)
     reps = 8000
-    exact = [simulate_bpire(env, 12, rng, exact_only=True).z[12] for _ in range(reps)]
+    exact = simulate_bpire(env, 12, reps, rng, exact_only=True).z[:, 12]
     monkeypatch.setattr(bpire, "EXACT_CAP", 4)
-    hybrid = [simulate_bpire(env, 12, rng).z[12] for _ in range(reps)]
+    hybrid = simulate_bpire(env, 12, reps, rng).z[:, 12]
     monkeypatch.undo()
-    ks = ks_two_sample(np.array(exact), np.array(hybrid))
+    ks = ks_two_sample(exact, hybrid)
     assert ks.statistic <= 0.05
+
+
+@pytest.mark.parametrize("mu", [2.0 ** 33, 2.0 ** 40])
+def test_hybrid_matches_fractional_linear_law(rng, mu):
+    # oracle far above EXACT_CAP: geometric laws compose in closed form,
+    # 1/(1 - f_{0,n}(s)) = A/(1 - s) + B with A = e^{-S_n} and
+    # B = sum_{k<n} e^{-S_k}. Each ancestor has a surviving line with
+    # probability 1/(A+B), and each surviving line leaves 1 + Geometric
+    # descendants with success probability A/(A+B); Poisson(mu)
+    # ancestors thin to Poisson(mu/(A+B)) surviving lines.
+    x = np.array([0.4, -0.2, 0.1, 0.5, -0.6, 0.3, -0.1, 0.2, -0.4, 0.0])
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    a, b = math.exp(-s[-1]), np.exp(-s[:-1]).sum()
+    reps = 4000
+    hybrid = cohort_log_sizes(mu, x, reps, rng)[-1]
+    lines = rng.poisson(mu / (a + b), reps)
+    exact = np.log(lines + rng.negative_binomial(lines, a / (a + b)))
+    assert ks_two_sample(hybrid, exact).statistic <= 0.05
+
+
+def test_branch_generation_has_no_overflow(rng):
+    # a huge log mean on a small count, and a count past the float range:
+    # both stay in log space without a floating-point overflow
+    with np.errstate(over="raise"):
+        z_lin, z_log = branch_generation(
+            np.array([3.0, np.inf]), np.array([math.log(3.0), 800.0]),
+            np.array([750.0, 0.0]), rng)
+    assert np.all(np.isinf(z_lin))
+    assert z_log[0] > 740.0
+    assert z_log[1] == pytest.approx(800.0)
 
 
 def test_branch_generation_zero_parents(rng):
@@ -186,14 +205,8 @@ def test_cohort_law_stabilizes_under_conditioning(std_model, std_tables, rng):
     def cohort_values(n):
         batch = sample_conditioned_batch(std_model, n, "rejection", reps, rng,
                                          "positive")
-        x = np.diff(batch.s, axis=1)
-        eta = rng.poisson(2.0, reps).astype(float)
-        with np.errstate(divide="ignore"):
-            z_log = np.where(eta > 0, np.log(np.maximum(eta, 1.0)), -np.inf)
-        z_lin = eta
-        for k in range(n):
-            z_lin, z_log = branch_generation(z_lin, z_log, x[:, k], rng)
-        return np.where(np.isfinite(z_log), np.exp(z_log - batch.s[:, -1]), 0.0)
+        z_log = cohort_log_sizes(2.0, np.diff(batch.s, axis=1).T, reps, rng)[-1]
+        return np.exp(z_log - batch.s[:, -1])
 
     ks = ks_two_sample(cohort_values(128), cohort_values(256))
     assert ks.statistic <= 0.05
@@ -237,23 +250,27 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
 
 
 def test_trajectory_csv_export(std_model, rng, tmp_path):
+    # trajectories go to CSV through the generic figure-data writer
     steps = draw_steps(std_model, 8, rng)
-    traj = simulate_bpire(steps, 8, rng)
-    path = str(tmp_path / "traj.csv")
-    bpire.export_trajectory_csv(traj, path)
+    traj = simulate_bpire(steps, 8, 1, rng)
+    norms = compute_normalizers(steps)
+    s = np.concatenate([[0.0], np.cumsum(steps.x)])
+    path = write_csv(str(tmp_path), "traj.csv", {
+        "k": np.arange(traj.n + 1), "z": traj.z[0], "s": s, "a": norms.a, "b": norms.b,
+    }, {"horizon": traj.n})
     lines = open(path).read().splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == "k,z,eta,s,a,b"
+    assert lines[1] == "k,z,s,a,b"
     assert len(lines) == 2 + 9
     first = lines[2].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
-    assert float(first[4]) == 1.0 and float(first[5]) == 0.0
+    assert float(first[3]) == 1.0 and float(first[4]) == 0.0
 
 
 def test_env_length_validation(std_model, rng):
     steps = draw_steps(std_model, 5, rng)
     with pytest.raises(ValueError):
-        simulate_bpire(steps, 6, rng)
+        simulate_bpire(steps, 6, 1, rng)
 
 
 def test_simulate_normalized_at_mean(std_model, rng):

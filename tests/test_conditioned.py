@@ -7,8 +7,6 @@ from bpire_lab.conditioned import (
     RejectionExhausted,
     resample_by_weight,
     sample_conditioned_batch,
-    sample_conditioned_negative,
-    sample_conditioned_positive,
 )
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
 
@@ -30,10 +28,13 @@ def test_negative_paths_stay_negative(std_model, std_tables, rng, method):
 
 
 def test_single_path_wrappers(std_model, std_tables, rng):
-    p = sample_conditioned_positive(std_model, 8, "rejection", rng, std_tables)
-    assert p.s[1:].min() >= 0.0
-    q = sample_conditioned_negative(std_model, 8, "h-transform", rng, std_tables)
-    assert q.s[1:].max() < 0.0
+    # one conditioned path is one row of a batch
+    p = sample_conditioned_batch(std_model, 8, "rejection", 1, rng,
+                                 "positive", std_tables).s[0]
+    assert p[1:].min() >= 0.0
+    q = sample_conditioned_batch(std_model, 8, "h-transform", 256, rng,
+                                 "negative", std_tables).s[0]
+    assert q[1:].max() < 0.0
 
 
 def test_methods_agree_on_conditional_face(std_model, std_tables, rng):

@@ -6,13 +6,9 @@ from hypothesis import given, strategies as st
 
 from bpire_lab.env import (
     EnvironmentModel,
-    ImmigrationLaw,
+    EnvSteps,
     InvalidModelError,
-    OffspringLaw,
-    draw_step,
     draw_steps,
-    immigration_mean,
-    log_mean,
     normal_model,
     pareto_model,
     validate_model,
@@ -20,28 +16,24 @@ from bpire_lab.env import (
 
 
 def test_offspring_law_mean():
-    assert OffspringLaw(q=0.5).mean == 1.0
-    assert OffspringLaw(q=1 / 3).mean == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
-def test_offspring_law_rejects_bad_q(q):
-    with pytest.raises(InvalidModelError):
-        OffspringLaw(q=q)
+    # the step with log mean x has geometric offspring of mean (1-q)/q = e^x
+    q = EnvSteps(x=np.array([0.0, math.log(2.0)]), mu=np.ones(2)).q
+    mean = (1.0 - q) / q
+    assert mean[0] == 1.0
+    assert mean[1] == pytest.approx(2.0)
 
 
 def test_immigration_law_rejects_bad_rate():
-    with pytest.raises(InvalidModelError):
-        ImmigrationLaw(rate=0.0)
-    with pytest.raises(InvalidModelError):
-        ImmigrationLaw(rate=-1.0)
+    for rate in (0.0, -1.0):
+        with pytest.raises(InvalidModelError):
+            validate_model(normal_model(rate=rate), strict=True)
 
 
 def test_coupling_at_zero_log_mean(rng):
     # a zero log mean is the critical step: q = 1/2, offspring mean 1
     q = 1.0 / (1.0 + math.exp(0.0))
     assert q == 0.5
-    assert OffspringLaw(q=q).mean == 1.0
+    assert (1.0 - q) / q == 1.0
 
 
 def test_coupling_inverts_log_two():
@@ -52,32 +44,19 @@ def test_coupling_inverts_log_two():
 
 
 def test_log_mean_examples():
-    from bpire_lab.env import EnvironmentStep
-
-    def step(q):
-        return EnvironmentStep(
-            offspring=OffspringLaw(q=q),
-            immigration=ImmigrationLaw(rate=1.0),
-            x=math.log((1 - q) / q),
-            mu=1.0,
-        )
-
-    assert log_mean(step(0.5)) == 0.0
-    assert log_mean(step(1 / 3)) == pytest.approx(math.log(2.0))
-    assert log_mean(step(2 / 3)) == pytest.approx(-math.log(2.0))
+    steps = EnvSteps(x=np.array([0.0, math.log(2.0), -math.log(2.0)]), mu=np.ones(3))
+    q = steps.q
+    assert q == pytest.approx([0.5, 1 / 3, 2 / 3])
+    log_mean = np.log((1.0 - q) / q)
+    assert log_mean[0] == 0.0
+    assert log_mean[1] == pytest.approx(math.log(2.0))
+    assert log_mean[2] == pytest.approx(-math.log(2.0))
 
 
-def test_immigration_mean_examples():
-    from bpire_lab.env import EnvironmentStep
-
+def test_immigration_mean_examples(rng):
+    # Poisson immigration: the step's mu is the immigration mean
     for lam in (2.0, 1.0):
-        step = EnvironmentStep(
-            offspring=OffspringLaw(q=0.5),
-            immigration=ImmigrationLaw(rate=lam),
-            x=0.0,
-            mu=lam,
-        )
-        assert immigration_mean(step) == lam
+        assert np.all(draw_steps(normal_model(rate=lam), 10, rng).mu == lam)
 
 
 def test_drawn_x_sample_mean_near_zero(std_model, rng):
@@ -94,10 +73,10 @@ def test_lognormal_rate_sample_mean(rng):
 
 
 def test_draw_step_consistency(std_model, rng):
-    step = draw_step(std_model, rng)
-    assert step.mu == step.immigration.rate
-    assert step.offspring.q == pytest.approx(1.0 / (1.0 + math.exp(step.x)))
-    assert math.isfinite(step.x) and step.mu > 0
+    step = draw_steps(std_model, 1, rng)
+    assert step.mu[0] == std_model.mean_rate()
+    assert step.q[0] == pytest.approx(1.0 / (1.0 + math.exp(step.x[0])))
+    assert math.isfinite(step.x[0]) and step.mu[0] > 0
 
 
 @given(x=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))

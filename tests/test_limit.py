@@ -4,23 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import cauchy, kstest, levy_stable, norm
 
+import bpire_lab.limit as limit
 from bpire_lab.limit import (
-    GammaSample,
-    check_stable_params,
+    GammaBatch,
+    _zeta_log_batch,
     estimate_level_change_prob,
-    estimate_zeta,
-    level_of,
-    sample_gamma,
+    levy_levels,
     sample_gamma_batch,
-    sample_limit_fdd,
     sample_limit_fdd_batch,
     sample_two_sided_batch,
-    sample_two_sided_environment,
     series_terms,
-    simulate_levy,
     stable_standard,
 )
-from bpire_lab.env import normal_model
+from bpire_lab.env import check_stable_params, normal_model
+from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
 from bpire_lab.streams import derive_stream
 
@@ -83,39 +80,37 @@ def test_skewed_stable_matches_reference(rng):
 # -- Lévy paths and levels ---------------------------------------------------
 
 def test_levy_path_basics(rng):
-    grid = np.linspace(0.0, 1.0, 4001)
-    path = simulate_levy(2.0, 0.5, grid, rng)
-    assert path.w[0] == 0.0
-    inc = np.diff(path.w)
-    assert inc.var() == pytest.approx(2.0 * (grid[1] - grid[0]), rel=0.1)
+    # the level after one cell is min(0, W(delta)), W(delta) ~ Normal(0, 2 delta)
+    delta = 1.0 / 4000
+    lev = levy_levels(2.0, 0.5, delta, [0, 1], 20_000, rng)
+    assert np.all(lev[:, 0] == 0.0)
+    assert np.mean(lev[:, 1] ** 2) == pytest.approx(delta, rel=0.1)
 
 
 def test_levy_grid_validation(rng):
     with pytest.raises(ValueError):
-        simulate_levy(2.0, 0.5, [0.0], rng)
+        levy_levels(2.0, 0.5, 0.1, [], 10, rng)
     with pytest.raises(ValueError):
-        simulate_levy(2.0, 0.5, [0.5, 1.0], rng)
+        levy_levels(2.0, 0.5, 0.1, [-1, 2], 10, rng)
     with pytest.raises(ValueError):
-        simulate_levy(2.0, 0.5, [0.0, 0.2, 0.5], rng)
+        levy_levels(2.0, 0.5, 0.1, [3, 2], 10, rng)
+    with pytest.raises(ValueError):
+        levy_levels(2.0, 0.5, 0.0, [1, 2], 10, rng)
 
 
-def test_level_examples():
-    from bpire_lab.limit import LevyPath
-
-    p1 = LevyPath(t=np.array([0.0, 1.0, 2.0]), w=np.array([0.0, 1.0, 2.0]),
-                  alpha=2.0, rho=0.5)
-    assert level_of(p1).l.tolist() == [0.0, 0.0, 0.0]
-    p2 = LevyPath(t=np.array([0.0, 1.0, 2.0]), w=np.array([0.0, -1.0, -0.5]),
-                  alpha=2.0, rho=0.5)
-    assert level_of(p2).l.tolist() == [0.0, -1.0, -1.0]
+def test_level_examples(monkeypatch):
+    # fixed unit increments: the level is the running infimum with W(0) = 0
+    for inc, expect in (([1.0, 1.0], [0.0, 0.0, 0.0]),
+                        ([-1.0, 0.5], [0.0, -1.0, -1.0])):
+        monkeypatch.setattr(limit, "stable_standard",
+                            lambda *args, inc=inc: np.array([inc]))
+        assert levy_levels(2.0, 0.5, 1.0, [0, 1, 2], 1, None)[0].tolist() == expect
 
 
 def test_level_monotone(rng):
-    grid = np.linspace(0.0, 2.0, 801)
-    for _ in range(10):
-        lev = level_of(simulate_levy(1.5, 0.5, grid, rng))
-        assert np.all(np.diff(lev.l) <= 0.0)
-        assert lev.l[0] == 0.0
+    lev = levy_levels(1.5, 0.5, 2.0 / 800, np.arange(801), 10, rng)
+    assert np.all(np.diff(lev, axis=1) <= 0.0)
+    assert np.all(lev[:, 0] == 0.0)
 
 
 # -- two-sided environments --------------------------------------------------
@@ -151,10 +146,10 @@ def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, 
 
 
 def test_scalar_environment_view(std_model, std_tables, rng):
-    env = sample_two_sided_environment(std_model, 4, "rejection", rng, std_tables)
-    assert env.s_star(0) == 0.0
-    assert env.s_star(-2) > 0.0
-    assert env.mu_star(1) > 0.0
+    env = sample_two_sided_batch(std_model, 4, "rejection", 256, rng, std_tables)
+    assert np.all(env.s_star(0) == 0.0)
+    assert np.all(env.s_star(-2) > 0.0)
+    assert np.all(env.mu_star(1) > 0.0)
 
 
 # -- martingale-limit proxies and the ratio law ------------------------------
@@ -162,17 +157,17 @@ def test_scalar_environment_view(std_model, std_tables, rng):
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     rng = derive_stream(11, 0, "zeta")
     tiny = normal_model(rate=1e-9)
-    env = sample_two_sided_environment(tiny, 2, "rejection", rng, std_tables,
-                                       pos_extra=4)
-    assert estimate_zeta(env, 0, 4, rng) == 0.0
-    with pytest.raises(ValueError):
-        estimate_zeta(env, 2, 8, rng)
+    env = sample_two_sided_batch(tiny, 2, "rejection", 256, rng, std_tables,
+                                 pos_extra=4)
+    assert np.all(np.exp(_zeta_log_batch(env, 0, 4, rng)) == 0.0)
+    with pytest.raises(IndexError):  # horizon too short for the cohort
+        _zeta_log_batch(env, 2, 8, rng)
 
 
 def test_zeta_conditional_mean(std_model, std_tables, rng):
     # E(zeta proxy | environment) = mu*_{i+1} at any depth: tile one
     # environment row across replicas and average over cohort noise
-    from bpire_lab.limit import TwoSidedBatch, _zeta_log_batch
+    from bpire_lab.limit import TwoSidedBatch
 
     base = sample_two_sided_batch(std_model, 4, "rejection", 1, rng,
                                   std_tables, pos_extra=8)
@@ -192,8 +187,6 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
 
 
 def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
-    from bpire_lab.limit import _zeta_log_batch
-
     reps = 6000
     env = sample_two_sided_batch(std_model, 2, "rejection", reps, rng,
                                  std_tables, pos_extra=64)
@@ -203,9 +196,9 @@ def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
 
 
 def test_gamma_sample_basics(std_model, std_tables, rng):
-    g = sample_gamma(std_model, 8, 8, "rejection", rng, std_tables)
-    assert isinstance(g, GammaSample)
-    assert g.sigma1 > 0.0
+    g = sample_gamma_batch(std_model, 8, 8, "rejection", 64, rng, std_tables)
+    assert isinstance(g, GammaBatch)
+    assert np.all(g.sigma1 > 0.0)
     assert g.gamma == pytest.approx(g.sigma2 / g.sigma1)
 
 
@@ -259,11 +252,12 @@ def test_fdd_no_change_keeps_gamma(std_model, std_tables, rng):
 
 
 def test_fdd_scalar_wrapper(std_model, std_tables, rng):
-    fdd = sample_limit_fdd((1.0, 2.0), std_model, 2, 2, 5e-3, rng, std_tables,
-                           gamma_pool=np.array([3.0, 7.0]))
-    assert fdd.y[0] == 3.0
-    assert fdd.y[1] in (3.0, 7.0)
-    assert fdd.level_changed.shape == (1,)
+    y, changed, _ = sample_limit_fdd_batch(
+        (1.0, 2.0), std_model, 2, 2, 5e-3, 1, rng, std_tables,
+        gamma_pool=np.array([3.0, 7.0]))
+    assert y[0, 0] == 3.0
+    assert y[0, 1] in (3.0, 7.0)
+    assert changed[0].shape == (1,)
 
 
 def test_fdd_gamma_independent_of_level(std_model, std_tables, rng):
@@ -315,11 +309,10 @@ def test_fdd_classification_is_binary(std_model, std_tables, rng):
 
 
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
-    from bpire_lab.limit import export_gamma_csv
-
     batch = sample_gamma_batch(std_model, 4, 4, "rejection", 50, rng, std_tables)
-    path = str(tmp_path / "gamma.csv")
-    export_gamma_csv(batch, path)
+    path = write_csv(str(tmp_path), "gamma.csv", {
+        "sigma1": batch.sigma1, "sigma2": batch.sigma2, "gamma": batch.gamma,
+    }, {"trunc_i": batch.trunc_i, "trunc_j": batch.trunc_j, "method": batch.method})
     lines = open(path).read().splitlines()
     assert "# trunc_i = 4" in lines and "# method = rejection" in lines
     assert lines[3] == "sigma1,sigma2,gamma"
@@ -327,13 +320,12 @@ def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
 
 
 def test_fdd_csv_export(std_model, std_tables, rng, tmp_path):
-    from bpire_lab.limit import export_fdd_csv
-
     y, changed, _ = sample_limit_fdd_batch(
         (1.0, 2.0), std_model, 2, 2, 0.01, 20, rng, std_tables,
         gamma_pool=rng.exponential(1.0, 40))
-    path = str(tmp_path / "fdd.csv")
-    export_fdd_csv((1.0, 2.0), y, changed, path, settings={"delta": 0.01})
+    path = write_csv(str(tmp_path), "fdd.csv", {
+        "y1": y[:, 0], "y2": y[:, 1], "changed12": changed[:, 0].astype(int),
+    }, {"delta": 0.01, "t_values": [1.0, 2.0]})
     lines = open(path).read().splitlines()
     assert lines[0] == "# delta = 0.01"
     assert lines[2] == "y1,y2,changed12"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpire_lab.stats import (
-    bootstrap_ci,
     ecdf,
     joint_two_time_test,
     ks_against_cdf,
@@ -178,24 +177,3 @@ def test_joint_test_rejects_bad_input(rng):
         joint_two_time_test([], [], [1.0], 0.5)
     with pytest.raises(ValueError):
         joint_two_time_test([1.0], [1.0, 2.0], [1.0], 0.5)
-
-
-def test_bootstrap_constant_sample(rng):
-    lo, hi = bootstrap_ci(np.full(50, 3.25), np.mean, 300, rng)
-    assert lo == hi == 3.25
-
-
-def test_bootstrap_interval_ordering_and_coverage():
-    hits = 0
-    for seed in range(20):
-        gen = np.random.default_rng(seed)
-        sample = gen.uniform(size=2000)
-        lo, hi = bootstrap_ci(sample, np.mean, 400, gen)
-        assert lo <= hi
-        hits += lo <= 0.5 <= hi
-    assert hits >= 17  # nominal 95% coverage
-
-
-def test_bootstrap_rejects_small_reps(rng):
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0, 2.0], np.mean, 100, rng)
