@@ -12,16 +12,7 @@ from .env import (
     pareto_model,
     validate_model,
 )
-from .walk import (
-    StableSpec,
-    WalkPath,
-    WalkSummary,
-    arcsine_cdf,
-    centered_at_min,
-    normalizer,
-    simulate_walk,
-    summarize,
-)
+from .walk import StableSpec, arcsine_cdf, normalizer
 from .ladder import LadderTables, estimate_ladder_tables
 from .conditioned import ConditionedSample, sample_conditioned_batch
 from .bpire import (
@@ -30,7 +21,6 @@ from .bpire import (
     advance,
     cohort_log_sizes,
     compute_normalizers,
-    normalized_process,
     simulate_bpire,
 )
 from .limit import (

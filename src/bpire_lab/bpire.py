@@ -32,7 +32,6 @@ from .env import EnvSteps
 __all__ = [
     "Trajectory",
     "NormalizerPair",
-    "NormalizedPath",
     "SaturationError",
     "EXACT_CAP",
     "branch_generation",
@@ -41,7 +40,6 @@ __all__ = [
     "simulate_bpire",
     "simulate_normalized_at",
     "compute_normalizers",
-    "normalized_process",
 ]
 
 EXACT_CAP = 2 ** 31          # parent counts above this use the log-space update
@@ -166,7 +164,6 @@ class Trajectory:
     z: np.ndarray
     z_log: np.ndarray
     eta: np.ndarray
-    env: EnvSteps
 
     @property
     def n(self) -> int:
@@ -190,7 +187,7 @@ def simulate_bpire(env: EnvSteps, n: int, reps: int, rng: np.random.Generator,
         z[:, k], z_log[:, k], eta[:, k - 1] = advance(
             z[:, k - 1], z_log[:, k - 1], env.x[k - 1], env.mu[k - 1], rng,
             exact_only=exact_only)
-    return Trajectory(z=z, z_log=z_log, eta=eta, env=env)
+    return Trajectory(z=z, z_log=z_log, eta=eta)
 
 
 @dataclass
@@ -214,29 +211,6 @@ def compute_normalizers(env: EnvSteps) -> NormalizerPair:
     b_log = np.concatenate([[-np.inf], np.logaddexp.accumulate(terms)])
     with np.errstate(over="ignore"):
         return NormalizerPair(a=np.exp(a_log), b=np.exp(b_log), a_log=a_log, b_log=b_log)
-
-
-@dataclass
-class NormalizedPath:
-    """Values of the rescaled population (a/b) Z on a time grid."""
-
-    t: np.ndarray
-    y: np.ndarray
-
-
-def normalized_process(traj: Trajectory, norms: NormalizerPair, n: int,
-                       grid) -> NormalizedPath:
-    """Evaluate Y_n(t) = (a_k/b_k) Z_k at k = floor(n t), with Y_n(0) = 0,
-    one row per replica of a batched trajectory."""
-    t = np.asarray(grid, dtype=float)
-    k = np.floor(n * t).astype(int)
-    if k.max() > traj.n:
-        raise ValueError("trajectory horizon too short for the requested grid")
-    z_log = traj.z_log[..., k]
-    with np.errstate(invalid="ignore"):
-        val = np.exp(z_log + norms.a_log[k] - norms.b_log[k])
-    y = np.where((k >= 1) & np.isfinite(z_log), val, 0.0)
-    return NormalizedPath(t=t, y=y)
 
 
 def simulate_normalized_at(model, n: int, ts, reps: int,

@@ -61,12 +61,6 @@ class ConditionedSample:
     s: np.ndarray
     cond_weights: np.ndarray
     tilt_weights: np.ndarray | None
-    side: str
-    method: str
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[1] - 1
 
     @property
     def terminal(self) -> np.ndarray:
@@ -77,12 +71,6 @@ def _harmonic(tables: LadderTables, side: str):
     if side == "positive":
         return lambda y: tables.v_at(y)
     return lambda y: tables.u_at(-y)
-
-
-def _event_rows(s: np.ndarray, side: str) -> np.ndarray:
-    if side == "positive":
-        return s[:, 1:].min(axis=1) >= 0.0
-    return s[:, 1:].max(axis=1) < 0.0
 
 
 _KILL_SEGMENT = 128  # steps between early-kill sweeps in rejection
@@ -134,10 +122,9 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 
 def _h_flow(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator,
-            side: str, tables: LadderTables, resample_every: int = 1) -> np.ndarray:
+            side: str, tables: LadderTables) -> np.ndarray:
     h = _harmonic(tables, side)
     s = np.zeros((reps, n + 1))
-    logw = np.zeros(reps)
     h_prev = np.ones(reps)  # h at the origin is 1 by convention
     for k in range(1, n + 1):
         y = s[:, k - 1] + model.draw_x(rng, reps)
@@ -146,16 +133,13 @@ def _h_flow(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator
             raise RejectionExhausted(f"{side} h-flow died out at step {k}")
         h_cur = np.ones(reps)
         h_cur[alive] = h(y[alive])
-        logw += np.where(alive, np.log(h_cur / h_prev), -np.inf)
+        # one step of weights, then systematic resampling at every step
+        logw = np.where(alive, np.log(h_cur / h_prev), -np.inf)
         s[:, k] = y
-        h_prev = h_cur
-        if k % resample_every == 0 or k == n:
-            w = np.exp(logw - logw.max())
-            w_sum = w.sum()
-            idx = _systematic_resample(w / w_sum, rng)
-            s[:, : k + 1] = s[idx, : k + 1]
-            h_prev = h_prev[idx]
-            logw[:] = 0.0
+        w = np.exp(logw - logw.max())
+        idx = _systematic_resample(w / w.sum(), rng)
+        s[:, : k + 1] = s[idx, : k + 1]
+        h_prev = h_cur[idx]
     return s
 
 
@@ -178,16 +162,14 @@ def sample_conditioned_batch(model: EnvironmentModel, n: int, method: str,
         if tables is not None:
             w = _harmonic(tables, side)(s[:, -1])
             tilt = w / w.sum()
-        return ConditionedSample(s=s, cond_weights=cond, tilt_weights=tilt,
-                                 side=side, method=method)
+        return ConditionedSample(s=s, cond_weights=cond, tilt_weights=tilt)
     if method == "h-transform":
         if tables is None:
             raise ValueError("h-transform sampling requires ladder tables")
         s = _h_flow(model, n, reps, rng, side, tables)
         w = 1.0 / _harmonic(tables, side)(s[:, -1])
         return ConditionedSample(s=s, cond_weights=w / w.sum(),
-                                 tilt_weights=np.full(reps, 1.0 / reps),
-                                 side=side, method=method)
+                                 tilt_weights=np.full(reps, 1.0 / reps))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -95,7 +95,7 @@ class RunConfig:
             problems.append(f"stable_scale: must be positive, got {self.stable_scale}")
         if not self.horizons or any(int(n) < 1 for n in self.horizons):
             problems.append(f"horizons: need positive integers, got {self.horizons}")
-        if list(self.horizons) != sorted(self.horizons):
+        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             problems.append("horizons: must be increasing")
         if self.n_walk < 4:
             problems.append(f"n_walk: too small, got {self.n_walk}")
@@ -106,6 +106,8 @@ class RunConfig:
             problems.append(f"t_values: need strictly increasing positives, got {ts}")
         if self.grid_delta is not None and self.grid_delta <= 0:
             problems.append(f"grid_delta: must be positive, got {self.grid_delta}")
+        if not self.band_eps or any(e <= 0 for e in self.band_eps):
+            problems.append(f"band_eps: need positive values, got {self.band_eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
         if self.series_trunc < 1:

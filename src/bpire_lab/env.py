@@ -121,12 +121,6 @@ class EnvironmentModel:
             return np.exp(rng.normal(m, s, size))
         raise InvalidModelError(f"unknown rate family {self.rate_family!r}")
 
-    def mean_rate(self) -> float:
-        if self.rate_family == "constant":
-            return float(self.rate_params[0])
-        m, s = self.rate_params
-        return math.exp(m + 0.5 * s * s)
-
     def stable_scale(self) -> float:
         """Scale c such that walk sums obey S_n / (c n^{1/alpha}) -> W(1).
 

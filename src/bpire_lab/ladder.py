@@ -26,7 +26,6 @@ __all__ = [
     "LadderNonconvergence",
     "estimate_ladder_tables",
     "save_ladder_tables",
-    "load_ladder_tables",
 ]
 
 _CHUNK = 512  # steps simulated per vectorized sweep
@@ -138,13 +137,12 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
 
 
 def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
-                           grid: np.ndarray | None = None, budget: int = 200_000,
-                           step_cap: int = 262_144,
+                           budget: int = 200_000, step_cap: int = 262_144,
                            nonconvergence_tol: float = 0.05) -> LadderTables:
     """Estimate both renewal functions by direct renewal simulation.
 
     ``budget`` is the target number of ladder epochs across all walkers
-    (at least 1000). The default grid spans 10 mean ladder heights in 512
+    (at least 1000). The grid spans 10 mean ladder heights in 512
     points. Each walker runs until its record leaves the grid or
     ``step_cap`` steps elapse; if more than ``nonconvergence_tol`` of the
     walkers hit the cap on either side, :class:`LadderNonconvergence` is
@@ -159,13 +157,7 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
         # heavy-tailed steps give ladder heights with infinite mean; cap
         # the span scale by a quantile so the grid stays reachable
         scales[side] = float(min(pilot.mean(), 3.0 * np.median(pilot)))
-    if grid is None:
-        span = 10.0 * max(scales.values())
-        grid = np.linspace(0.0, span, 512)
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must start at 0 and increase strictly")
-
+    grid = np.linspace(0.0, 10.0 * max(scales.values()), 512)
     per_walker = max(2.0, grid[-1] / min(scales.values()))
     walkers = max(512, int(budget / per_walker))
 
@@ -209,32 +201,3 @@ def save_ladder_tables(tables: LadderTables, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
-
-def load_ladder_tables(path: str) -> LadderTables:
-    meta = {}
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, val = line[1:].partition("=")
-                    meta[key.strip()] = _parse_meta(val.strip())
-                continue
-            rows.append([float(c) for c in line.split()])
-    arr = np.asarray(rows)
-    return LadderTables(
-        grid=arr[:, 0], v=arr[:, 1], v_se=arr[:, 2], u=arr[:, 3], u_se=arr[:, 4],
-        meta=meta,
-    )
-
-
-def _parse_meta(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text

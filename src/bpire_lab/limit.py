@@ -14,7 +14,7 @@ immigration rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +47,35 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
 
     for alpha != 1, and X = tan(U) + tan(pi (rho - 1/2)) at alpha = 1.
     The symmetric case has characteristic function exp(-|s|^alpha); at
-    alpha = 2 this is Normal(0, 2).
+    alpha = 2 this is Normal(0, 2). Computed in place: the draws plus one
+    buffer, three arrays of the requested size at most.
     """
     check_stable_params(alpha, rho)
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     if alpha == 1.0:
-        return np.tan(u) + math.tan(np.pi * (rho - 0.5))
+        np.tan(u, out=u)
+        u += math.tan(np.pi * (rho - 0.5))
+        return u
     e = rng.exponential(1.0, size)
     t = np.pi * (rho - 0.5)
     a = alpha
-    num = np.sin(a * (u + t))
-    den = (math.cos(a * t) * np.cos(u)) ** (1.0 / a)
-    fac = (np.cos(a * t + (a - 1.0) * u) / e) ** ((1.0 - a) / a)
-    return num / den * fac
+    # e <- fac = (cos(a t + (a-1) u) / e)^{(1-a)/a}
+    buf = u * (a - 1.0)
+    buf += a * t
+    np.cos(buf, out=buf)
+    np.divide(buf, e, out=e)
+    e **= (1.0 - a) / a
+    # buf <- den = (cos(a t) cos u)^{1/a}
+    np.cos(u, out=buf)
+    buf *= math.cos(a * t)
+    buf **= 1.0 / a
+    # u <- num / den * fac with num = sin(a (u + t))
+    u += t
+    u *= a
+    np.sin(u, out=u)
+    u /= buf
+    u *= e
+    return u
 
 
 def levy_levels(alpha: float, rho: float, delta: float, idx, reps: int,
@@ -107,7 +123,6 @@ class TwoSidedBatch:
     mu_pos: np.ndarray
     s_neg: np.ndarray
     mu_neg: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def reps(self) -> int:
@@ -126,49 +141,30 @@ class TwoSidedBatch:
         return self.s_neg[:, -j + 1] - self.s_neg[:, -j]
 
 
-def sample_two_sided_batch(model: EnvironmentModel, I: int, method: str,
-                           reps: int, rng: np.random.Generator,
-                           tables: LadderTables | None = None,
-                           pos_extra: int = 0,
-                           face: str = "tilt") -> TwoSidedBatch:
+def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
+                           rng: np.random.Generator, tables: LadderTables,
+                           pos_extra: int = 0) -> TwoSidedBatch:
     """Draw glued environments at series half-width ``I``.
 
     The positive side is sampled to horizon I + ``pos_extra`` (cohort
     evolution beyond the series needs the extra steps), the negative side
-    to horizon I; the two sides are independent. With ``face='tilt'``
-    (the default) both sides are drawn from the renewal-reweighted
-    measure that the limiting environment obeys: rejection paths are
-    importance-resampled by their terminal renewal weight, h-transform
-    paths already carry that law. ``face='conditional'`` keeps the plain
-    finite-horizon conditional laws.
+    to horizon I; the two sides are independent. Both sides follow the
+    renewal-reweighted measure that the limiting environment obeys:
+    exact rejection paths, importance-resampled by their terminal renewal
+    weight.
     """
     if I < 1:
         raise ValueError("I must be >= 1")
     hp = I + max(pos_extra, 0)
-    hn = I
     sides = {}
-    for side, horizon in (("positive", hp), ("negative", hn)):
-        batch = sample_conditioned_batch(model, horizon, method, reps, rng,
+    for side, horizon in (("positive", hp), ("negative", I)):
+        batch = sample_conditioned_batch(model, horizon, "rejection", reps, rng,
                                          side, tables)
-        s = batch.s
-        if face == "tilt":
-            if batch.tilt_weights is None:
-                raise ValueError("tilt face requires ladder tables")
-            if batch.method == "rejection":
-                s = resample_by_weight(s, batch.tilt_weights, reps, rng)
-        elif face == "conditional":
-            if batch.method == "h-transform":
-                s = resample_by_weight(s, batch.cond_weights, reps, rng)
-        else:
-            raise ValueError(f"unknown face {face!r}")
-        sides[side] = s
+        sides[side] = resample_by_weight(batch.s, batch.tilt_weights, reps, rng)
     mu_pos = np.asarray(model.draw_rate(rng, (reps, hp)), dtype=float)
-    mu_neg = np.asarray(model.draw_rate(rng, (reps, hn)), dtype=float)
-    return TwoSidedBatch(
-        s_pos=sides["positive"], mu_pos=mu_pos,
-        s_neg=sides["negative"], mu_neg=mu_neg,
-        meta={"I": I, "method": method, "face": face, "pos_extra": pos_extra},
-    )
+    mu_neg = np.asarray(model.draw_rate(rng, (reps, I)), dtype=float)
+    return TwoSidedBatch(s_pos=sides["positive"], mu_pos=mu_pos,
+                         s_neg=sides["negative"], mu_neg=mu_neg)
 
 
 def series_terms(env: TwoSidedBatch, I: int):
@@ -202,15 +198,10 @@ class GammaBatch:
     sigma1: np.ndarray
     sigma2: np.ndarray
     gamma: np.ndarray
-    trunc_i: int
-    trunc_j: int
-    method: str
 
 
-def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, method: str,
-                       reps: int, rng: np.random.Generator,
-                       tables: LadderTables | None = None,
-                       face: str = "tilt") -> GammaBatch:
+def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
+                       rng: np.random.Generator, tables: LadderTables) -> GammaBatch:
     """Draw ``reps`` truncated (Sigma1, Sigma2, gamma) realizations.
 
     Sigma1 sums mu*_{i+1} e^{-S*_i} and Sigma2 sums zeta*_i e^{-S*_i}
@@ -218,16 +209,20 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, method: str,
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    env = sample_two_sided_batch(model, I, method, reps, rng, tables,
-                                 pos_extra=J, face=face)
+    env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
     pos, neg = series_terms(env, I)
     sigma1 = pos.sum(axis=1) + neg.sum(axis=1)
     sigma2 = np.zeros(reps)
     for i in range(-I, I):
         zl = _zeta_log_batch(env, i, J, rng)
         sigma2 += np.where(np.isfinite(zl), np.exp(zl - env.s_star(i)), 0.0)
-    return GammaBatch(sigma1=sigma1, sigma2=sigma2, gamma=sigma2 / sigma1,
-                      trunc_i=I, trunc_j=J, method=method)
+    return GammaBatch(sigma1=sigma1, sigma2=sigma2, gamma=sigma2 / sigma1)
+
+
+def _grid_index(ts, delta: float) -> np.ndarray:
+    """Grid index ceil(t / delta) of each time; the 1e-9 guard keeps a time
+    on the grid at its own index when the division rounds up."""
+    return np.ceil(np.asarray(ts, dtype=float) / delta - 1e-9).astype(int)
 
 
 def _fdd_from_levels(levels: np.ndarray, gammas: np.ndarray):
@@ -243,31 +238,20 @@ def _fdd_from_levels(levels: np.ndarray, gammas: np.ndarray):
     return y, changed
 
 
-def sample_limit_fdd_batch(ts, model: EnvironmentModel, I: int, J: int,
-                           delta: float | None, reps: int,
-                           rng: np.random.Generator,
-                           tables: LadderTables | None = None,
-                           gamma_pool: np.ndarray | None = None,
-                           method: str = "rejection"):
+def sample_limit_fdd_batch(ts, model: EnvironmentModel, delta: float, reps: int,
+                           rng: np.random.Generator, gamma_pool: np.ndarray):
     """Draw ``reps`` finite-dimensional vectors of the limit process.
 
-    The Lévy path (level source) and the gamma stream are independent:
-    they must be fed from distinct random streams by the caller or drawn
-    here from one stream in a fixed order (path first, gammas second).
-    ``gamma_pool`` may supply pre-drawn gamma variates (at least reps * m,
-    consumed row-wise without reuse).
+    The Lévy path (level source, drawn from ``rng``) and the gamma
+    variates are independent: ``gamma_pool`` holds pre-drawn gammas (at
+    least reps * m, consumed row-wise without reuse).
     """
     ts = np.asarray(ts, dtype=float)
     if len(ts) < 1 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
         raise ValueError("need strictly increasing positive times")
-    if delta is None:
-        delta = 1e-3 * ts[-1]
-    levels = levy_levels(model.alpha, model.rho, delta,
-                         np.ceil(ts / delta - 1e-9).astype(int), reps, rng)
+    levels = levy_levels(model.alpha, model.rho, delta, _grid_index(ts, delta),
+                         reps, rng)
     m = len(ts)
-    if gamma_pool is None:
-        gamma_pool = sample_gamma_batch(model, I, J, method, reps * m, rng,
-                                        tables).gamma
     if len(gamma_pool) < reps * m:
         raise ValueError("gamma pool too small")
     gammas = np.asarray(gamma_pool[: reps * m]).reshape(reps, m)
@@ -279,6 +263,5 @@ def estimate_level_change_prob(alpha: float, rho: float, t1: float, t2: float,
                                delta: float, reps: int,
                                rng: np.random.Generator) -> float:
     """Fraction of Lévy paths whose level strictly decreases on (t1, t2]."""
-    idx = (int(np.ceil(t1 / delta - 1e-9)), int(np.ceil(t2 / delta)))
-    levels = levy_levels(alpha, rho, delta, idx, reps, rng)
+    levels = levy_levels(alpha, rho, delta, _grid_index((t1, t2), delta), reps, rng)
     return int((levels[:, 1] < levels[:, 0]).sum()) / reps

@@ -64,9 +64,6 @@ class Report:
     config: dict
     records: list = field(default_factory=list)
 
-    def add(self, record: TestRecord) -> None:
-        self.records.append(record)
-
     def extend(self, records) -> None:
         self.records.extend(records)
 

@@ -7,7 +7,7 @@ with weights omitted every function reduces to its textbook form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class Ecdf:
         idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
         padded = np.concatenate([[0.0], self.cum])
         return padded[idx]
-
-    __call__ = evaluate
 
     def quantile(self, p) -> np.ndarray:
         ps = np.asarray(p, dtype=float)
@@ -123,13 +121,11 @@ class JointTestReport:
     weights sum to one by construction.
     """
 
-    level_change_prob: float
     probes: np.ndarray
     predicted: np.ndarray
     observed: np.ndarray
     max_discrepancy: float
     threshold: float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -139,8 +135,7 @@ class JointTestReport:
 
 
 def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
-                        probes=None, threshold: float | None = None,
-                        quantiles=None) -> JointTestReport:
+                        probes=None, threshold: float | None = None) -> JointTestReport:
     """Compare an observed two-coordinate sample with the mixture law.
 
     Probes default to the 5x5 grid of reference-marginal quantiles at
@@ -152,9 +147,7 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
         raise ValueError("need matching nonempty coordinate samples")
     g = ecdf(gamma_sample)
     if probes is None:
-        if quantiles is None:
-            quantiles = np.linspace(0.1, 0.9, 5)
-        marks = g.quantile(quantiles)
+        marks = g.quantile(np.linspace(0.1, 0.9, 5))
         probes = np.array([(x1, x2) for x1 in marks for x2 in marks])
     probes = np.asarray(probes, dtype=float)
     p = float(level_change_prob)
@@ -166,7 +159,6 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
         np.mean((y1 <= x1) & (y2 <= x2)) for x1, x2 in probes
     ])
     return JointTestReport(
-        level_change_prob=p,
         probes=probes,
         predicted=predicted,
         observed=observed,

@@ -16,42 +16,11 @@ from scipy import integrate
 from .env import EnvironmentModel, check_stable_params
 
 __all__ = [
-    "WalkPath",
-    "WalkSummary",
     "StableSpec",
-    "simulate_walk",
     "simulate_walk_matrix",
-    "summarize",
-    "summarize_matrix",
     "arcsine_cdf",
     "normalizer",
-    "centered_at_min",
 ]
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """Trajectory S_0..S_n with S_0 = 0."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        if len(self.s) == 0 or self.s[0] != 0.0:
-            raise ValueError("walk path must start at 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.s) - 1
-
-
-@dataclass(frozen=True)
-class WalkSummary:
-    """Extrema of one path: min over 0..n, max over 1..n, first argmin."""
-
-    l_n: float
-    m_n: float
-    tau_n: int
-    s_n: float
 
 
 @dataclass(frozen=True)
@@ -71,51 +40,16 @@ class StableSpec:
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @classmethod
-    def of_model(cls, model: EnvironmentModel) -> "StableSpec":
-        return cls(alpha=model.alpha, rho=model.rho, scale=model.stable_scale())
-
-
-def simulate_walk(model: EnvironmentModel, n: int, rng: np.random.Generator) -> WalkPath:
-    """Simulate S_0..S_n with i.i.d. steps from the model's x family."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = np.empty(n + 1)
-    s[0] = 0.0
-    np.cumsum(model.draw_x(rng, n), out=s[1:])
-    return WalkPath(s=s)
-
 
 def simulate_walk_matrix(model: EnvironmentModel, n: int, reps: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Simulate ``reps`` independent paths; rows are S_0..S_n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     s = np.empty((reps, n + 1))
     s[:, 0] = 0.0
     np.cumsum(model.draw_x(rng, (reps, n)), axis=1, out=s[:, 1:])
     return s
-
-
-def summarize(path: WalkPath) -> WalkSummary:
-    """Extrema and the first argmin index of one path."""
-    s = path.s
-    tau = int(np.argmin(s))  # argmin returns the first attainment
-    return WalkSummary(
-        l_n=float(s[tau]),
-        m_n=float(s[1:].max()),
-        tau_n=tau,
-        s_n=float(s[-1]),
-    )
-
-
-def summarize_matrix(s: np.ndarray):
-    """Vectorized extrema over rows of a path matrix.
-
-    Returns arrays (l_n, m_n, tau_n, s_n).
-    """
-    tau = np.argmin(s, axis=1)
-    l = s[np.arange(len(s)), tau]
-    m = s[:, 1:].max(axis=1)
-    return l, m, tau, s[:, -1]
 
 
 def _arcsine_lower(rho: float, x: float) -> float:
@@ -169,21 +103,3 @@ def normalizer(spec: StableSpec, n: int) -> float:
         raise ValueError("n must be >= 1")
     return spec.scale * n ** (1.0 / spec.alpha)
 
-
-def centered_at_min(path: WalkPath, window: int) -> np.ndarray:
-    """Path increments around the first argmin.
-
-    Returns values indexed -window..window: S_{tau+i} - S_tau where
-    0 <= tau+i <= n, and 0 outside that range.
-    """
-    s = path.s
-    n = len(s) - 1
-    if window > n:
-        raise ValueError("window must not exceed the path length")
-    tau = int(np.argmin(s))
-    out = np.zeros(2 * window + 1)
-    for j, i in enumerate(range(-window, window + 1)):
-        k = tau + i
-        if 0 <= k <= n:
-            out[j] = s[k] - s[tau]
-    return out

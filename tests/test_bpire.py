@@ -6,16 +6,14 @@ import pytest
 import bpire_lab.bpire as bpire
 from bpire_lab.bpire import (
     SaturationError,
-    Trajectory,
     branch_generation,
     cohort_log_sizes,
     compute_normalizers,
-    normalized_process,
     simulate_bpire,
     simulate_normalized_at,
 )
 from bpire_lab.conditioned import sample_conditioned_batch
-from bpire_lab.env import EnvSteps, draw_steps
+from bpire_lab.env import EnvSteps, draw_steps, normal_model
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
 
@@ -105,33 +103,40 @@ def test_cohort_martingale_mean(rng):
         assert abs(vals.mean() - 1.7) <= 4.0 * se
 
 
+class _FlatModel:
+    """Model stand-in with the flat critical environment x = 0, mu = 2."""
+
+    def draw_x(self, rng, size):
+        return np.zeros(size)
+
+    def draw_rate(self, rng, size):
+        return np.full(size, 2.0)
+
+
 def test_normalized_process_conventions(std_model, rng):
-    steps = draw_steps(std_model, 20, rng)
-    traj = simulate_bpire(steps, 20, 1, rng)
-    norms = compute_normalizers(steps)
-    y = normalized_process(traj, norms, 20, [0.0, 0.5, 1.0]).y[0]
-    assert y[0] == 0.0
+    y = simulate_normalized_at(std_model, 20, [0.0, 0.5, 1.0], 1, rng)[0]
+    assert y[0] == 0.0  # Y_n(0) = 0
     assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
 
 
-def test_normalized_process_zero_population():
-    env = flat_env(4)
-    norms = compute_normalizers(env)
-    traj = Trajectory(z=np.zeros(5), z_log=np.full(5, -np.inf),
-                      eta=np.zeros(4, dtype=np.int64), env=env)
-    path = normalized_process(traj, norms, 4, [0.25, 1.0])
-    assert np.all(path.y == 0.0)
+def test_normalized_process_zero_population(rng):
+    # no immigrant ever arrives, so Y_n is identically zero
+    y = simulate_normalized_at(normal_model(rate=1e-300), 4, [0.25, 1.0], 50, rng)
+    assert np.all(y == 0.0)
 
 
-def test_normalized_process_exact_ratio():
-    env = flat_env(4, x=0.0, mu=2.0)
-    norms = compute_normalizers(env)
-    # force Z_k = b_k/a_k: the normalized value is exactly one
-    z = norms.b / norms.a
-    traj = Trajectory(z=z, z_log=np.log(np.maximum(z, 1e-300)),
-                      eta=np.full(4, 2, dtype=np.int64), env=env)
-    path = normalized_process(traj, norms, 4, [0.25, 0.5, 1.0])
-    assert np.allclose(path.y, 1.0)
+def test_normalized_process_exact_ratio(monkeypatch):
+    norms = compute_normalizers(flat_env(4, x=0.0, mu=2.0))
+    assert np.allclose(norms.b / norms.a, 2.0 * np.arange(5))
+
+    # force Z_k = b_k/a_k = 2k: the normalized value is exactly one
+    def forced(z_lin, z_log, x, mu, rng):
+        z = z_lin + mu
+        return z, np.log(z), mu
+
+    monkeypatch.setattr(bpire, "advance", forced)
+    y = simulate_normalized_at(_FlatModel(), 4, [0.25, 0.5, 1.0], 3, None)
+    assert np.allclose(y, 1.0)
 
 
 def test_saturation_error_exact_only(rng):
@@ -242,8 +247,7 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     pre = np.where(np.isfinite(z_log),
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
-    env = sample_two_sided_batch(std_model, 2, "rejection", reps, rng,
-                                 std_tables, pos_extra=70)
+    env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
     zl = _zeta_log_batch(env, off, 64, rng)
     lim = np.where(np.isfinite(zl), np.exp(zl), 0.0)
     assert ks_two_sample(pre, lim).statistic <= 0.06

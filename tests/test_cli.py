@@ -55,6 +55,12 @@ def test_config_field_level_messages():
         RunConfig(replicas={"arcsine": 1})
     with pytest.raises(ConfigError, match="workers"):
         RunConfig(workers=0)
+    with pytest.raises(ConfigError, match="horizons: must be increasing"):
+        RunConfig(horizons=[40, 40])
+    with pytest.raises(ConfigError, match="band_eps"):
+        RunConfig(band_eps=[])
+    with pytest.raises(ConfigError, match="band_eps"):
+        RunConfig(band_eps=[0.1, 0.0])
 
 
 def test_config_stable_spec_scale():

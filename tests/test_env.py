@@ -69,12 +69,11 @@ def test_lognormal_rate_sample_mean(rng):
     mus = np.asarray(model.draw_rate(rng, 100_000))
     target = math.exp(0.5)
     assert abs(mus.mean() - target) / target < 0.02
-    assert model.mean_rate() == pytest.approx(target)
 
 
 def test_draw_step_consistency(std_model, rng):
     step = draw_steps(std_model, 1, rng)
-    assert step.mu[0] == std_model.mean_rate()
+    assert step.mu[0] == std_model.rate_params[0]  # constant rate
     assert step.q[0] == pytest.approx(1.0 / (1.0 + math.exp(step.x[0])))
     assert math.isfinite(step.x[0]) and step.mu[0] > 0
 

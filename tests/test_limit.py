@@ -116,8 +116,7 @@ def test_level_monotone(rng):
 # -- two-sided environments --------------------------------------------------
 
 def test_two_sided_gluing_invariants(std_model, std_tables, rng):
-    env = sample_two_sided_batch(std_model, 6, "rejection", 800, rng,
-                                 std_tables, pos_extra=4)
+    env = sample_two_sided_batch(std_model, 6, 800, rng, std_tables, pos_extra=4)
     assert np.all(env.s_star(0) == 0.0)
     for i in (1, 3, 6):
         assert np.all(env.s_star(i) >= 0.0)
@@ -135,8 +134,7 @@ def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, 
     from bpire_lab.conditioned import resample_by_weight, sample_conditioned_batch
 
     reps = 8000
-    env = sample_two_sided_batch(std_model, 8, "rejection", reps, rng,
-                                 std_tables)
+    env = sample_two_sided_batch(std_model, 8, reps, rng, std_tables)
     direct = sample_conditioned_batch(std_model, 1, "rejection", reps, rng,
                                       "positive", std_tables)
     direct_tilt = resample_by_weight(direct.terminal, direct.tilt_weights,
@@ -146,7 +144,7 @@ def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, 
 
 
 def test_scalar_environment_view(std_model, std_tables, rng):
-    env = sample_two_sided_batch(std_model, 4, "rejection", 256, rng, std_tables)
+    env = sample_two_sided_batch(std_model, 4, 256, rng, std_tables)
     assert np.all(env.s_star(0) == 0.0)
     assert np.all(env.s_star(-2) > 0.0)
     assert np.all(env.mu_star(1) > 0.0)
@@ -157,8 +155,7 @@ def test_scalar_environment_view(std_model, std_tables, rng):
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     rng = derive_stream(11, 0, "zeta")
     tiny = normal_model(rate=1e-9)
-    env = sample_two_sided_batch(tiny, 2, "rejection", 256, rng, std_tables,
-                                 pos_extra=4)
+    env = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
     assert np.all(np.exp(_zeta_log_batch(env, 0, 4, rng)) == 0.0)
     with pytest.raises(IndexError):  # horizon too short for the cohort
         _zeta_log_batch(env, 2, 8, rng)
@@ -169,8 +166,7 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
     # environment row across replicas and average over cohort noise
     from bpire_lab.limit import TwoSidedBatch
 
-    base = sample_two_sided_batch(std_model, 4, "rejection", 1, rng,
-                                  std_tables, pos_extra=8)
+    base = sample_two_sided_batch(std_model, 4, 1, rng, std_tables, pos_extra=8)
     reps = 40_000
     tiled = TwoSidedBatch(
         s_pos=np.repeat(base.s_pos, reps, axis=0),
@@ -188,22 +184,21 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
 
 def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
     reps = 6000
-    env = sample_two_sided_batch(std_model, 2, "rejection", reps, rng,
-                                 std_tables, pos_extra=64)
+    env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=64)
     a = np.exp(_zeta_log_batch(env, 0, 24, rng))
     b = np.exp(_zeta_log_batch(env, 0, 48, rng))
     assert ks_two_sample(a, b).statistic <= 0.05
 
 
 def test_gamma_sample_basics(std_model, std_tables, rng):
-    g = sample_gamma_batch(std_model, 8, 8, "rejection", 64, rng, std_tables)
+    g = sample_gamma_batch(std_model, 8, 8, reps=64, rng=rng, tables=std_tables)
     assert isinstance(g, GammaBatch)
     assert np.all(g.sigma1 > 0.0)
     assert g.gamma == pytest.approx(g.sigma2 / g.sigma1)
 
 
 def test_gamma_batch_lower_bound(std_model, std_tables, rng):
-    batch = sample_gamma_batch(std_model, 8, 8, "rejection", 2000, rng, std_tables)
+    batch = sample_gamma_batch(std_model, 8, 8, reps=2000, rng=rng, tables=std_tables)
     # the i=0 term alone gives sigma1 >= mu*_1
     assert np.all(batch.sigma1 > 0.0)
     assert batch.gamma.min() >= 0.0
@@ -211,20 +206,20 @@ def test_gamma_batch_lower_bound(std_model, std_tables, rng):
 
 def test_gamma_zero_without_immigrants(std_tables, rng):
     tiny = normal_model(rate=1e-9)
-    batch = sample_gamma_batch(tiny, 4, 4, "rejection", 200, rng, std_tables)
+    batch = sample_gamma_batch(tiny, 4, 4, reps=200, rng=rng, tables=std_tables)
     assert np.all(batch.sigma2 == 0.0)
     assert np.all(batch.gamma == 0.0)
     assert np.all(batch.sigma1 > 0.0)
 
 
 def test_gamma_truncation_stability(std_model, std_tables, rng):
-    a = sample_gamma_batch(std_model, 16, 16, "rejection", 4000, rng, std_tables)
-    b = sample_gamma_batch(std_model, 32, 32, "rejection", 4000, rng, std_tables)
+    a = sample_gamma_batch(std_model, 16, 16, reps=4000, rng=rng, tables=std_tables)
+    b = sample_gamma_batch(std_model, 32, 32, reps=4000, rng=rng, tables=std_tables)
     assert ks_two_sample(a.gamma, b.gamma).statistic <= 0.05
 
 
 def test_series_terms_match_star_sequence(std_model, std_tables, rng):
-    env = sample_two_sided_batch(std_model, 4, "rejection", 50, rng, std_tables)
+    env = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
     pos, neg = series_terms(env, 4)
     for j in range(4):
         assert np.allclose(pos[:, j], env.mu_star(j + 1) * np.exp(-env.s_star(j)))
@@ -234,16 +229,16 @@ def test_series_terms_match_star_sequence(std_model, std_tables, rng):
 
 # -- finite-dimensional limit draws ------------------------------------------
 
-def test_fdd_first_coordinate_is_first_gamma(std_model, std_tables, rng):
+def test_fdd_first_coordinate_is_first_gamma(std_model, rng):
     pool = np.arange(1.0, 41.0)
     y, changed, gammas = sample_limit_fdd_batch(
-        (1.0,), std_model, 2, 2, 0.01, 40, rng, std_tables, gamma_pool=pool)
+        (1.0,), std_model, 0.01, 40, rng, gamma_pool=pool)
     assert np.array_equal(y[:, 0], pool[:40])
 
 
-def test_fdd_no_change_keeps_gamma(std_model, std_tables, rng):
+def test_fdd_no_change_keeps_gamma(std_model, rng):
     y, changed, gammas = sample_limit_fdd_batch(
-        (0.5, 1.0, 1.5), std_model, 2, 2, 5e-3, 600, rng, std_tables,
+        (0.5, 1.0, 1.5), std_model, 5e-3, 600, rng,
         gamma_pool=rng.exponential(1.0, 600 * 3))
     same01 = ~changed[:, 0]
     assert np.all(y[same01, 1] == y[same01, 0])
@@ -251,36 +246,36 @@ def test_fdd_no_change_keeps_gamma(std_model, std_tables, rng):
     assert np.all(y[chg01, 1] == gammas[chg01, 1])
 
 
-def test_fdd_scalar_wrapper(std_model, std_tables, rng):
+def test_fdd_scalar_wrapper(std_model, rng):
     y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2, 2, 5e-3, 1, rng, std_tables,
+        (1.0, 2.0), std_model, 5e-3, 1, rng,
         gamma_pool=np.array([3.0, 7.0]))
     assert y[0, 0] == 3.0
     assert y[0, 1] in (3.0, 7.0)
     assert changed[0].shape == (1,)
 
 
-def test_fdd_gamma_independent_of_level(std_model, std_tables, rng):
+def test_fdd_gamma_independent_of_level(std_model, rng):
     reps = 6000
     pool = rng.exponential(1.0, reps * 2)
     y, changed, gammas = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2, 2, 2e-3, reps, rng, std_tables,
+        (1.0, 2.0), std_model, 2e-3, reps, rng,
         gamma_pool=pool)
     # correlation between the first gamma and the change indicator
     corr = np.corrcoef(gammas[:, 0], changed[:, 0].astype(float))[0, 1]
     assert abs(corr) <= 3.5 / math.sqrt(reps)
 
 
-def test_fdd_time_validation(std_model, std_tables, rng):
+def test_fdd_time_validation(std_model, rng):
     with pytest.raises(ValueError):
-        sample_limit_fdd_batch((2.0, 1.0), std_model, 2, 2, 0.01, 10, rng,
-                               std_tables, gamma_pool=np.ones(20))
+        sample_limit_fdd_batch((2.0, 1.0), std_model, 0.01, 10, rng,
+                               gamma_pool=np.ones(20))
     with pytest.raises(ValueError):
-        sample_limit_fdd_batch((1.0,), std_model, 2, 2, 0.01, 10, rng,
-                               std_tables, gamma_pool=np.ones(5))
+        sample_limit_fdd_batch((1.0,), std_model, 0.01, 10, rng,
+                               gamma_pool=np.ones(5))
 
 
-def test_fdd_joint_law_matches_mixture(std_model, std_tables, rng):
+def test_fdd_joint_law_matches_mixture(std_model, rng):
     # self-consistency of the construction: the two-coordinate law of the
     # limit draws equals the mixture of independent and common gamma
     # coordinates weighted by the level-change probability
@@ -289,19 +284,19 @@ def test_fdd_joint_law_matches_mixture(std_model, std_tables, rng):
     reps = 8000
     pool = rng.exponential(1.0, reps * 2)
     y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2, 2, 2e-3, reps, rng, std_tables,
+        (1.0, 2.0), std_model, 2e-3, reps, rng,
         gamma_pool=pool)
     p_hat = changed[:, 0].mean()
     rep = joint_two_time_test(y[:, 0], y[:, 1], pool, p_hat)
     assert rep.max_discrepancy <= 2.0 * 2.0 / math.sqrt(reps) + 0.015
 
 
-def test_fdd_classification_is_binary(std_model, std_tables, rng):
+def test_fdd_classification_is_binary(std_model, rng):
     # each replica is classified either as a strict level decrease or as
     # an unchanged level: the two event frequencies sum to one exactly
     reps = 500
     y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2, 2, 5e-3, reps, rng, std_tables,
+        (1.0, 2.0), std_model, 5e-3, reps, rng,
         gamma_pool=rng.exponential(1.0, reps * 2))
     p_change = changed[:, 0].mean()
     p_same = (~changed[:, 0]).mean()
@@ -309,19 +304,19 @@ def test_fdd_classification_is_binary(std_model, std_tables, rng):
 
 
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
-    batch = sample_gamma_batch(std_model, 4, 4, "rejection", 50, rng, std_tables)
+    batch = sample_gamma_batch(std_model, 4, 4, reps=50, rng=rng, tables=std_tables)
     path = write_csv(str(tmp_path), "gamma.csv", {
         "sigma1": batch.sigma1, "sigma2": batch.sigma2, "gamma": batch.gamma,
-    }, {"trunc_i": batch.trunc_i, "trunc_j": batch.trunc_j, "method": batch.method})
+    }, {"trunc_i": 4, "trunc_j": 4, "method": "rejection"})
     lines = open(path).read().splitlines()
     assert "# trunc_i = 4" in lines and "# method = rejection" in lines
     assert lines[3] == "sigma1,sigma2,gamma"
     assert len(lines) == 4 + 50
 
 
-def test_fdd_csv_export(std_model, std_tables, rng, tmp_path):
+def test_fdd_csv_export(std_model, rng, tmp_path):
     y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2, 2, 0.01, 20, rng, std_tables,
+        (1.0, 2.0), std_model, 0.01, 20, rng,
         gamma_pool=rng.exponential(1.0, 40))
     path = write_csv(str(tmp_path), "fdd.csv", {
         "y1": y[:, 0], "y2": y[:, 1], "changed12": changed[:, 0].astype(int),
@@ -341,3 +336,19 @@ def test_brownian_level_change_probability(rng):
     # refinement study: a finer grid moves the estimate toward 1/2
     p_fine = estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, 5e-4, 20_000, rng)
     assert abs(p_fine - 0.5) <= 0.02
+
+
+def test_level_change_grid_index_matches_fdd(monkeypatch):
+    # 0.07 / 0.01 evaluates to 7.000000000000001: both Lévy-level callers
+    # must still end the path at grid index 7, not 8
+    widths = []
+
+    def fake_stable(alpha, rho, size, rng):
+        widths.append(size[1])
+        return np.zeros(size)
+
+    monkeypatch.setattr(limit, "stable_standard", fake_stable)
+    estimate_level_change_prob(2.0, 0.5, 0.05, 0.07, 0.01, 4, None)
+    sample_limit_fdd_batch((0.05, 0.07), normal_model(), 0.01, 4, None,
+                           gamma_pool=np.ones(8))
+    assert widths == [7, 7]

@@ -7,43 +7,40 @@ from scipy.stats import norm
 
 from bpire_lab.env import pareto_model
 from bpire_lab.limit import stable_standard
+from bpire_lab.runner import _recentered_block
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
 from bpire_lab.streams import derive_stream
-from bpire_lab.walk import (
-    StableSpec,
-    WalkPath,
-    arcsine_cdf,
-    centered_at_min,
-    normalizer,
-    simulate_walk,
-    simulate_walk_matrix,
-    summarize,
-    summarize_matrix,
-)
+from bpire_lab.walk import StableSpec, arcsine_cdf, normalizer, simulate_walk_matrix
+
+
+class _FixedSteps:
+    """Model stand-in whose draws are given increments, one row per path."""
+
+    def __init__(self, *paths):
+        self.x = np.diff(np.array(paths, dtype=float), axis=1)
+
+    def draw_x(self, rng, size):
+        assert size == self.x.shape
+        return self.x
 
 
 def test_walk_is_cumsum_of_model_draws(std_model):
     # identical streams: the path must be the cumulative sum of the draws
-    path = simulate_walk(std_model, 50, derive_stream(7, 0, "w"))
+    s = simulate_walk_matrix(std_model, 50, 1, derive_stream(7, 0, "w"))[0]
     xs = std_model.draw_x(derive_stream(7, 0, "w"), 50)
-    assert path.s[0] == 0.0
-    assert np.allclose(path.s[1:], np.cumsum(xs))
+    assert s[0] == 0.0
+    assert np.allclose(s[1:], np.cumsum(xs))
 
 
 def test_walk_single_step(std_model):
-    path = simulate_walk(std_model, 1, derive_stream(7, 1, "w"))
+    s = simulate_walk_matrix(std_model, 1, 1, derive_stream(7, 1, "w"))[0]
     x = float(std_model.draw_x(derive_stream(7, 1, "w"), 1)[0])
-    assert path.s.tolist() == [0.0, x]
+    assert s.tolist() == [0.0, x]
 
 
 def test_walk_requires_positive_n(std_model, rng):
     with pytest.raises(ValueError):
-        simulate_walk(std_model, 0, rng)
-
-
-def test_walk_path_must_start_at_zero():
-    with pytest.raises(ValueError):
-        WalkPath(s=np.array([1.0, 2.0]))
+        simulate_walk_matrix(std_model, 0, 5, rng)
 
 
 def test_sign_fraction_symmetric(std_model, rng):
@@ -64,7 +61,7 @@ def test_pareto_family_stable_limit(rng):
     # S_n / (c n^{1/a}) must match the standard stable law the package
     # itself samples; the scale constant is the analytic tail constant
     model = pareto_model(alpha=1.3)
-    spec = StableSpec.of_model(model)
+    spec = StableSpec(alpha=1.3, rho=0.5, scale=model.stable_scale())
     reps, n = 4000, 512
     s = simulate_walk_matrix(model, n, reps, rng)
     scaled = s[:, -1] / normalizer(spec, n)
@@ -73,22 +70,24 @@ def test_pareto_family_stable_limit(rng):
 
 
 def test_summarize_examples():
-    s1 = summarize(WalkPath(s=np.array([0.0, -1.0, -2.0, -1.0])))
-    assert (s1.l_n, s1.tau_n, s1.m_n) == (-2.0, 2, -1.0)
-    s2 = summarize(WalkPath(s=np.array([0.0, 1.0, -1.0, -1.0])))
-    assert (s2.l_n, s2.tau_n) == (-1.0, 2)  # first attainment of the minimum
-    s3 = summarize(WalkPath(s=np.array([0.0, 2.0, 3.0])))
-    assert (s3.l_n, s3.tau_n, s3.m_n) == (0.0, 0, 3.0)
+    paths = _FixedSteps([0.0, -1.0, -2.0, -1.0], [0.0, 1.0, -1.0, -1.0])
+    s = simulate_walk_matrix(paths, 3, 2, None)
+    tau = np.argmin(s, axis=1)
+    assert tau.tolist() == [2, 2]  # first attainment of the minimum
+    assert s[[0, 1], tau].tolist() == [-2.0, -1.0]
+    assert s[0, 1:].max() == -1.0
+    # the recentered walk reads from that first argmin
+    assert _recentered_block(2, None, paths, 3, (1,))[1].tolist() == [1.0, 0.0]
+    s3 = simulate_walk_matrix(_FixedSteps([0.0, 2.0, 3.0]), 2, 1, None)
+    assert (s3[0].min(), np.argmin(s3[0]), s3[0, 1:].max()) == (0.0, 0, 3.0)
 
 
 def test_summarize_consistency_with_simulation(std_model, rng):
     s = simulate_walk_matrix(std_model, 64, 200, rng)
-    l, m, tau, sn = summarize_matrix(s)
+    tau = np.argmin(s, axis=1)
     for row in range(s.shape[0]):
-        assert s[row, tau[row]] == l[row]
-        assert np.all(s[row, : tau[row]] > l[row])  # strict pre-minimality
-        assert m[row] == s[row, 1:].max()
-        assert sn[row] == s[row, -1]
+        assert s[row, tau[row]] == s[row].min()
+        assert np.all(s[row, : tau[row]] > s[row, tau[row]])  # strict pre-minimality
 
 
 def test_arcsine_cdf_half_cases():
@@ -153,26 +152,12 @@ def test_stable_spec_validation():
 
 
 def test_centered_at_min_example():
-    path = WalkPath(s=np.array([0.0, -1.0, -2.0, -1.0]))
-    out = centered_at_min(path, window=1)
-    assert out.tolist() == [1.0, 0.0, 1.0]
-
-
-def test_centered_at_min_zero_padding():
-    path = WalkPath(s=np.array([0.0, 1.0, 2.0]))  # argmin at 0
-    out = centered_at_min(path, window=2)
-    assert out.tolist() == [0.0, 0.0, 0.0, 1.0, 2.0]
+    out = _recentered_block(1, None, _FixedSteps([0.0, -1.0, -2.0, -1.0]), 3, (-1, 0, 1))
+    assert [out[i].tolist() for i in (-1, 0, 1)] == [[1.0], [0.0], [1.0]]
 
 
 def test_centered_at_min_properties(std_model, rng):
-    for _ in range(20):
-        path = simulate_walk(std_model, 40, rng)
-        out = centered_at_min(path, window=40)
-        assert out[40] == 0.0
-        assert np.all(out >= 0.0)
-
-
-def test_centered_at_min_window_check(std_model, rng):
-    path = simulate_walk(std_model, 10, rng)
-    with pytest.raises(ValueError):
-        centered_at_min(path, window=11)
+    offsets = tuple(range(-40, 41))
+    out = _recentered_block(20, rng, std_model, 40, offsets)
+    assert out[0].tolist() == [0.0] * 20
+    assert all(np.all(out[i] >= 0.0) for i in offsets)
