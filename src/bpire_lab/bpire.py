@@ -16,9 +16,13 @@ Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
 to matter, and the log value is always finite-precision meaningful.
 
-Every simulation in the package is built from two kernels over
-``branch_generation``: ``advance`` (one generation with immigration)
-and ``cohort_log_sizes`` (one immigrant cohort, no further immigration).
+Every simulation in the package is built from three kernels. Two run
+over ``branch_generation``: ``advance`` (one generation with immigration)
+and ``cohort_log_sizes`` (one immigrant cohort, no further immigration,
+generation by generation). The third, ``cohort_log_values``, draws the
+cohort after J generations from the closed-form composition of the
+geometric offspring laws in O(1) variates; the ratio law uses it, and the
+tests hold the branching engine against it as an exact oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "branch_generation",
     "advance",
     "cohort_log_sizes",
+    "cohort_log_values",
     "simulate_bpire",
     "simulate_normalized_at",
     "compute_normalizers",
@@ -57,6 +62,33 @@ def _log_count(c):
     """ln c of nonnegative counts, -inf at zero."""
     with np.errstate(divide="ignore"):
         return np.log(c)
+
+
+def _poisson_log(lam_log: np.ndarray, rng: np.random.Generator):
+    """Poisson counts from log means ``lam_log``, as (linear, log) counts.
+
+    Exact draws up to ``_LN_POISSON_CAP``; above it, Poisson noise on the
+    log scale (relative sd 1/sqrt(lam)), with the linear count stored as
+    inf past 2^53.
+    """
+    z_lin = np.empty_like(lam_log)
+    z_log = np.empty_like(lam_log)
+    small = lam_log <= _LN_POISSON_CAP
+    if small.any():
+        draws = rng.poisson(np.exp(lam_log[small])).astype(float)
+        z_lin[small] = draws
+        z_log[small] = _log_count(draws)
+    if (~small).any():
+        ll = lam_log[~small]
+        ll = ll + np.log1p(
+            np.clip(rng.standard_normal(len(ll)) * np.exp(-0.5 * ll), -0.999, None)
+        )
+        z_log[~small] = ll
+        lin = np.full_like(ll, np.inf)
+        fits = ll < _LN_EXACT_FLOAT
+        lin[fits] = np.exp(ll[fits])
+        z_lin[~small] = lin
+    return z_lin, z_log
 
 
 def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
@@ -98,24 +130,7 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
         lam_log = cb + x[big] + np.log1p(
             np.clip(rng.standard_normal(big.sum()) * np.exp(-0.5 * cb), -0.999, None)
         )
-        small_lam = lam_log <= _LN_POISSON_CAP
-        if small_lam.any():
-            lam = np.exp(lam_log[small_lam])
-            draws = rng.poisson(lam).astype(float)
-            idx = np.nonzero(big)[0][small_lam]
-            z_lin[idx] = draws
-            z_log[idx] = _log_count(draws)
-        if (~small_lam).any():
-            ll = lam_log[~small_lam]
-            # Poisson noise on the log scale: relative sd 1/sqrt(lam)
-            ll = ll + np.log1p(
-                np.clip(rng.standard_normal(len(ll)) * np.exp(-0.5 * ll), -0.999, None)
-            )
-            idx = np.nonzero(big)[0][~small_lam]
-            z_log[idx] = ll
-            small = ll < _LN_EXACT_FLOAT
-            z_lin[idx] = np.inf
-            z_lin[idx[small]] = np.exp(ll[small])
+        z_lin[big], z_log[big] = _poisson_log(lam_log, rng)
     return z_lin, z_log
 
 
@@ -148,6 +163,33 @@ def cohort_log_sizes(mu, x, reps: int, rng: np.random.Generator) -> np.ndarray:
     for k, x_k in enumerate(x):
         z_lin, z_log = branch_generation(z_lin, z_log, x_k, rng)
         out[k] = z_log
+    return out
+
+
+def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
+    """ln A·Z of immigrant cohorts, drawn from the composed offspring law.
+
+    Geometric offspring laws compose in closed form over a walk S_0..S_J:
+    1/(1 - f_{0,J}(s)) = A/(1 - s) + B with A = e^{-(S_J - S_0)} and
+    B = sum_{k<J} e^{-(S_k - S_0)}. A cohort of Poisson(``mu``) immigrants
+    therefore has Poisson(mu/(A+B)) surviving lines L, and
+    Z = L + NegBin(L, A/(A+B)), drawn as L + Poisson(G·B/A) with
+    G ~ Gamma(L). ``mu``, ``a_log`` = ln A and ``b_log`` = ln B broadcast
+    to one shape, which is the shape of the result: ln A·Z, the cohort
+    martingale value at depth J, and -inf where the cohort died. Every
+    step runs in logs, so no walk increment can overflow it.
+    """
+    mu, a_log, b_log = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (mu, a_log, b_log)))
+    lines, lines_log = _poisson_log(_log_count(mu) - np.logaddexp(a_log, b_log), rng)
+    out = np.full(lines.shape, -np.inf)
+    live = lines > 0.0
+    lines, lines_log = lines[live], lines_log[live]
+    g_log = lines_log.copy()  # past 2^53 lines, Gamma(L) is L to a relative sd of 2^-26.5
+    fits = np.isfinite(lines)
+    g_log[fits] = np.log(rng.standard_gamma(lines[fits]))
+    _, extra_log = _poisson_log(g_log + b_log[live] - a_log[live], rng)
+    out[live] = a_log[live] + np.logaddexp(lines_log, extra_log)
     return out
 
 

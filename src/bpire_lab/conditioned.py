@@ -83,8 +83,7 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     Proposals are killed as soon as they leave the conditioning region,
     so the cost per proposal is O(sqrt(n)) steps instead of n.
     """
-    out = np.empty((reps, n + 1))
-    out[:, 0] = 0.0
+    accepted = [np.zeros((0, n + 1))]
     got = 0
     attempts = 0
     budget = REJECTION_CAP * reps
@@ -95,24 +94,27 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
                 f"{side} rejection at n={n}: {attempts} attempts for {got}/{reps} paths"
             )
         m = min(chunk, budget - attempts)
-        paths = np.empty((m, n + 1))
-        paths[:, 0] = 0.0
         rows = np.arange(m)
         cur = np.zeros(m)
+        kept = []  # per sweep: the surviving proposals and their segments
         for lo in range(0, n, _KILL_SEGMENT):
             k = min(_KILL_SEGMENT, n - lo)
             seg = cur[:, None] + np.cumsum(model.draw_x(rng, (len(rows), k)), axis=1)
-            paths[rows, lo + 1: lo + 1 + k] = seg
             ok = (seg.min(axis=1) >= 0.0) if side == "positive" else (seg.max(axis=1) < 0.0)
-            rows = rows[ok]
-            cur = seg[ok, -1]
+            rows, seg = rows[ok], seg[ok]
+            kept.append((rows, seg))
+            cur = seg[:, -1]
             if len(rows) == 0:
                 break
         take = min(len(rows), reps - got)
-        out[got:got + take] = paths[rows[:take]]
+        if take:
+            done = rows[:take]
+            accepted.append(np.concatenate(
+                [np.zeros((take, 1))] + [s[np.searchsorted(r, done)] for r, s in kept],
+                axis=1))
         got += take
         attempts += m
-    return out
+    return np.concatenate(accepted)
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

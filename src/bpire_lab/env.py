@@ -108,8 +108,12 @@ class EnvironmentModel:
         if self.x_family == "normal":
             return rng.normal(0.0, self.x_param, size)
         if self.x_family == "pareto":
-            sign = rng.choice([-1.0, 1.0], size)
-            return sign * rng.uniform(0.0, 1.0, size) ** (-1.0 / self.x_param)
+            # integers(0, 2) makes the draws of choice([-1, 1]) with less overhead
+            sign = rng.integers(0, 2, size) * 2 - 1
+            x = rng.uniform(0.0, 1.0, size)
+            x **= -1.0 / self.x_param
+            x *= sign
+            return x
         raise InvalidModelError(f"unknown x family {self.x_family!r}")
 
     def draw_rate(self, rng: np.random.Generator, size=None) -> np.ndarray:

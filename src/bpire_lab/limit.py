@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import cohort_log_sizes
+from .bpire import cohort_log_values
 from .conditioned import resample_by_weight, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
@@ -134,12 +134,6 @@ class TwoSidedBatch:
     def mu_star(self, i: int) -> np.ndarray:
         return self.mu_pos[:, i - 1] if i >= 1 else self.mu_neg[:, -i]
 
-    def x_star(self, j: int) -> np.ndarray:
-        """Step S*_j - S*_{j-1} of the glued walk."""
-        if j >= 1:
-            return self.s_pos[:, j] - self.s_pos[:, j - 1]
-        return self.s_neg[:, -j + 1] - self.s_neg[:, -j]
-
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
                            rng: np.random.Generator, tables: LadderTables,
@@ -179,18 +173,28 @@ def series_terms(env: TwoSidedBatch, I: int):
     return pos, neg
 
 
-def _zeta_log_batch(env: TwoSidedBatch, i: int, J: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """ln of the cohort martingale value a*_{i,i+J} Z*_{i,i+J} per replica.
+def _glued_cohorts(env: TwoSidedBatch, I: int, J: int):
+    """Laws of the 2I immigrant cohorts i = -I..I-1 of the glued environment.
 
-    The cohort starts from a Poisson immigrant draw with rate mu*_{i+1}
-    and branches through the glued environment for J generations; the
-    result approximates the almost-sure martingale limit for the cohort.
-    Returns -inf where the cohort died.
+    Returns (reps, 2I) arrays: S*_i, mu*_{i+1}, and the fractional-linear
+    coefficients ln A = -(S*_{i+J} - S*_i) and
+    ln B = ln sum_{k<J} e^{-(S*_{i+k} - S*_i)} of the cohort's J steps.
+    ln B takes one shift per cohort, the largest of its exponents, so no
+    window of the walk underflows to zero.
     """
-    x = np.stack([env.x_star(j) for j in range(i + 1, i + J + 1)])
-    z_log = cohort_log_sizes(env.mu_star(i + 1), x, env.reps, rng)[-1]
-    return z_log - (env.s_star(i + J) - env.s_star(i))
+    if env.s_neg.shape[1] <= I or env.s_pos.shape[1] < I + J:
+        raise ValueError(f"two-sided environment too short for I={I}, J={J}")
+    s = np.concatenate([-env.s_neg[:, I:0:-1], env.s_pos[:, :I + J]], axis=1)
+    mu = np.concatenate([env.mu_neg[:, I - 1::-1], env.mu_pos[:, :I]], axis=1)
+    width = 2 * I
+    s_i = s[:, :width]
+    top = np.zeros_like(s_i)
+    for k in range(1, J):
+        np.maximum(top, s_i - s[:, k:k + width], out=top)
+    total = np.zeros_like(s_i)
+    for k in range(J):
+        total += np.exp(s_i - s[:, k:k + width] - top)
+    return s_i, mu, s_i - s[:, J:J + width], top + np.log(total)
 
 
 @dataclass
@@ -205,17 +209,17 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
     """Draw ``reps`` truncated (Sigma1, Sigma2, gamma) realizations.
 
     Sigma1 sums mu*_{i+1} e^{-S*_i} and Sigma2 sums zeta*_i e^{-S*_i}
-    over i in [-I, I-1], with zeta proxies at martingale depth J.
+    over i in [-I, I-1], with zeta proxies at martingale depth J: the
+    cohort values a*_{i,i+J} Z*_{i,i+J}, each drawn exactly from the
+    composed offspring law of its J steps.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
     pos, neg = series_terms(env, I)
     sigma1 = pos.sum(axis=1) + neg.sum(axis=1)
-    sigma2 = np.zeros(reps)
-    for i in range(-I, I):
-        zl = _zeta_log_batch(env, i, J, rng)
-        sigma2 += np.where(np.isfinite(zl), np.exp(zl - env.s_star(i)), 0.0)
+    s_i, mu, a_log, b_log = _glued_cohorts(env, I, J)
+    sigma2 = np.exp(cohort_log_values(mu, a_log, b_log, rng) - s_i).sum(axis=1)
     return GammaBatch(sigma1=sigma1, sigma2=sigma2, gamma=sigma2 / sigma1)
 
 

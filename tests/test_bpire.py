@@ -8,6 +8,7 @@ from bpire_lab.bpire import (
     SaturationError,
     branch_generation,
     cohort_log_sizes,
+    cohort_log_values,
     compute_normalizers,
     simulate_bpire,
     simulate_normalized_at,
@@ -165,22 +166,48 @@ def test_hybrid_matches_exact_engine(std_model, rng, monkeypatch):
     assert ks.statistic <= 0.05
 
 
+_WALK_X = np.array([0.4, -0.2, 0.1, 0.5, -0.6, 0.3, -0.1, 0.2, -0.4, 0.0])
+
+
+def _fractional_linear_coefficients(x):
+    # 1/(1 - f_{0,n}(s)) = A/(1 - s) + B with A = e^{-S_n}, B = sum_{k<n} e^{-S_k}
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    return -s[-1], math.log(np.exp(-s[:-1]).sum())
+
+
 @pytest.mark.parametrize("mu", [2.0 ** 33, 2.0 ** 40])
 def test_hybrid_matches_fractional_linear_law(rng, mu):
-    # oracle far above EXACT_CAP: geometric laws compose in closed form,
-    # 1/(1 - f_{0,n}(s)) = A/(1 - s) + B with A = e^{-S_n} and
-    # B = sum_{k<n} e^{-S_k}. Each ancestor has a surviving line with
-    # probability 1/(A+B), and each surviving line leaves 1 + Geometric
-    # descendants with success probability A/(A+B); Poisson(mu)
-    # ancestors thin to Poisson(mu/(A+B)) surviving lines.
-    x = np.array([0.4, -0.2, 0.1, 0.5, -0.6, 0.3, -0.1, 0.2, -0.4, 0.0])
-    s = np.concatenate([[0.0], np.cumsum(x)])
-    a, b = math.exp(-s[-1]), np.exp(-s[:-1]).sum()
+    # oracle far above EXACT_CAP: the generation-by-generation engine
+    # against the closed-form composition of its geometric offspring laws
+    a_log, b_log = _fractional_linear_coefficients(_WALK_X)
     reps = 4000
-    hybrid = cohort_log_sizes(mu, x, reps, rng)[-1]
-    lines = rng.poisson(mu / (a + b), reps)
-    exact = np.log(lines + rng.negative_binomial(lines, a / (a + b)))
+    hybrid = cohort_log_sizes(mu, _WALK_X, reps, rng)[-1] + a_log
+    exact = cohort_log_values(np.full(reps, mu), a_log, b_log, rng)
     assert ks_two_sample(hybrid, exact).statistic <= 0.05
+
+
+def test_cohort_log_values_extinction_and_mean(rng):
+    # each ancestor survives J generations with probability 1/(A+B), so
+    # P(Z = 0) = e^{-mu/(A+B)}; and E(A Z) = mu, the martingale mean
+    a_log, b_log = _fractional_linear_coefficients(_WALK_X)
+    mu, reps = 1.3, 40_000
+    vals = np.exp(cohort_log_values(np.full(reps, mu), a_log, b_log, rng))
+    p_dead = math.exp(-mu / (math.exp(a_log) + math.exp(b_log)))
+    dead = (vals == 0.0).mean()
+    assert abs(dead - p_dead) <= 4.0 * math.sqrt(p_dead * (1 - p_dead) / reps)
+    se = vals.std(ddof=1) / math.sqrt(reps)
+    assert abs(vals.mean() - mu) <= 4.0 * se
+
+
+def test_cohort_log_values_has_no_overflow(rng):
+    # walk increments of +-800 stay in log space: a vanishing A leaves a
+    # cohort of value about mu (2^60 surviving lines, past the float
+    # range of linear counts), a huge A or B leaves a dead cohort
+    with np.errstate(over="raise"):
+        out = cohort_log_values(np.full(4, 2.0 ** 60), np.array([-800.0, -800.0, 800.0, 0.0]),
+                                np.array([0.0, 800.0, 0.0, 800.0]), rng)
+    assert out[0] == pytest.approx(60 * math.log(2.0), abs=1e-6)
+    assert np.all(np.isneginf(out[1:]))
 
 
 def test_branch_generation_has_no_overflow(rng):
@@ -221,7 +248,7 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     # the cohort joining one generation after the walk argmin, normalized
     # by e^{-(S_n - S_{tau+1})}, matches the martingale-limit law of the
     # glued environment's first forward cohort
-    from bpire_lab.limit import _zeta_log_batch, sample_two_sided_batch
+    from bpire_lab.limit import _glued_cohorts, sample_two_sided_batch
 
     n, reps, off = 512, 3000, 1
     x = std_model.draw_x(rng, (reps, n))
@@ -248,8 +275,8 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
     env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
-    zl = _zeta_log_batch(env, off, 64, rng)
-    lim = np.where(np.isfinite(zl), np.exp(zl), 0.0)
+    _, mu, a_log, b_log = _glued_cohorts(env, 2, 64)
+    lim = np.exp(cohort_log_values(mu[:, 2 + off], a_log[:, 2 + off], b_log[:, 2 + off], rng))
     assert ks_two_sample(pre, lim).statistic <= 0.06
 
 

@@ -24,7 +24,7 @@ GOLDEN = {
     "normal": {
         "arcsine_ecdf.csv": "97ed1a08b3dfc00e58087a71ce65ded824c1a41f807140e82742ceee7f0be75e",
         "band_fractions.csv": "3723d17e733a351737a9b5a7c50d0a83d2c3124a102f4637cd6d8f1336f947a5",
-        "gamma_ecdf.csv": "5793f23df9d0c3a38f1f7d856fc78d2de5fa6cfff4e8dea273508149246f4134",
+        "gamma_ecdf.csv": "19f69783311da6cc1e987f7a6b3da26143ef029183979c0d6b717a270e123f4b",
         "ladder_tables.txt": "56a4d2706d5dd73d97e11e954f1d4e085dd868125514bbee967e17f7de65c1dc",
         "lemma1_offset+1.csv": "aad6d2f5ff9e273c5937512fbc44ae7e4079289772bd24300763175fcef31883",
         "lemma1_offset+2.csv": "b2b94bd47136b1b917b9239c67d6b767516856ba3df28064968b2b2fbd740f47",
@@ -39,14 +39,14 @@ GOLDEN = {
         "martingale_means.csv": "e03b9f29f7997ed35f9b9cb04599558c6e8a77b9024b22bfa640c5a2e1fd1234",
         "measure_change_negative.csv": "aeffb646792cf19031a2e2164726c2672ee4584ccc9d0271854c8be6b3372da9",
         "measure_change_positive.csv": "a4c07a4d58c6dd134f7e612f228a5c9d5f8f5391ce0340ac4bf8df2e676af2f4",
-        "report.json": "34b807a2fa7c073403e808f721e13283f15b7929b956338ded0b73acdac3e3b2",
-        "theorem1_onedim_ecdf.csv": "2711e85179f36fb8459da8d794636aaf99f5082e674526574e434e81321b6ac8",
-        "theorem1_twodim_probes.csv": "8e6b393cd466277bcdfdbf61e395f964757319630173487b6659774e703ed0e1",
+        "report.json": "ec8d28b6fa04f58097ffcc6371fdf56dac6dc90b3674f721b8ddc205bdf44570",
+        "theorem1_onedim_ecdf.csv": "c65566895214895a214532897c5eb9b0b0b79dcbc5a94b54fee7e4b5331bc701",
+        "theorem1_twodim_probes.csv": "e40769c1346a5a79ee9e8cf07f576142490f42dac15b3e1519afbb8460c051e8",
     },
     "pareto": {
         "arcsine_ecdf.csv": "f62e6b9da13f5ca1c3d784ea2b14ded3b136517e5963f18e61e8dd1113d68f2a",
         "band_fractions.csv": "bd4756da292375484b2532d090467d966ed77becd28162091587ddd3eb85594e",
-        "gamma_ecdf.csv": "b3bf3d350b86258576dad85e9c11981c752daf737e61b93f1d365bb4377d620e",
+        "gamma_ecdf.csv": "3382646931e5a2447c01d2583590029fbdcc7a22681561617691db6b26c0f120",
         "ladder_tables.txt": "15a9973c0cd4259dcd4b618a91ef8211b43da4e3a99fa426d07b2355bbaeb7e3",
         "lemma1_offset+1.csv": "73372ab96fe74fe277be22cec0f4a2dac6ab23ba05cbf75f95f9b556c4422b77",
         "lemma1_offset+2.csv": "98b5f0898b0914eeca1374068b6a4f80c576bc6b6406c256ccc54a66d4eb8cf7",
@@ -61,9 +61,9 @@ GOLDEN = {
         "martingale_means.csv": "80c3fa581c553d58ac65f554bc90a14649868d2ef9f48eb2789ee10bd19a3607",
         "measure_change_negative.csv": "340710161a6079b604e6d74d35870b328a2b1a3c98e5af37c10bfbaabae0af5a",
         "measure_change_positive.csv": "f2568239ddf154d9a485cea86390e359171adfa9f5bfb80635e46d286842306f",
-        "report.json": "214ecd8ba8b142603e2cf19aede1ba3a2d345a14a5f30e4a1f1fb083cf546871",
-        "theorem1_onedim_ecdf.csv": "274b564200900c0d201d178a8ad37642d75934bf6bdfb4ce8f7f92662fb00208",
-        "theorem1_twodim_probes.csv": "ab10702ea133e07df635c4ce35a9cbabbc4645eeaabbafb8d8d16c578bbaf00e",
+        "report.json": "febcf4c92c1fc6298015b342b577517a14a8064494e348cbc1635481f4ac2484",
+        "theorem1_onedim_ecdf.csv": "1db6b2b5829e3b5defdb3c8f1516009481b8366f5f25f41fcf9c7ef12f430cba",
+        "theorem1_twodim_probes.csv": "22817db9ccc2fcfa5b6608a34a8e1555c60a02b17358a7d0de93cc6bf4eac65b",
     },
 }
 

@@ -7,7 +7,7 @@ from scipy.stats import cauchy, kstest, levy_stable, norm
 import bpire_lab.limit as limit
 from bpire_lab.limit import (
     GammaBatch,
-    _zeta_log_batch,
+    _glued_cohorts,
     estimate_level_change_prob,
     levy_levels,
     sample_gamma_batch,
@@ -16,6 +16,7 @@ from bpire_lab.limit import (
     series_terms,
     stable_standard,
 )
+from bpire_lab.bpire import cohort_log_values
 from bpire_lab.env import check_stable_params, normal_model
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
@@ -123,9 +124,6 @@ def test_two_sided_gluing_invariants(std_model, std_tables, rng):
     for i in (-1, -3, -6):
         assert np.all(env.s_star(i) > 0.0)
     assert np.all(env.mu_star(1) > 0.0)
-    # glued steps reproduce the stored walks
-    assert np.allclose(env.x_star(2), env.s_pos[:, 2] - env.s_pos[:, 1])
-    assert np.allclose(env.x_star(0), env.s_neg[:, 1] - env.s_neg[:, 0])
 
 
 def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, rng):
@@ -152,13 +150,44 @@ def test_scalar_environment_view(std_model, std_tables, rng):
 
 # -- martingale-limit proxies and the ratio law ------------------------------
 
+def _zeta_log(env, i, J, rng):
+    # ln zeta*_i at depth J: the closed-form value of cohort i
+    I = env.s_neg.shape[1] - 1
+    _, mu, a_log, b_log = _glued_cohorts(env, I, J)
+    return cohort_log_values(mu[:, I + i], a_log[:, I + i], b_log[:, I + i], rng)
+
+
+def test_glued_cohorts_match_stepwise_sums(std_model, std_tables, rng):
+    # the window sums agree with a logaddexp loop over each cohort's steps,
+    # also on a hand-built environment with +-800 jumps, where one shift
+    # for the whole walk would underflow some windows to zero
+    from bpire_lab.limit import TwoSidedBatch
+
+    I, J = 3, 4
+    drawn = sample_two_sided_batch(std_model, I, 40, rng, std_tables, pos_extra=J)
+    jumps = np.array([[0.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0]])
+    wild = TwoSidedBatch(s_pos=np.cumsum(jumps, axis=1), mu_pos=np.ones((1, 7)),
+                         s_neg=-np.cumsum(np.abs(jumps[:, :4]), axis=1), mu_neg=np.ones((1, 3)))
+    for env in (drawn, wild):
+        s_i, mu, a_log, b_log = _glued_cohorts(env, I, J)
+        for c, i in enumerate(range(-I, I)):
+            walk = [env.s_star(i + k) - env.s_star(i) for k in range(J + 1)]
+            b_ref = np.full(env.reps, -np.inf)
+            for k in range(J):
+                b_ref = np.logaddexp(b_ref, -walk[k])
+            assert np.array_equal(s_i[:, c], env.s_star(i))
+            assert np.array_equal(mu[:, c], env.mu_star(i + 1))
+            assert np.allclose(a_log[:, c], -walk[J], rtol=1e-12, atol=1e-12)
+            assert np.allclose(b_log[:, c], b_ref, rtol=1e-12, atol=1e-12)
+
+
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     rng = derive_stream(11, 0, "zeta")
     tiny = normal_model(rate=1e-9)
     env = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
-    assert np.all(np.exp(_zeta_log_batch(env, 0, 4, rng)) == 0.0)
-    with pytest.raises(IndexError):  # horizon too short for the cohort
-        _zeta_log_batch(env, 2, 8, rng)
+    assert np.all(np.exp(_zeta_log(env, 0, 4, rng)) == 0.0)
+    with pytest.raises(ValueError):  # horizon too short for the cohort
+        _zeta_log(env, 1, 8, rng)
 
 
 def test_zeta_conditional_mean(std_model, std_tables, rng):
@@ -175,8 +204,7 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
         mu_neg=np.repeat(base.mu_neg, reps, axis=0),
     )
     for i, J in ((0, 1), (0, 6), (-2, 4)):
-        zl = _zeta_log_batch(tiled, i, J, rng)
-        vals = np.where(np.isfinite(zl), np.exp(zl), 0.0)
+        vals = np.exp(_zeta_log(tiled, i, J, rng))
         se = vals.std(ddof=1) / math.sqrt(reps)
         target = float(base.mu_star(i + 1)[0])
         assert abs(vals.mean() - target) <= 4.0 * se
@@ -185,8 +213,8 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
 def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
     reps = 6000
     env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=64)
-    a = np.exp(_zeta_log_batch(env, 0, 24, rng))
-    b = np.exp(_zeta_log_batch(env, 0, 48, rng))
+    a = np.exp(_zeta_log(env, 0, 24, rng))
+    b = np.exp(_zeta_log(env, 0, 48, rng))
     assert ks_two_sample(a, b).statistic <= 0.05
 
 
