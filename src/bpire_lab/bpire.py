@@ -7,22 +7,27 @@ integer width at desk horizons, so the engine is hybrid: exact integer
 negative-binomial draws while the parent count is at most ``EXACT_CAP``,
 and above that a log-space update whose noise matches the exact
 branching variance (gamma-mixed Poisson limit of the negative binomial,
-relative standard deviation sqrt((1+1/m)/c)). States re-enter the exact
-regime when populations shrink back. In ``exact_only`` mode the log
-branch is disabled and crossing the int64 range raises
-:class:`SaturationError` instead of wrapping.
+relative standard deviation sqrt((1+1/m)/c)). A count at most
+``EXACT_CAP`` that a huge step sends to log space keeps the exact
+Gamma(c) mixing. States re-enter the exact regime when populations
+shrink back. In ``exact_only`` mode the log branch is disabled and
+crossing the int64 range raises :class:`SaturationError` instead of
+wrapping.
 
 Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
 to matter, and the log value is always finite-precision meaningful.
 
-Every simulation in the package is built from three kernels. Two run
-over ``branch_generation``: ``advance`` (one generation with immigration)
-and ``cohort_log_sizes`` (one immigrant cohort, no further immigration,
-generation by generation). The third, ``cohort_log_values``, draws the
-cohort after J generations from the closed-form composition of the
-geometric offspring laws in O(1) variates; the ratio law uses it, and the
-tests hold the branching engine against it as an exact oracle.
+Two kernels run over ``branch_generation``: ``advance`` (one generation
+with immigration) and ``cohort_log_sizes`` (one immigrant cohort, no
+further immigration, generation by generation). They serve the martingale
+check, and the tests hold them against the closed form as an exact
+oracle. Everything else draws from the closed-form composition of the
+geometric offspring laws in O(1) variates per cohort:
+``cohort_log_values`` for the ratio law, and ``simulate_normalized_at``
+for the pre-limit process Y_n of theorem 1, whose population is a sum of
+independent immigrant cohorts plus the descendants carried from the
+previous probe.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ EXACT_CAP = 2 ** 31          # parent counts above this use the log-space update
 _INT64_MAX = 2 ** 63 - 1
 _LN_POISSON_CAP = 30 * np.log(2.0)  # below this log-mean, draw an exact Poisson
 _NB_DRAW_MARGIN = 59 * np.log(2.0)  # keep exact draws well inside int64
-_LN_EXACT_FLOAT = np.log(2.0 ** 53)  # linear counts above 2^53 are stored as inf
+_EXACT_FLOAT = 2.0 ** 53  # counts up to here are exact integers in a float
+_LN_EXACT_FLOAT = np.log(_EXACT_FLOAT)  # linear counts above 2^53 are stored as inf
 
 
 class SaturationError(RuntimeError):
@@ -126,10 +132,18 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
 
     if big.any():
         cb = c_log[big]
-        # gamma mixing noise: relative sd 1/sqrt(c)
-        lam_log = cb + x[big] + np.log1p(
-            np.clip(rng.standard_normal(big.sum()) * np.exp(-0.5 * cb), -0.999, None)
-        )
+        lam_log = cb + x[big]
+        # only a step past _NB_DRAW_MARGIN - ln c sends a count <= EXACT_CAP
+        # here; its Gamma(c) mixing is drawn exactly, as a normal it would
+        # be clipped at small c
+        few = c_lin[big] <= EXACT_CAP
+        if few.any():
+            lam_log[few] = x[big][few] + np.log(rng.standard_gamma(c_lin[big][few]))
+        many = ~few
+        if many.any():
+            # gamma mixing noise: relative sd 1/sqrt(c) < 2^-15.5
+            lam_log[many] += np.log1p(np.clip(
+                rng.standard_normal(many.sum()) * np.exp(-0.5 * cb[many]), -0.999, None))
         z_lin[big], z_log[big] = _poisson_log(lam_log, rng)
     return z_lin, z_log
 
@@ -166,6 +180,57 @@ def cohort_log_sizes(mu, x, reps: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _descendants(lines, lines_log, a_log, b_log, rng: np.random.Generator):
+    """Counts Z = L + Poisson(G·B/A), G ~ Gamma(L), of L surviving lines.
+
+    Each line that survives the composed law 1/(1 - f(s)) = A/(1 - s) + B
+    leaves 1 + Geometric(A/(A+B)) descendants, so L lines leave
+    L + NegBin(L, A/(A+B)). Takes and returns (linear, log) counts; rows
+    with L = 0 stay empty.
+    """
+    z_lin = np.zeros(lines.shape)
+    z_log = np.full(lines.shape, -np.inf)
+    live = lines > 0.0
+    lines, lines_log = lines[live], lines_log[live]
+    g_log = lines_log.copy()  # past 2^53 lines, Gamma(L) is L to a relative sd of 2^-26.5
+    fits = np.isfinite(lines)
+    g_log[fits] = np.log(rng.standard_gamma(lines[fits]))
+    extra, extra_log = _poisson_log(g_log + b_log[live] - a_log[live], rng)
+    z_lin[live] = lines + extra
+    z_log[live] = np.logaddexp(lines_log, extra_log)
+    return z_lin, z_log
+
+
+def _cohort_counts(mu, a_log, b_log, rng: np.random.Generator):
+    """Z of Poisson(``mu``) immigrant cohorts under the composed law
+    (A, B), as (linear, log) counts: Poisson(mu/(A+B)) lines survive."""
+    return _descendants(*_poisson_log(_log_count(mu) - np.logaddexp(a_log, b_log), rng),
+                        a_log, b_log, rng)
+
+
+def _carried_counts(c_lin, c_log, a_log, b_log, rng: np.random.Generator):
+    """Z descending from ``c`` particles under the composed law (A, B),
+    as (linear, log) counts: Binomial(c, 1/(A+B)) lines survive.
+
+    The binomial is exact while c is an exact integer (up to 2^53). Past
+    that, either 1/(A+B) < 2^-23 or c/(A+B) > 2^30, and the lines are
+    drawn as Poisson(c/(A+B)) on the log scale, within 2^-15 relative of
+    the binomial.
+    """
+    p_log = -np.logaddexp(a_log, b_log)
+    lines = np.empty_like(c_lin)
+    lines_log = np.empty_like(c_lin)
+    exact = c_lin <= _EXACT_FLOAT
+    if exact.any():
+        # B >= 1, so 1/(A+B) <= 1 up to rounding
+        p = np.minimum(np.exp(p_log[exact]), 1.0)
+        lines[exact] = rng.binomial(c_lin[exact].astype(np.int64), p)
+        lines_log[exact] = _log_count(lines[exact])
+    if (~exact).any():
+        lines[~exact], lines_log[~exact] = _poisson_log(c_log[~exact] + p_log[~exact], rng)
+    return _descendants(lines, lines_log, a_log, b_log, rng)
+
+
 def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
     """ln A·Z of immigrant cohorts, drawn from the composed offspring law.
 
@@ -181,16 +246,7 @@ def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
     """
     mu, a_log, b_log = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (mu, a_log, b_log)))
-    lines, lines_log = _poisson_log(_log_count(mu) - np.logaddexp(a_log, b_log), rng)
-    out = np.full(lines.shape, -np.inf)
-    live = lines > 0.0
-    lines, lines_log = lines[live], lines_log[live]
-    g_log = lines_log.copy()  # past 2^53 lines, Gamma(L) is L to a relative sd of 2^-26.5
-    fits = np.isfinite(lines)
-    g_log[fits] = np.log(rng.standard_gamma(lines[fits]))
-    _, extra_log = _poisson_log(g_log + b_log[live] - a_log[live], rng)
-    out[live] = a_log[live] + np.logaddexp(lines_log, extra_log)
-    return out
+    return a_log + _cohort_counts(mu, a_log, b_log, rng)[1]
 
 
 @dataclass
@@ -255,34 +311,92 @@ def compute_normalizers(env: EnvSteps) -> NormalizerPair:
         return NormalizerPair(a=np.exp(a_log), b=np.exp(b_log), a_log=a_log, b_log=b_log)
 
 
+def _log_col_sums(v: np.ndarray) -> np.ndarray:
+    """ln of the column sums of e^v, shifted by each column's maximum;
+    -inf on empty columns."""
+    top = v.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    return top + _log_count(np.exp(v - top).sum(axis=0))
+
+
+_COHORT_CHUNK = 128  # cohorts per kernel call: bounds the temporaries of a window
+
+
+def _window_cohorts(model, s_prev: np.ndarray, w: int, rng: np.random.Generator):
+    """Walk and immigrant cohorts of one window (prev, k], k = prev + w.
+
+    The steps and the rates of the window are drawn in one call each; the
+    walk is one array of w + 1 rows, s[j] = S_{prev+j}, each row across
+    all replicas. The cohorts are drawn in chunks of ``_COHORT_CHUNK``
+    rows from the right, so that the suffix sums
+    ln sum_{j=i}^{k-1} e^{-S_j} run right to left with ``logaddexp``, one
+    generation at a time: no walk increment underflows a suffix. Cohort i
+    has ln A_i = S_i - S_k and ln B_i = S_i plus its suffix sum.
+
+    Returns S_k, the suffix sum from prev, the cohorts' total count at k
+    as (linear, log), and ln sum_{prev<=i<k} mu_{i+1} e^{-S_i}.
+    """
+    reps = len(s_prev)
+    s = np.empty((w + 1, reps))
+    s[0] = s_prev
+    np.cumsum(model.draw_x(rng, (w, reps)), axis=0, out=s[1:])
+    s[1:] += s_prev
+    rates = np.asarray(model.draw_rate(rng, (w, reps)), dtype=float)  # mu_{prev+j+1}
+    s_k = s[w].copy()
+    suffix = np.full(reps, -np.inf)
+    z_lin = np.zeros(reps)
+    z_log = np.full(reps, -np.inf)
+    b_log = np.full(reps, -np.inf)
+    for hi in range(w, 0, -_COHORT_CHUNK):
+        lo = max(hi - _COHORT_CHUNK, 0)
+        s_i = s[lo:hi]
+        mu = rates[lo:hi]
+        b_i = np.negative(s_i)
+        np.logaddexp(b_i[-1], suffix, out=b_i[-1])
+        for j in range(len(b_i) - 2, -1, -1):
+            np.logaddexp(b_i[j + 1], b_i[j], out=b_i[j])
+        suffix = b_i[0].copy()
+        b_i += s_i
+        c_lin, c_log = _cohort_counts(mu, s_i - s_k, b_i, rng)
+        z_lin += c_lin.sum(axis=0)
+        z_log = np.logaddexp(z_log, _log_col_sums(c_log))
+        b_log = np.logaddexp(b_log, _log_col_sums(np.log(mu) - s_i))
+    return s_k, suffix, z_lin, z_log, b_log
+
+
 def simulate_normalized_at(model, n: int, ts, reps: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Batch-draw Y_n(t) for t in ``ts`` across independent environments.
+    """Batch-draw Y_n(t) = e^{-S_k} Z_k / b_k, k = floor(n t), for t in
+    ``ts`` across independent environments.
 
-    Walks one generation at a time with all replicas in lockstep, so
-    memory stays linear in the replica count regardless of horizon.
+    The probe generations are visited in ascending order, one window
+    (prev, k] at a time, so memory holds one window's walk and rates.
+    Z_k sums the window's immigrant cohorts, each drawn from its composed
+    law, and the descendants of Z_prev under the law composed over the
+    whole window.
     Returns an array of shape (reps, len(ts)).
     """
     ts = np.asarray(ts, dtype=float)
     ks = np.floor(n * ts).astype(int)
-    k_max = int(ks.max())
-    if k_max < 1:
+    if ks.max() < 1:
         raise ValueError("need n * max(t) >= 1")
-    want: dict[int, list[int]] = {}
-    for j, k in enumerate(ks):
-        want.setdefault(int(k), []).append(j)
 
-    s = np.zeros(reps)
-    b_log = np.full(reps, -np.inf)
+    out = np.zeros((reps, len(ts)))
+    prev = 0
+    s_prev = np.zeros(reps)
+    b_log = np.full(reps, -np.inf)  # ln b_k, b_k = sum_{i<k} mu_{i+1} e^{-S_i}
     z_lin = np.zeros(reps)
     z_log = np.full(reps, -np.inf)
-    out = np.zeros((reps, len(ts)))
-    for k in range(1, k_max + 1):
-        x_k = model.draw_x(rng, reps)
-        mu_k = np.asarray(model.draw_rate(rng, reps), dtype=float)
-        b_log = np.logaddexp(b_log, np.log(mu_k) - s)  # mu_k e^{-S_{k-1}}
-        s = s + x_k
-        z_lin, z_log, _ = advance(z_lin, z_log, x_k, mu_k, rng)
-        for j in want.get(k, ()):
-            out[:, j] = np.where(np.isfinite(z_log), np.exp(z_log - s - b_log), 0.0)
+    for k in np.unique(ks[ks > 0]):
+        s_k, suffix, new_lin, new_log, b_win = _window_cohorts(model, s_prev, k - prev, rng)
+        b_log = np.logaddexp(b_log, b_win)
+        if prev > 0:
+            c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)
+            new_lin += c_lin
+            new_log = np.logaddexp(new_log, c_log)
+        # an exact total keeps its exact log, as the branching engine does
+        z_lin = new_lin
+        z_log = np.where(new_lin <= _EXACT_FLOAT, _log_count(new_lin), new_log)
+        out[:, ks == k] = np.exp(z_log - s_k - b_log)[:, None]
+        prev, s_prev = k, s_k
     return out

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import bpire_lab.bpire as bpire
 from bpire_lab.bpire import (
@@ -16,7 +18,7 @@ from bpire_lab.bpire import (
 from bpire_lab.conditioned import sample_conditioned_batch
 from bpire_lab.env import EnvSteps, draw_steps, normal_model
 from bpire_lab.report import write_csv
-from bpire_lab.stats import ks_two_sample
+from bpire_lab.stats import ks_against_cdf, ks_two_sample
 
 
 def flat_env(n, x=0.0, mu=2.0):
@@ -104,14 +106,45 @@ def test_cohort_martingale_mean(rng):
         assert abs(vals.mean() - 1.7) <= 4.0 * se
 
 
-class _FlatModel:
-    """Model stand-in with the flat critical environment x = 0, mu = 2."""
+class _DeterministicModel:
+    """Model stand-in with constant steps x and the constant rate mu = 2."""
+
+    def __init__(self, x=0.0):
+        self.x = x
 
     def draw_x(self, rng, size):
-        return np.zeros(size)
+        return np.full(size, self.x)
 
     def draw_rate(self, rng, size):
         return np.full(size, 2.0)
+
+
+class _JumpModel:
+    """Model stand-in with walk jumps of +-800 and the constant rate mu = 2."""
+
+    def draw_x(self, rng, size):
+        return 800.0 * (rng.integers(0, 2, size) * 2 - 1)
+
+    def draw_rate(self, rng, size):
+        return np.full(size, 2.0)
+
+
+def _lockstep_normalized_at(model, n, ts, reps, rng):
+    # the generation-by-generation reference: every replica steps through
+    # advance, and Y_n(t) = e^{-S_k} Z_k / b_k is read at k = floor(n t)
+    ks = np.floor(n * np.asarray(ts)).astype(int)
+    s = np.zeros(reps)
+    b_log = np.full(reps, -np.inf)
+    z_lin, z_log = np.zeros(reps), np.full(reps, -np.inf)
+    out = np.zeros((reps, len(ks)))
+    for k in range(1, ks.max() + 1):
+        x_k = model.draw_x(rng, reps)
+        mu_k = np.asarray(model.draw_rate(rng, reps), dtype=float)
+        b_log = np.logaddexp(b_log, np.log(mu_k) - s)
+        s = s + x_k
+        z_lin, z_log, _ = bpire.advance(z_lin, z_log, x_k, mu_k, rng)
+        out[:, ks == k] = np.exp(z_log - s - b_log)[:, None]
+    return out
 
 
 def test_normalized_process_conventions(std_model, rng):
@@ -130,14 +163,48 @@ def test_normalized_process_exact_ratio(monkeypatch):
     norms = compute_normalizers(flat_env(4, x=0.0, mu=2.0))
     assert np.allclose(norms.b / norms.a, 2.0 * np.arange(5))
 
-    # force Z_k = b_k/a_k = 2k: the normalized value is exactly one
-    def forced(z_lin, z_log, x, mu, rng):
-        z = z_lin + mu
-        return z, np.log(z), mu
+    # force every cohort and the carried population to its mean, A Z = mu
+    # and A Z = Z_prev: then e^{-S_k} Z_k = b_k and the normalized value is
+    # exactly one
+    def cohort_mean(mu, a_log, b_log, rng):
+        return mu * np.exp(-a_log), np.log(mu) - a_log
 
-    monkeypatch.setattr(bpire, "advance", forced)
-    y = simulate_normalized_at(_FlatModel(), 4, [0.25, 0.5, 1.0], 3, None)
-    assert np.allclose(y, 1.0)
+    def carried_mean(c_lin, c_log, a_log, b_log, rng):
+        return c_lin * np.exp(-a_log), c_log - a_log
+
+    monkeypatch.setattr(bpire, "_cohort_counts", cohort_mean)
+    monkeypatch.setattr(bpire, "_carried_counts", carried_mean)
+    for x in (0.0, 0.7):  # flat, and a drift that makes every A differ from one
+        y = simulate_normalized_at(_DeterministicModel(x), 4, [0.25, 0.5, 1.0], 3, None)
+        assert np.allclose(y, 1.0)
+
+
+def test_normalized_process_matches_lockstep(std_model, monkeypatch):
+    # the closed-form sampler against the generation-by-generation engine:
+    # both coordinates and their ratio, at the 5% two-sample critical value;
+    # chunks of 7 cohorts make each window carry its suffix sums across chunks
+    monkeypatch.setattr(bpire, "_COHORT_CHUNK", 7)
+    reps = 20_000
+    crit = 1.358 * math.sqrt(2.0 / reps)
+    closed_rng, lock_rng = (np.random.default_rng(seq)
+                            for seq in np.random.SeedSequence(20260809).spawn(2))
+    closed = simulate_normalized_at(std_model, 40, (0.5, 1.0), reps, closed_rng)
+    lock = _lockstep_normalized_at(std_model, 40, (0.5, 1.0), reps, lock_rng)
+    for j in range(2):
+        assert ks_two_sample(closed[:, j], lock[:, j]).statistic <= crit
+    # the ratio on the rows alive at the first time
+    a, b = (y[y[:, 0] > 0.0, 1] / y[y[:, 0] > 0.0, 0] for y in (closed, lock))
+    crit = 1.358 * math.sqrt((len(a) + len(b)) / (len(a) * len(b)))
+    assert ks_two_sample(a, b).statistic <= crit
+
+
+def test_normalized_process_survives_huge_jumps(rng):
+    # +-800 walk jumps stay in log space: no warning, finite values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = simulate_normalized_at(_JumpModel(), 40, (0.5, 1.0), 2000, rng)
+    assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+    assert np.any(y > 0.0)
 
 
 def test_saturation_error_exact_only(rng):
@@ -220,6 +287,18 @@ def test_branch_generation_has_no_overflow(rng):
     assert np.all(np.isinf(z_lin))
     assert z_log[0] > 740.0
     assert z_log[1] == pytest.approx(800.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_branch_generation_large_step_small_count(rng, c):
+    # a step past the exact-draw margin sends a small count to log space,
+    # where NegBin(c, 1/(1+e^x)) is Poisson(e^x Gamma(c)): ln Z follows
+    # x + ln Gamma(c), at the 5% one-sample critical value
+    x, reps = 50.0, 40_000
+    _, z_log = branch_generation(np.full(reps, c), np.full(reps, math.log(c)),
+                                 np.full(reps, x), rng)
+    ks = ks_against_cdf(z_log, lambda v: gammainc(c, np.exp(v - x)))
+    assert ks.statistic <= 1.358 / math.sqrt(reps)
 
 
 def test_branch_generation_zero_parents(rng):

@@ -39,9 +39,9 @@ GOLDEN = {
         "martingale_means.csv": "e03b9f29f7997ed35f9b9cb04599558c6e8a77b9024b22bfa640c5a2e1fd1234",
         "measure_change_negative.csv": "aeffb646792cf19031a2e2164726c2672ee4584ccc9d0271854c8be6b3372da9",
         "measure_change_positive.csv": "a4c07a4d58c6dd134f7e612f228a5c9d5f8f5391ce0340ac4bf8df2e676af2f4",
-        "report.json": "ec8d28b6fa04f58097ffcc6371fdf56dac6dc90b3674f721b8ddc205bdf44570",
-        "theorem1_onedim_ecdf.csv": "c65566895214895a214532897c5eb9b0b0b79dcbc5a94b54fee7e4b5331bc701",
-        "theorem1_twodim_probes.csv": "e40769c1346a5a79ee9e8cf07f576142490f42dac15b3e1519afbb8460c051e8",
+        "report.json": "fc99ea56ded0a70c3c74d41f34aec63dcd07bba3e0d6ffb58487e22510a4812d",
+        "theorem1_onedim_ecdf.csv": "b81e17899191cff5332c9315029e0db32a775f0066ba72e8685a38d720366c56",
+        "theorem1_twodim_probes.csv": "6472403a5338deb8c591747e27dbb4cb50f342577b7f9e38a36bf347252455fa",
     },
     "pareto": {
         "arcsine_ecdf.csv": "f62e6b9da13f5ca1c3d784ea2b14ded3b136517e5963f18e61e8dd1113d68f2a",
@@ -61,9 +61,9 @@ GOLDEN = {
         "martingale_means.csv": "80c3fa581c553d58ac65f554bc90a14649868d2ef9f48eb2789ee10bd19a3607",
         "measure_change_negative.csv": "340710161a6079b604e6d74d35870b328a2b1a3c98e5af37c10bfbaabae0af5a",
         "measure_change_positive.csv": "f2568239ddf154d9a485cea86390e359171adfa9f5bfb80635e46d286842306f",
-        "report.json": "febcf4c92c1fc6298015b342b577517a14a8064494e348cbc1635481f4ac2484",
-        "theorem1_onedim_ecdf.csv": "1db6b2b5829e3b5defdb3c8f1516009481b8366f5f25f41fcf9c7ef12f430cba",
-        "theorem1_twodim_probes.csv": "22817db9ccc2fcfa5b6608a34a8e1555c60a02b17358a7d0de93cc6bf4eac65b",
+        "report.json": "d6ba3d6ba5359b95b96158f15cc6f6bbf064ed2d8ed3a69f0eb49be287b13ebd",
+        "theorem1_onedim_ecdf.csv": "f54958fa36b74d85b4e9f2be3d040b491e6937d085b94e7364489915c898ac54",
+        "theorem1_twodim_probes.csv": "40bef7c495d76e4177eebfd4082ab6561a4a2f030be641d909614bc9cab8f778",
     },
 }
 
