@@ -4,15 +4,14 @@ Offspring laws are geometric, so the total offspring of c particles is a
 single negative-binomial draw: one generation costs O(1) regardless of
 population size. Populations grow like exp(walk range) and overflow any
 integer width at desk horizons, so the engine is hybrid: exact integer
-negative-binomial draws while the parent count is at most ``EXACT_CAP``,
-and above that a log-space update whose noise matches the exact
-branching variance (gamma-mixed Poisson limit of the negative binomial,
-relative standard deviation sqrt((1+1/m)/c)). A count at most
-``EXACT_CAP`` that a huge step sends to log space keeps the exact
-Gamma(c) mixing. States re-enter the exact regime when populations
-shrink back. In ``exact_only`` mode the log branch is disabled and
-crossing the int64 range raises :class:`SaturationError` instead of
-wrapping.
+negative-binomial draws while the parent count is at most ``EXACT_CAP``
+and the step keeps the draw inside int64, and above that a log-space
+update: the negative binomial as its gamma-mixed Poisson, with the
+Gamma(c) mixing drawn exactly (G = c for counts past 2^53) and the
+Poisson on the log scale past 2^30. States re-enter the exact regime
+when populations shrink back. In ``exact_only`` mode the log branch is
+disabled and crossing the int64 range raises :class:`SaturationError`
+instead of wrapping.
 
 Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
@@ -97,6 +96,18 @@ def _poisson_log(lam_log: np.ndarray, rng: np.random.Generator):
     return z_lin, z_log
 
 
+def _gamma_log(c_lin: np.ndarray, c_log: np.ndarray, rng: np.random.Generator):
+    """ln G, G ~ Gamma(c), for positive counts c given as (linear, log).
+
+    Exact for every finite count; a count stored as inf (past 2^53) takes
+    G = c, within a relative sd of 2^-26.5.
+    """
+    g_log = c_log.copy()
+    fits = np.isfinite(c_lin)
+    g_log[fits] = np.log(rng.standard_gamma(c_lin[fits]))
+    return g_log
+
+
 def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
                       rng: np.random.Generator, exact_only: bool = False):
     """One generation of geometric branching for parent counts ``c``.
@@ -131,20 +142,9 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
         z_log[exact] = _log_count(z_lin[exact])
 
     if big.any():
-        cb = c_log[big]
-        lam_log = cb + x[big]
-        # only a step past _NB_DRAW_MARGIN - ln c sends a count <= EXACT_CAP
-        # here; its Gamma(c) mixing is drawn exactly, as a normal it would
-        # be clipped at small c
-        few = c_lin[big] <= EXACT_CAP
-        if few.any():
-            lam_log[few] = x[big][few] + np.log(rng.standard_gamma(c_lin[big][few]))
-        many = ~few
-        if many.any():
-            # gamma mixing noise: relative sd 1/sqrt(c) < 2^-15.5
-            lam_log[many] += np.log1p(np.clip(
-                rng.standard_normal(many.sum()) * np.exp(-0.5 * cb[many]), -0.999, None))
-        z_lin[big], z_log[big] = _poisson_log(lam_log, rng)
+        # NegBin(c, 1/(1+e^x)) is Poisson(e^x G) with G ~ Gamma(c)
+        z_lin[big], z_log[big] = _poisson_log(
+            x[big] + _gamma_log(c_lin[big], c_log[big], rng), rng)
     return z_lin, z_log
 
 
@@ -192,10 +192,8 @@ def _descendants(lines, lines_log, a_log, b_log, rng: np.random.Generator):
     z_log = np.full(lines.shape, -np.inf)
     live = lines > 0.0
     lines, lines_log = lines[live], lines_log[live]
-    g_log = lines_log.copy()  # past 2^53 lines, Gamma(L) is L to a relative sd of 2^-26.5
-    fits = np.isfinite(lines)
-    g_log[fits] = np.log(rng.standard_gamma(lines[fits]))
-    extra, extra_log = _poisson_log(g_log + b_log[live] - a_log[live], rng)
+    extra, extra_log = _poisson_log(
+        _gamma_log(lines, lines_log, rng) + b_log[live] - a_log[live], rng)
     z_lin[live] = lines + extra
     z_log[live] = np.logaddexp(lines_log, extra_log)
     return z_lin, z_log
@@ -320,6 +318,7 @@ def _log_col_sums(v: np.ndarray) -> np.ndarray:
 
 
 _COHORT_CHUNK = 128  # cohorts per kernel call: bounds the temporaries of a window
+_MAX_WINDOW = 1024  # generations per window: bounds its walk and rate arrays
 
 
 def _window_cohorts(model, s_prev: np.ndarray, w: int, rng: np.random.Generator):
@@ -370,10 +369,12 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
     ``ts`` across independent environments.
 
     The probe generations are visited in ascending order, one window
-    (prev, k] at a time, so memory holds one window's walk and rates.
-    Z_k sums the window's immigrant cohorts, each drawn from its composed
-    law, and the descendants of Z_prev under the law composed over the
-    whole window.
+    (prev, k] at a time. A window longer than ``_MAX_WINDOW`` generations
+    is split at unreported checkpoints, so memory holds at most that many
+    rows of walk and rates whatever the horizon. Z_k sums the window's
+    immigrant cohorts, each drawn from its composed law, and the
+    descendants of Z_prev under the law composed over the whole window;
+    the laws compose exactly across a split.
     Returns an array of shape (reps, len(ts)).
     """
     ts = np.asarray(ts, dtype=float)
@@ -388,15 +389,17 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
     z_lin = np.zeros(reps)
     z_log = np.full(reps, -np.inf)
     for k in np.unique(ks[ks > 0]):
-        s_k, suffix, new_lin, new_log, b_win = _window_cohorts(model, s_prev, k - prev, rng)
-        b_log = np.logaddexp(b_log, b_win)
-        if prev > 0:
-            c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)
-            new_lin += c_lin
-            new_log = np.logaddexp(new_log, c_log)
-        # an exact total keeps its exact log, as the branching engine does
-        z_lin = new_lin
-        z_log = np.where(new_lin <= _EXACT_FLOAT, _log_count(new_lin), new_log)
-        out[:, ks == k] = np.exp(z_log - s_k - b_log)[:, None]
-        prev, s_prev = k, s_k
+        while prev < k:
+            w = min(k - prev, _MAX_WINDOW)
+            s_k, suffix, new_lin, new_log, b_win = _window_cohorts(model, s_prev, w, rng)
+            b_log = np.logaddexp(b_log, b_win)
+            if prev > 0:
+                c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)
+                new_lin += c_lin
+                new_log = np.logaddexp(new_log, c_log)
+            # an exact total keeps its exact log, as the branching engine does
+            z_lin = new_lin
+            z_log = np.where(new_lin <= _EXACT_FLOAT, _log_count(new_lin), new_log)
+            prev, s_prev = prev + w, s_k
+        out[:, ks == k] = np.exp(z_log - s_prev - b_log)[:, None]
     return out

@@ -177,6 +177,11 @@ def test_normalized_process_exact_ratio(monkeypatch):
     for x in (0.0, 0.7):  # flat, and a drift that makes every A differ from one
         y = simulate_normalized_at(_DeterministicModel(x), 4, [0.25, 0.5, 1.0], 3, None)
         assert np.allclose(y, 1.0)
+    # windows split at unreported checkpoints carry walk, b_k and Z across
+    monkeypatch.setattr(bpire, "_MAX_WINDOW", 5)
+    for x in (0.0, 0.7):
+        y = simulate_normalized_at(_DeterministicModel(x), 12, [0.25, 0.5, 1.0], 3, None)
+        assert np.allclose(y, 1.0)
 
 
 def test_normalized_process_matches_lockstep(std_model, monkeypatch):
@@ -196,6 +201,24 @@ def test_normalized_process_matches_lockstep(std_model, monkeypatch):
     a, b = (y[y[:, 0] > 0.0, 1] / y[y[:, 0] > 0.0, 0] for y in (closed, lock))
     crit = 1.358 * math.sqrt((len(a) + len(b)) / (len(a) * len(b)))
     assert ks_two_sample(a, b).statistic <= crit
+
+
+def test_normalized_process_split_windows(std_model, rng, monkeypatch):
+    # a horizon longer than _MAX_WINDOW is drawn in windows of at most that
+    # many generations, and E Y_n(t) = 1 still holds across the splits
+    widths = []
+    window_cohorts = bpire._window_cohorts
+
+    def spy(model, s_prev, w, rng):
+        widths.append(w)
+        return window_cohorts(model, s_prev, w, rng)
+
+    monkeypatch.setattr(bpire, "_MAX_WINDOW", 16)
+    monkeypatch.setattr(bpire, "_window_cohorts", spy)
+    y = simulate_normalized_at(std_model, 300, (1.0,), 4000, rng)
+    assert max(widths) == 16 and sum(widths) == 300
+    se = y.std(ddof=1) / math.sqrt(len(y))
+    assert abs(y.mean() - 1.0) <= 4.0 * se
 
 
 def test_normalized_process_survives_huge_jumps(rng):

@@ -58,10 +58,10 @@ GOLDEN = {
         "lemma7_a_before.csv": "a2e6d70d737755a72a94c7fa07f45e3b089764671fba1b00c1880a323ba0752f",
         "lemma7_head_before.csv": "bf3e9e92f43121bd0f29b1037c34c772b9b44b942b0f6785e161028168e8390b",
         "lemma7_tail_after.csv": "2bee4e4a9008b07dc96da04a4956e0a22c18bcb34fd5a978217c8c06fcbafef5",
-        "martingale_means.csv": "80c3fa581c553d58ac65f554bc90a14649868d2ef9f48eb2789ee10bd19a3607",
+        "martingale_means.csv": "1ef19832c4990372964dfe1201ee9a668a3408e8dd7cc559769efc95b48afb4a",
         "measure_change_negative.csv": "340710161a6079b604e6d74d35870b328a2b1a3c98e5af37c10bfbaabae0af5a",
         "measure_change_positive.csv": "f2568239ddf154d9a485cea86390e359171adfa9f5bfb80635e46d286842306f",
-        "report.json": "d6ba3d6ba5359b95b96158f15cc6f6bbf064ed2d8ed3a69f0eb49be287b13ebd",
+        "report.json": "4d694bf2fc5aa45068a603da92d3d6a6d2909729846418c3d77a3984bc2bbb82",
         "theorem1_onedim_ecdf.csv": "f54958fa36b74d85b4e9f2be3d040b491e6937d085b94e7364489915c898ac54",
         "theorem1_twodim_probes.csv": "40bef7c495d76e4177eebfd4082ab6561a4a2f030be641d909614bc9cab8f778",
     },
