@@ -4,29 +4,14 @@ limit process built from a stable Lévy level and an i.i.d. ratio
 sequence."""
 
 from .config import RunConfig
-from .env import (
-    EnvironmentModel,
-    EnvSteps,
-    draw_steps,
-    normal_model,
-    pareto_model,
-    validate_model,
-)
+from .env import EnvironmentModel, EnvSteps, validate_model
 from .walk import StableSpec, arcsine_cdf, normalizer
 from .ladder import LadderTables, estimate_ladder_tables
 from .conditioned import ConditionedSample, sample_conditioned_batch
-from .bpire import (
-    NormalizerPair,
-    Trajectory,
-    advance,
-    cohort_log_sizes,
-    compute_normalizers,
-    simulate_bpire,
-)
+from .bpire import NormalizerPair, compute_normalizers
 from .limit import (
     levy_levels,
     sample_gamma_batch,
-    sample_limit_fdd_batch,
     sample_two_sided_batch,
     stable_standard,
 )

@@ -1,32 +1,29 @@
 """The branching-with-immigration population process.
 
-Offspring laws are geometric, so the total offspring of c particles is a
-single negative-binomial draw: one generation costs O(1) regardless of
-population size. Populations grow like exp(walk range) and overflow any
-integer width at desk horizons, so the engine is hybrid: exact integer
-negative-binomial draws while the parent count is at most ``EXACT_CAP``
-and the step keeps the draw inside int64, and above that a log-space
-update: the negative binomial as its gamma-mixed Poisson, with the
-Gamma(c) mixing drawn exactly (G = c for counts past 2^53) and the
-Poisson on the log scale past 2^30. States re-enter the exact regime
-when populations shrink back. In ``exact_only`` mode the log branch is
-disabled and crossing the int64 range raises :class:`SaturationError`
-instead of wrapping.
+Offspring laws are geometric, so they compose in closed form over any
+stretch of the walk, and every verdict draws its populations from that
+composition in O(1) variates per cohort: ``cohort_log_values`` for the
+ratio law and the cohort martingales, and ``simulate_normalized_at`` for
+the pre-limit process Y_n of theorem 1, whose population is a sum of
+independent immigrant cohorts plus the descendants carried from the
+previous probe. The window sampler behind it, ``_window_cohorts``, takes
+given steps and rates, so the martingale check draws its conditional
+means E(Z_k | env) through it on fixed environments.
 
 Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
 to matter, and the log value is always finite-precision meaningful.
 
-Two kernels run over ``branch_generation``: ``advance`` (one generation
-with immigration) and ``cohort_log_sizes`` (one immigrant cohort, no
-further immigration, generation by generation). They serve the martingale
-check, and the tests hold them against the closed form as an exact
-oracle. Everything else draws from the closed-form composition of the
-geometric offspring laws in O(1) variates per cohort:
-``cohort_log_values`` for the ratio law, and ``simulate_normalized_at``
-for the pre-limit process Y_n of theorem 1, whose population is a sum of
-independent immigrant cohorts plus the descendants carried from the
-previous probe.
+``branch_generation`` is one generation of that branching, drawn
+directly: exact integer negative-binomial draws while the parent count
+is at most ``EXACT_CAP`` and the step keeps the draw inside int64, and
+above that a log-space update: the negative binomial as its gamma-mixed
+Poisson, with the Gamma(c) mixing drawn exactly (G = c for counts past
+2^53) and the Poisson on the log scale past 2^30. In ``exact_only``
+mode the log branch is disabled and crossing the int64 range raises
+:class:`SaturationError` instead of wrapping. No verdict calls it: the
+tests build their generation-by-generation oracle on it, and the
+benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -38,15 +35,11 @@ import numpy as np
 from .env import EnvSteps
 
 __all__ = [
-    "Trajectory",
     "NormalizerPair",
     "SaturationError",
     "EXACT_CAP",
     "branch_generation",
-    "advance",
-    "cohort_log_sizes",
     "cohort_log_values",
-    "simulate_bpire",
     "simulate_normalized_at",
     "compute_normalizers",
 ]
@@ -148,38 +141,6 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
     return z_lin, z_log
 
 
-def advance(z_lin, z_log, x, mu, rng: np.random.Generator,
-            exact_only: bool = False):
-    """One generation with immigration: Poisson(``mu``) immigrants join
-    the parents, then all of them branch with log offspring mean ``x``.
-
-    Returns the offspring counts (linear, log) and the immigrant counts.
-    """
-    eta = rng.poisson(mu, np.shape(z_lin)).astype(float)
-    z_lin, z_log = branch_generation(z_lin + eta, np.logaddexp(z_log, _log_count(eta)),
-                                     x, rng, exact_only=exact_only)
-    return z_lin, z_log, eta
-
-
-def cohort_log_sizes(mu, x, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """ln Z_k of one immigrant cohort after k = 1..J generations.
-
-    The cohort starts from Poisson(``mu``) immigrants (a scalar or one
-    rate per replica) and branches with no further immigration through
-    the steps ``x``, of shape (J,) shared by all replicas or (J, reps).
-    Returns a (J, reps) array, -inf where the cohort died; the cohort
-    martingale value is a_k Z_k = exp(ln Z_k - (S_k - S_0)) for the
-    caller's walk S.
-    """
-    z_lin = rng.poisson(mu, reps).astype(float)
-    z_log = _log_count(z_lin)
-    out = np.empty((len(x), reps))
-    for k, x_k in enumerate(x):
-        z_lin, z_log = branch_generation(z_lin, z_log, x_k, rng)
-        out[k] = z_log
-    return out
-
-
 def _descendants(lines, lines_log, a_log, b_log, rng: np.random.Generator):
     """Counts Z = L + Poisson(G·B/A), G ~ Gamma(L), of L surviving lines.
 
@@ -248,45 +209,6 @@ def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass
-class Trajectory:
-    """Population sizes Z_0..Z_n and immigrant counts, one row per replica.
-
-    ``z`` holds exact integer counts as floats while representable and
-    ``inf`` beyond the float range; ``z_log`` always carries ln Z_k
-    (-inf at zero). ``eta[:, k]`` counts the immigrants joining
-    generation k.
-    """
-
-    z: np.ndarray
-    z_log: np.ndarray
-    eta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[-1] - 1
-
-
-def simulate_bpire(env: EnvSteps, n: int, reps: int, rng: np.random.Generator,
-                   exact_only: bool = False) -> Trajectory:
-    """Simulate ``reps`` independent Z_0..Z_n in one environment (Z_0 = 0).
-
-    Immigrants joining generation k-1 are Poisson with the (k-1)-indexed
-    rate; generation k is the pooled geometric offspring of residents
-    plus those immigrants, drawn as one negative-binomial variate.
-    """
-    if len(env) < n:
-        raise ValueError(f"environment has {len(env)} steps, need {n}")
-    z = np.zeros((reps, n + 1))
-    z_log = np.full((reps, n + 1), -np.inf)
-    eta = np.zeros((reps, n))
-    for k in range(1, n + 1):
-        z[:, k], z_log[:, k], eta[:, k - 1] = advance(
-            z[:, k - 1], z_log[:, k - 1], env.x[k - 1], env.mu[k - 1], rng,
-            exact_only=exact_only)
-    return Trajectory(z=z, z_log=z_log, eta=eta)
-
-
-@dataclass
 class NormalizerPair:
     """The environment normalizers a_k = e^{-S_k}, b_k = sum mu e^{-S}."""
 
@@ -321,26 +243,29 @@ _COHORT_CHUNK = 128  # cohorts per kernel call: bounds the temporaries of a wind
 _MAX_WINDOW = 1024  # generations per window: bounds its walk and rate arrays
 
 
-def _window_cohorts(model, s_prev: np.ndarray, w: int, rng: np.random.Generator):
+def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
     """Walk and immigrant cohorts of one window (prev, k], k = prev + w.
 
-    The steps and the rates of the window are drawn in one call each; the
-    walk is one array of w + 1 rows, s[j] = S_{prev+j}, each row across
-    all replicas. The cohorts are drawn in chunks of ``_COHORT_CHUNK``
-    rows from the right, so that the suffix sums
-    ln sum_{j=i}^{k-1} e^{-S_j} run right to left with ``logaddexp``, one
-    generation at a time: no walk increment underflows a suffix. Cohort i
-    has ln A_i = S_i - S_k and ln B_i = S_i plus its suffix sum.
+    ``x`` holds the window's w steps and ``rates`` its immigration rates
+    mu_{prev+1}..mu_k, each of shape (w, reps) or broadcast to it; the
+    steps are not kept past the walk. The walk is one array of w + 1
+    rows, s[j] = S_{prev+j}, each row across all replicas. The cohorts
+    are drawn in chunks of ``_COHORT_CHUNK`` rows from the right, so that
+    the suffix sums ln sum_{j=i}^{k-1} e^{-S_j} run right to left with
+    ``logaddexp``, one generation at a time: no walk increment underflows
+    a suffix. Cohort i has ln A_i = S_i - S_k and ln B_i = S_i plus its
+    suffix sum.
 
     Returns S_k, the suffix sum from prev, the cohorts' total count at k
     as (linear, log), and ln sum_{prev<=i<k} mu_{i+1} e^{-S_i}.
     """
     reps = len(s_prev)
+    w = len(x)
     s = np.empty((w + 1, reps))
     s[0] = s_prev
-    np.cumsum(model.draw_x(rng, (w, reps)), axis=0, out=s[1:])
+    np.cumsum(x, axis=0, out=s[1:])
+    del x  # a caller that passes its draw directly frees it here
     s[1:] += s_prev
-    rates = np.asarray(model.draw_rate(rng, (w, reps)), dtype=float)  # mu_{prev+j+1}
     s_k = s[w].copy()
     suffix = np.full(reps, -np.inf)
     z_lin = np.zeros(reps)
@@ -391,7 +316,10 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
     for k in np.unique(ks[ks > 0]):
         while prev < k:
             w = min(k - prev, _MAX_WINDOW)
-            s_k, suffix, new_lin, new_log, b_win = _window_cohorts(model, s_prev, w, rng)
+            # steps, then rates, one call each per window
+            s_k, suffix, new_lin, new_log, b_win = _window_cohorts(
+                s_prev, model.draw_x(rng, (w, reps)),
+                np.asarray(model.draw_rate(rng, (w, reps)), dtype=float), rng)
             b_log = np.logaddexp(b_log, b_win)
             if prev > 0:
                 c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)

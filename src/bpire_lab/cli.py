@@ -11,7 +11,6 @@ import argparse
 import sys
 import time
 
-from .bpire import SaturationError
 from .conditioned import RejectionExhausted
 from .config import ConfigError, RunConfig
 from .ladder import LadderNonconvergence
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         report = run(args.subcommand, cfg)
-    except (RejectionExhausted, LadderNonconvergence, SaturationError) as exc:
+    except (RejectionExhausted, LadderNonconvergence) as exc:
         print(f"sampler failure in {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     elapsed = time.time() - started

@@ -8,6 +8,7 @@ always produces byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .env import EnvironmentModel, check_stable_params, validate_model
@@ -85,6 +86,13 @@ class RunConfig:
             problems.append(f"x_param: pareto tail index must lie in (0,2), got {self.x_param}")
         if self.rate_family not in ("constant", "lognormal"):
             problems.append(f"rate_family: unknown family {self.rate_family!r}")
+        rates = self.rate_params
+        finite = isinstance(rates, (list, tuple)) and all(
+            isinstance(v, (int, float)) and math.isfinite(v) for v in rates)
+        if self.rate_family == "constant" and not (finite and len(rates) == 1 and rates[0] > 0):
+            problems.append(f"rate_params: constant family takes one positive rate, got {rates}")
+        if self.rate_family == "lognormal" and not (finite and len(rates) == 2 and rates[1] >= 0):
+            problems.append(f"rate_params: lognormal family takes [m, s] with s >= 0, got {rates}")
         try:
             check_stable_params(self.alpha, self.rho)
         except ValueError as exc:

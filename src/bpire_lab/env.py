@@ -32,9 +32,6 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "InvalidModelError",
-    "normal_model",
-    "pareto_model",
-    "draw_steps",
     "check_stable_params",
     "validate_model",
 ]
@@ -75,10 +72,6 @@ class EnvSteps:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def q(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(self.x))
 
 
 @dataclass(frozen=True)
@@ -145,29 +138,6 @@ class EnvironmentModel:
         return c_a ** (1.0 / a)
 
 
-def normal_model(sigma: float = 1.0, rate: float = 2.0, eps: float = 1.0) -> EnvironmentModel:
-    """Normal(0, sigma^2) log-mean steps with constant Poisson rate."""
-    return EnvironmentModel(
-        x_family="normal", x_param=sigma, rate_family="constant",
-        rate_params=(rate,), alpha=2.0, rho=0.5, eps=eps,
-    )
-
-
-def pareto_model(alpha: float, rate: float = 2.0, eps: float = 1.0) -> EnvironmentModel:
-    """Symmetric two-sided Pareto log-mean steps with tail index alpha."""
-    return EnvironmentModel(
-        x_family="pareto", x_param=alpha, rate_family="constant",
-        rate_params=(rate,), alpha=alpha, rho=0.5, eps=eps,
-    )
-
-
-def draw_steps(model: EnvironmentModel, n: int, rng: np.random.Generator) -> EnvSteps:
-    """Draw ``n`` i.i.d. steps as arrays."""
-    x = model.draw_x(rng, n)
-    mu = np.asarray(model.draw_rate(rng, n), dtype=float)
-    return EnvSteps(x=np.asarray(x, dtype=float), mu=mu)
-
-
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -223,9 +193,11 @@ def validate_model(model: EnvironmentModel, strict: bool = False) -> ValidationR
         "rho in the open interval excludes one-sided limits")
 
     if model.rate_family == "constant":
-        value = model.rate_params[0]
-        add("rate positive finite", value > 0 and math.isfinite(value), f"rate={value}")
-        add("moment condition", value > 0 and math.isfinite(value),
+        params = model.rate_params
+        ok = len(params) == 1 and 0 < params[0] < math.inf
+        add("rate positive finite", ok,
+            f"rate={params[0]}" if len(params) == 1 else f"need one rate, got {params}")
+        add("moment condition", ok,
             "constant rate has bounded ln^+, all moments finite")
     elif model.rate_family == "lognormal":
         ok = len(model.rate_params) == 2 and model.rate_params[1] >= 0

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _CHUNK = 512  # steps simulated per vectorized sweep
+_STEP_CAP = 262_144  # steps after which a walker's renewal sequence is cut
+_NONCONVERGENCE_TOL = 0.05  # largest tolerated share of cut walkers per side
 
 
 class LadderNonconvergence(RuntimeError):
@@ -97,7 +99,7 @@ def _first_height_sample(model: EnvironmentModel, rng: np.random.Generator,
 
 
 def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
-                    rng: np.random.Generator, step_cap: int, side: str):
+                    rng: np.random.Generator, side: str):
     """Per-walker counts of ladder points with cumulative height <= grid top.
 
     Returns (cumulative counts, walkers x grid; number of capped walkers).
@@ -108,8 +110,8 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
     rec = np.zeros(walkers)  # signed record level: running min or max
     active = np.arange(walkers)
     steps_used = 0
-    while len(active) and steps_used < step_cap:
-        k = min(_CHUNK, step_cap - steps_used)
+    while len(active) and steps_used < _STEP_CAP:
+        k = min(_CHUNK, _STEP_CAP - steps_used)
         x = model.draw_x(rng, (len(active), k))
         s = cur[active, None] + np.cumsum(x, axis=1)
         # seed the running extremum with the historical record so only
@@ -137,16 +139,15 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
 
 
 def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
-                           budget: int = 200_000, step_cap: int = 262_144,
-                           nonconvergence_tol: float = 0.05) -> LadderTables:
+                           budget: int = 200_000) -> LadderTables:
     """Estimate both renewal functions by direct renewal simulation.
 
     ``budget`` is the target number of ladder epochs across all walkers
     (at least 1000). The grid spans 10 mean ladder heights in 512
     points. Each walker runs until its record leaves the grid or
-    ``step_cap`` steps elapse; if more than ``nonconvergence_tol`` of the
-    walkers hit the cap on either side, :class:`LadderNonconvergence` is
-    raised. Capped walkers censor a small tail of late ladder points; the
+    ``_STEP_CAP`` steps elapse; if more than ``_NONCONVERGENCE_TOL`` of
+    the walkers hit the cap on either side, :class:`LadderNonconvergence`
+    is raised. Capped walkers censor a small tail of late ladder points; the
     capped fractions are recorded in the metadata.
     """
     if budget < 1000:
@@ -164,15 +165,15 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
     est = {}
     capped_frac = {}
     for side in ("desc", "asc"):
-        counts, capped = _renewal_counts(model, grid, walkers, rng, step_cap, side)
+        counts, capped = _renewal_counts(model, grid, walkers, rng, side)
         fn = 1.0 + counts.mean(axis=0)
         se = counts.std(axis=0, ddof=1) / np.sqrt(walkers)
         est[side] = (fn, se, int(counts[:, -1].sum()))
         capped_frac[side] = capped / walkers
-        if capped / walkers > nonconvergence_tol:
+        if capped / walkers > _NONCONVERGENCE_TOL:
             raise LadderNonconvergence(
                 f"{side} side: {capped}/{walkers} walkers exceeded the "
-                f"step cap {step_cap}"
+                f"step cap {_STEP_CAP}"
             )
 
     v, v_se, v_epochs = est["desc"]
@@ -181,7 +182,7 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
         grid=grid, v=v, u=u, v_se=v_se, u_se=u_se,
         meta={
             "walkers": walkers,
-            "step_cap": step_cap,
+            "step_cap": _STEP_CAP,
             "epochs_desc": v_epochs,
             "epochs_asc": u_epochs,
             "capped_frac_desc": capped_frac["desc"],

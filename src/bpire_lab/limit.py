@@ -31,7 +31,6 @@ __all__ = [
     "sample_two_sided_batch",
     "series_terms",
     "sample_gamma_batch",
-    "sample_limit_fdd_batch",
     "estimate_level_change_prob",
 ]
 
@@ -227,40 +226,6 @@ def _grid_index(ts, delta: float) -> np.ndarray:
     """Grid index ceil(t / delta) of each time; the 1e-9 guard keeps a time
     on the grid at its own index when the division rounds up."""
     return np.ceil(np.asarray(ts, dtype=float) / delta - 1e-9).astype(int)
-
-
-def _fdd_from_levels(levels: np.ndarray, gammas: np.ndarray):
-    """Map per-time levels (reps x m) and gamma pools (reps x m) to values.
-
-    The first coordinate takes the first gamma; each strict level
-    decrease advances to the next unused gamma.
-    """
-    changed = levels[:, 1:] < levels[:, :-1]
-    idx = np.concatenate([np.zeros((len(levels), 1), dtype=int),
-                          np.cumsum(changed, axis=1)], axis=1)
-    y = np.take_along_axis(gammas, idx, axis=1)
-    return y, changed
-
-
-def sample_limit_fdd_batch(ts, model: EnvironmentModel, delta: float, reps: int,
-                           rng: np.random.Generator, gamma_pool: np.ndarray):
-    """Draw ``reps`` finite-dimensional vectors of the limit process.
-
-    The Lévy path (level source, drawn from ``rng``) and the gamma
-    variates are independent: ``gamma_pool`` holds pre-drawn gammas (at
-    least reps * m, consumed row-wise without reuse).
-    """
-    ts = np.asarray(ts, dtype=float)
-    if len(ts) < 1 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-        raise ValueError("need strictly increasing positive times")
-    levels = levy_levels(model.alpha, model.rho, delta, _grid_index(ts, delta),
-                         reps, rng)
-    m = len(ts)
-    if len(gamma_pool) < reps * m:
-        raise ValueError("gamma pool too small")
-    gammas = np.asarray(gamma_pool[: reps * m]).reshape(reps, m)
-    y, changed = _fdd_from_levels(levels, gammas)
-    return y, changed, gammas
 
 
 def estimate_level_change_prob(alpha: float, rho: float, t1: float, t2: float,

@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bpire import (
-    cohort_log_sizes,
+    _window_cohorts,
+    cohort_log_values,
     compute_normalizers,
-    simulate_bpire,
     simulate_normalized_at,
 )
 from .conditioned import sample_conditioned_batch
@@ -163,14 +163,21 @@ def _gamma_block(count, rng, model, I, J, tables):
     return {"sigma1": g.sigma1, "sigma2": g.sigma2, "gamma": g.gamma}
 
 
-def _cohort_block(count, rng, x_steps, mu_start):
-    """ln Z_{0,k} of the first cohort, one row per generation k."""
-    return cohort_log_sizes(mu_start, x_steps, count, rng)
+def _cohort_value_block(count, rng, mu, a_log, b_log):
+    """Cohort martingale values A·Z of Poisson(``mu``) immigrants under the
+    composed laws (``a_log``, ``b_log``), one row per depth."""
+    mu = np.full((len(a_log), count), mu)
+    return np.exp(cohort_log_values(mu, a_log[:, None], b_log[:, None], rng))
 
 
-def _population_block(count, rng, env, n):
-    """Population sizes Z_k under a fixed environment, one row per k."""
-    return simulate_bpire(env, n, count, rng).z.T.copy()
+def _population_at_block(count, rng, env, ks):
+    """Population sizes Z_k from Z_0 = 0 under a fixed environment, one
+    row per k, each drawn as the sum of its immigrant cohorts."""
+    return np.array([
+        _window_cohorts(np.zeros(count), np.broadcast_to(env.x[:k, None], (k, count)),
+                        np.broadcast_to(env.mu[:k, None], (k, count)), rng)[2]
+        for k in ks
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +422,23 @@ class Runner:
         rows = []
         for label, env in self._fixed_envs().items():
             norms = compute_normalizers(env)
-            z_log = np.concatenate(_map_blocks(
-                _cohort_block, reps, cfg, f"martingale-cohort-{label}",
-                env.x[:max(depths)], float(env.mu[0])), axis=1)
-            s = np.cumsum(env.x)
+            # the first cohort's law over d steps: ln A = a_log[d], ln B = b_log[d]
+            # of the same steps with unit rates
+            unit = compute_normalizers(EnvSteps(x=env.x, mu=np.ones(len(env))))
+            at = list(depths)
+            values = np.concatenate(_map_blocks(
+                _cohort_value_block, reps, cfg, f"martingale-cohort-{label}",
+                float(env.mu[0]), unit.a_log[at], unit.b_log[at]), axis=1)
             z = np.concatenate(_map_blocks(
-                _population_block, reps, cfg, f"martingale-mean-{label}",
-                env, max(ks)), axis=1)
+                _population_at_block, reps, cfg, f"martingale-mean-{label}",
+                env, ks), axis=1)
             # (check, generation, name tag, Monte Carlo sample, exact mean)
             cases = [
-                ("martingale", d, f"depth{d}",
-                 np.where(np.isfinite(z_log[d - 1]), np.exp(z_log[d - 1] - s[d - 1]), 0.0),
-                 float(env.mu[0]))
-                for d in depths
+                ("martingale", d, f"depth{d}", values[j], float(env.mu[0]))
+                for j, d in enumerate(depths)
             ] + [
-                ("conditional-mean", k, f"k{k}", z[k], float(norms.b[k] / norms.a[k]))
-                for k in ks
+                ("conditional-mean", k, f"k{k}", z[j], float(norms.b[k] / norms.a[k]))
+                for j, k in enumerate(ks)
             ]
             for check, gen, tag, vals, target in cases:
                 mean = float(vals.mean())

@@ -135,10 +135,10 @@ class JointTestReport:
 
 
 def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
-                        probes=None, threshold: float | None = None) -> JointTestReport:
+                        threshold: float | None = None) -> JointTestReport:
     """Compare an observed two-coordinate sample with the mixture law.
 
-    Probes default to the 5x5 grid of reference-marginal quantiles at
+    The probes are the 5x5 grid of reference-marginal quantiles at
     0.1..0.9 (tails avoided).
     """
     y1 = np.asarray(y1, dtype=float)
@@ -146,10 +146,8 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
     if y1.size == 0 or y1.shape != y2.shape:
         raise ValueError("need matching nonempty coordinate samples")
     g = ecdf(gamma_sample)
-    if probes is None:
-        marks = g.quantile(np.linspace(0.1, 0.9, 5))
-        probes = np.array([(x1, x2) for x1 in marks for x2 in marks])
-    probes = np.asarray(probes, dtype=float)
+    marks = g.quantile(np.linspace(0.1, 0.9, 5))
+    probes = np.array([(x1, x2) for x1 in marks for x2 in marks])
     p = float(level_change_prob)
     g1 = g.evaluate(probes[:, 0])
     g2 = g.evaluate(probes[:, 1])

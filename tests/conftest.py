@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from bpire_lab.env import normal_model
+from bpire_lab.env import EnvironmentModel
 from bpire_lab.ladder import estimate_ladder_tables
 
 
 @pytest.fixture(scope="session")
 def std_model():
-    return normal_model(sigma=1.0, rate=2.0)
+    return EnvironmentModel(x_family="normal", x_param=1.0, rate_params=(2.0,))
 
 
 @pytest.fixture(scope="session")

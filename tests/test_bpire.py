@@ -9,35 +9,54 @@ import bpire_lab.bpire as bpire
 from bpire_lab.bpire import (
     SaturationError,
     branch_generation,
-    cohort_log_sizes,
     cohort_log_values,
     compute_normalizers,
-    simulate_bpire,
     simulate_normalized_at,
 )
 from bpire_lab.conditioned import sample_conditioned_batch
-from bpire_lab.env import EnvSteps, draw_steps, normal_model
+from bpire_lab.env import EnvironmentModel, EnvSteps
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
+from lockstep import lockstep
 
 
 def flat_env(n, x=0.0, mu=2.0):
     return EnvSteps(x=np.full(n, float(x)), mu=np.full(n, float(mu)))
 
 
+def drawn_env(model, n, rng):
+    return EnvSteps(x=model.draw_x(rng, n), mu=np.asarray(model.draw_rate(rng, n), dtype=float))
+
+
+def trajectory(env, n, reps, rng, exact_only=False):
+    """(z, z_log, eta) of the lockstep oracle on fixed steps: one row per
+    replica, Z_0..Z_n and the immigrants joining generations 1..n."""
+    z, z_log, eta = (np.array(a).T for a in zip(*lockstep(
+        zip(env.x, env.mu), n, reps, rng, exact_only=exact_only)))
+    return (np.column_stack([np.zeros(reps), z]),
+            np.column_stack([np.full(reps, -np.inf), z_log]), eta)
+
+
+def cohort_log_sizes(mu, x, reps, rng):
+    """ln Z_k of one cohort of Poisson(mu) immigrants after k = 1..J
+    generations of the steps x, with no further immigration: (J, reps)."""
+    rates = [mu] + [0.0] * (len(x) - 1)
+    return np.array([z_log for _, z_log, _ in lockstep(zip(x, rates), len(x), reps, rng)])
+
+
 def test_no_immigration_means_no_population(rng):
     env = EnvSteps(x=np.zeros(10), mu=np.zeros(10))
-    traj = simulate_bpire(env, 10, 50, rng)
-    assert np.all(traj.z == 0.0)
-    assert np.all(traj.eta == 0)
+    z, _, eta = trajectory(env, 10, 50, rng)
+    assert np.all(z == 0.0)
+    assert np.all(eta == 0)
 
 
 def test_first_generation_is_offspring_of_immigrants(rng):
     # Z_1 pools the offspring of eta_0 ~ Poisson(mu_1) immigrants
     env = flat_env(1, x=0.0, mu=3.0)
-    traj = simulate_bpire(env, 1, 4000, rng)
-    zs = traj.z[:, 1]
-    etas = traj.eta[:, 0]
+    z, _, eta = trajectory(env, 1, 4000, rng)
+    zs = z[:, 1]
+    etas = eta[:, 0]
     assert abs(etas.mean() - 3.0) <= 3.0 * math.sqrt(3.0 / len(etas))
     se = zs.std(ddof=1) / math.sqrt(len(zs))
     assert abs(zs.mean() - 3.0) <= 3.0 * se  # critical step keeps the mean
@@ -57,7 +76,7 @@ def test_normalizer_examples():
 
 
 def test_normalizers_monotone_b(std_model, rng):
-    steps = draw_steps(std_model, 64, rng)
+    steps = drawn_env(std_model, 64, rng)
     norms = compute_normalizers(steps)
     assert np.all(np.diff(norms.b[1:]) > 0)
     assert norms.b[0] == 0.0
@@ -69,7 +88,7 @@ def test_conditional_mean_identity(rng):
     norms = compute_normalizers(env)
     target = norms.b[3] / norms.a[3]
     assert target == pytest.approx(6.0)
-    vals = simulate_bpire(env, 3, 20_000, rng).z[:, 3]
+    vals = trajectory(env, 3, 20_000, rng)[0][:, 3]
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
 
@@ -80,7 +99,7 @@ def test_decomposition_identity(rng):
     n, reps = 6, 6000
     env = EnvSteps(x=np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0]),
                    mu=np.array([1.0, 2.0, 0.5, 1.5, 1.0, 2.5]))
-    merged = simulate_bpire(env, n, reps, rng).z[:, n]
+    merged = trajectory(env, n, reps, rng)[0][:, n]
     cohorts = sum(np.rint(np.exp(cohort_log_sizes(env.mu[i], env.x[i:n], reps, rng)[-1]))
                   for i in range(n))
     assert ks_two_sample(merged, cohorts).statistic <= 0.05
@@ -129,24 +148,6 @@ class _JumpModel:
         return np.full(size, 2.0)
 
 
-def _lockstep_normalized_at(model, n, ts, reps, rng):
-    # the generation-by-generation reference: every replica steps through
-    # advance, and Y_n(t) = e^{-S_k} Z_k / b_k is read at k = floor(n t)
-    ks = np.floor(n * np.asarray(ts)).astype(int)
-    s = np.zeros(reps)
-    b_log = np.full(reps, -np.inf)
-    z_lin, z_log = np.zeros(reps), np.full(reps, -np.inf)
-    out = np.zeros((reps, len(ks)))
-    for k in range(1, ks.max() + 1):
-        x_k = model.draw_x(rng, reps)
-        mu_k = np.asarray(model.draw_rate(rng, reps), dtype=float)
-        b_log = np.logaddexp(b_log, np.log(mu_k) - s)
-        s = s + x_k
-        z_lin, z_log, _ = bpire.advance(z_lin, z_log, x_k, mu_k, rng)
-        out[:, ks == k] = np.exp(z_log - s - b_log)[:, None]
-    return out
-
-
 def test_normalized_process_conventions(std_model, rng):
     y = simulate_normalized_at(std_model, 20, [0.0, 0.5, 1.0], 1, rng)[0]
     assert y[0] == 0.0  # Y_n(0) = 0
@@ -155,7 +156,7 @@ def test_normalized_process_conventions(std_model, rng):
 
 def test_normalized_process_zero_population(rng):
     # no immigrant ever arrives, so Y_n is identically zero
-    y = simulate_normalized_at(normal_model(rate=1e-300), 4, [0.25, 1.0], 50, rng)
+    y = simulate_normalized_at(EnvironmentModel(rate_params=(1e-300,)), 4, [0.25, 1.0], 50, rng)
     assert np.all(y == 0.0)
 
 
@@ -194,7 +195,26 @@ def test_normalized_process_matches_lockstep(std_model, monkeypatch):
     closed_rng, lock_rng = (np.random.default_rng(seq)
                             for seq in np.random.SeedSequence(20260809).spawn(2))
     closed = simulate_normalized_at(std_model, 40, (0.5, 1.0), reps, closed_rng)
-    lock = _lockstep_normalized_at(std_model, 40, (0.5, 1.0), reps, lock_rng)
+    # the lockstep draws each generation's step and rate as it reaches it,
+    # and Y_n(t) = e^{-S_k} Z_k / b_k is read at k = floor(n t)
+    walk = []  # (S_k, ln b_k) after each drawn generation
+
+    def drawn_steps():
+        s, b_log = np.zeros(reps), np.full(reps, -np.inf)
+        while True:
+            x_k = std_model.draw_x(lock_rng, reps)
+            mu_k = np.asarray(std_model.draw_rate(lock_rng, reps), dtype=float)
+            b_log = np.logaddexp(b_log, np.log(mu_k) - s)
+            s = s + x_k
+            walk.append((s, b_log))
+            yield x_k, mu_k
+
+    lock = []
+    for k, (_, z_log, _) in enumerate(lockstep(drawn_steps(), 40, reps, lock_rng), 1):
+        if k in (20, 40):
+            s, b_log = walk[-1]
+            lock.append(np.exp(z_log - s - b_log))
+    lock = np.column_stack(lock)
     for j in range(2):
         assert ks_two_sample(closed[:, j], lock[:, j]).statistic <= crit
     # the ratio on the rows alive at the first time
@@ -209,9 +229,9 @@ def test_normalized_process_split_windows(std_model, rng, monkeypatch):
     widths = []
     window_cohorts = bpire._window_cohorts
 
-    def spy(model, s_prev, w, rng):
-        widths.append(w)
-        return window_cohorts(model, s_prev, w, rng)
+    def spy(s_prev, x, rates, rng):
+        widths.append(len(x))
+        return window_cohorts(s_prev, x, rates, rng)
 
     monkeypatch.setattr(bpire, "_MAX_WINDOW", 16)
     monkeypatch.setattr(bpire, "_window_cohorts", spy)
@@ -233,14 +253,14 @@ def test_normalized_process_survives_huge_jumps(rng):
 def test_saturation_error_exact_only(rng):
     env = flat_env(200, x=math.log(4.0), mu=2.0)  # strongly supercritical
     with pytest.raises(SaturationError):
-        simulate_bpire(env, 200, 1, rng, exact_only=True)
+        trajectory(env, 200, 1, rng, exact_only=True)
 
 
 def test_hybrid_handles_supercritical_growth(rng):
     env = flat_env(300, x=math.log(4.0), mu=2.0)
-    traj = simulate_bpire(env, 300, 1, rng)
+    _, z_log, _ = trajectory(env, 300, 1, rng)
     expect = 300 * math.log(4.0)
-    assert abs(traj.z_log[0, 300] - expect) < 0.1 * expect
+    assert abs(z_log[0, 300] - expect) < 0.1 * expect
 
 
 def test_hybrid_matches_exact_engine(std_model, rng, monkeypatch):
@@ -248,9 +268,9 @@ def test_hybrid_matches_exact_engine(std_model, rng, monkeypatch):
     # against the exact integer engine on the same environment
     env = flat_env(12, x=0.05, mu=2.0)
     reps = 8000
-    exact = simulate_bpire(env, 12, reps, rng, exact_only=True).z[:, 12]
+    exact = trajectory(env, 12, reps, rng, exact_only=True)[0][:, 12]
     monkeypatch.setattr(bpire, "EXACT_CAP", 4)
-    hybrid = simulate_bpire(env, 12, reps, rng).z[:, 12]
+    hybrid = trajectory(env, 12, reps, rng)[0][:, 12]
     monkeypatch.undo()
     ks = ks_two_sample(exact, hybrid)
     assert ks.statistic <= 0.05
@@ -359,20 +379,10 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     tau = np.argmin(s, axis=1)
     cohort = np.minimum(tau + off, n)
     keep = cohort <= n - 1
-    z_lin = np.zeros(reps)
-    z_log = np.full(reps, -np.inf)
-    eta = rng.poisson(mu[np.arange(reps), np.minimum(cohort, n - 1)])
-    for k in range(1, n + 1):
-        init = cohort == k - 1
-        if init.any():
-            z_lin[init] = eta[init]
-            with np.errstate(divide="ignore"):
-                z_log[init] = np.where(eta[init] > 0,
-                                       np.log(np.maximum(eta[init], 1.0)), -np.inf)
-        act = cohort <= k - 1
-        if act.any():
-            z_lin[act], z_log[act] = branch_generation(
-                z_lin[act], z_log[act], x[act, k - 1], rng)
+    # only the cohort's immigrants join, at generation cohort + 1
+    rates = np.where(np.arange(n)[:, None] == cohort, mu.T, 0.0)
+    for _, z_log, _ in lockstep(zip(x.T, rates), n, reps, rng):
+        pass
     pre = np.where(np.isfinite(z_log),
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
@@ -384,13 +394,14 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
 
 def test_trajectory_csv_export(std_model, rng, tmp_path):
     # trajectories go to CSV through the generic figure-data writer
-    steps = draw_steps(std_model, 8, rng)
-    traj = simulate_bpire(steps, 8, 1, rng)
+    n = 8
+    steps = drawn_env(std_model, n, rng)
+    z = trajectory(steps, n, 1, rng)[0]
     norms = compute_normalizers(steps)
     s = np.concatenate([[0.0], np.cumsum(steps.x)])
     path = write_csv(str(tmp_path), "traj.csv", {
-        "k": np.arange(traj.n + 1), "z": traj.z[0], "s": s, "a": norms.a, "b": norms.b,
-    }, {"horizon": traj.n})
+        "k": np.arange(n + 1), "z": z[0], "s": s, "a": norms.a, "b": norms.b,
+    }, {"horizon": n})
     lines = open(path).read().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "k,z,s,a,b"
@@ -401,9 +412,9 @@ def test_trajectory_csv_export(std_model, rng, tmp_path):
 
 
 def test_env_length_validation(std_model, rng):
-    steps = draw_steps(std_model, 5, rng)
+    steps = drawn_env(std_model, 5, rng)
     with pytest.raises(ValueError):
-        simulate_bpire(steps, 6, 1, rng)
+        trajectory(steps, 6, 1, rng)
 
 
 def test_simulate_normalized_at_mean(std_model, rng):

@@ -61,6 +61,14 @@ def test_config_field_level_messages():
         RunConfig(band_eps=[])
     with pytest.raises(ConfigError, match="band_eps"):
         RunConfig(band_eps=[0.1, 0.0])
+    with pytest.raises(ConfigError, match="rate_params"):
+        RunConfig(rate_params=[])
+    with pytest.raises(ConfigError, match="rate_params"):
+        RunConfig(rate_params=[0.0])
+    with pytest.raises(ConfigError, match="rate_params"):
+        RunConfig(rate_family="lognormal", rate_params=[0.0])
+    with pytest.raises(ConfigError, match="rate_params"):
+        RunConfig(rate_params=[1.0, -2.0, 3.0])
 
 
 def test_config_stable_spec_scale():
@@ -119,6 +127,15 @@ def test_cli_bad_config_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "alpha" in captured.err
+
+
+def test_cli_bad_rate_params_exit_code(tmp_path, capsys):
+    # a malformed rate is a configuration error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rate_params": []}))
+    code = main(["validate-env", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: rate_params" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -8,16 +8,22 @@ from bpire_lab.env import (
     EnvironmentModel,
     EnvSteps,
     InvalidModelError,
-    draw_steps,
-    normal_model,
-    pareto_model,
     validate_model,
 )
 
 
+def geometric_q(x):
+    # the coupling q = 1/(1+e^x) of a step's log offspring mean x
+    return 1.0 / (1.0 + np.exp(x))
+
+
+def drawn_env(model, n, rng):
+    return EnvSteps(x=model.draw_x(rng, n), mu=np.asarray(model.draw_rate(rng, n), dtype=float))
+
+
 def test_offspring_law_mean():
     # the step with log mean x has geometric offspring of mean (1-q)/q = e^x
-    q = EnvSteps(x=np.array([0.0, math.log(2.0)]), mu=np.ones(2)).q
+    q = geometric_q(np.array([0.0, math.log(2.0)]))
     mean = (1.0 - q) / q
     assert mean[0] == 1.0
     assert mean[1] == pytest.approx(2.0)
@@ -26,7 +32,7 @@ def test_offspring_law_mean():
 def test_immigration_law_rejects_bad_rate():
     for rate in (0.0, -1.0):
         with pytest.raises(InvalidModelError):
-            validate_model(normal_model(rate=rate), strict=True)
+            validate_model(EnvironmentModel(rate_params=(rate,)), strict=True)
 
 
 def test_coupling_at_zero_log_mean(rng):
@@ -45,7 +51,7 @@ def test_coupling_inverts_log_two():
 
 def test_log_mean_examples():
     steps = EnvSteps(x=np.array([0.0, math.log(2.0), -math.log(2.0)]), mu=np.ones(3))
-    q = steps.q
+    q = geometric_q(steps.x)
     assert q == pytest.approx([0.5, 1 / 3, 2 / 3])
     log_mean = np.log((1.0 - q) / q)
     assert log_mean[0] == 0.0
@@ -56,7 +62,7 @@ def test_log_mean_examples():
 def test_immigration_mean_examples(rng):
     # Poisson immigration: the step's mu is the immigration mean
     for lam in (2.0, 1.0):
-        assert np.all(draw_steps(normal_model(rate=lam), 10, rng).mu == lam)
+        assert np.all(drawn_env(EnvironmentModel(rate_params=(lam,)), 10, rng).mu == lam)
 
 
 def test_drawn_x_sample_mean_near_zero(std_model, rng):
@@ -72,9 +78,9 @@ def test_lognormal_rate_sample_mean(rng):
 
 
 def test_draw_step_consistency(std_model, rng):
-    step = draw_steps(std_model, 1, rng)
+    step = drawn_env(std_model, 1, rng)
     assert step.mu[0] == std_model.rate_params[0]  # constant rate
-    assert step.q[0] == pytest.approx(1.0 / (1.0 + math.exp(step.x[0])))
+    assert geometric_q(step.x)[0] == pytest.approx(1.0 / (1.0 + math.exp(step.x[0])))
     assert math.isfinite(step.x[0]) and step.mu[0] > 0
 
 
@@ -94,7 +100,7 @@ def test_positive_fraction_symmetric(std_model, rng):
 
 
 def test_pareto_positive_fraction(rng):
-    model = pareto_model(alpha=1.3)
+    model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
     n = 200_000
     xs = model.draw_x(rng, n)
     assert abs((xs > 0).mean() - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
@@ -130,20 +136,20 @@ def test_validate_rejects_alpha_mismatch():
 
 
 def test_validate_constant_rate_moment():
-    model = normal_model(rate=3.0)
+    model = EnvironmentModel(rate_params=(3.0,))
     report = validate_model(model)
     assert all(c.passed for c in report.checks if c.name == "moment condition")
 
 
 def test_pareto_model_alpha_consistency():
-    model = pareto_model(alpha=1.3)
+    model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
     assert validate_model(model).ok
     bad = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.1)
     assert not validate_model(bad).ok
 
 
 def test_draw_steps_batch(std_model, rng):
-    steps = draw_steps(std_model, 1000, rng)
+    steps = drawn_env(std_model, 1000, rng)
     assert len(steps) == 1000
     assert np.all(steps.mu == 2.0)
-    assert np.allclose(steps.q, 1.0 / (1.0 + np.exp(steps.x)))
+    assert np.allclose(geometric_q(steps.x), 1.0 / (1.0 + np.exp(steps.x)))

@@ -36,10 +36,10 @@ GOLDEN = {
         "lemma7_a_before.csv": "31818abbdaa6da0a77ca9f91fc3fd0cf34dd5351e5a464b5a7ebda718e437dc9",
         "lemma7_head_before.csv": "209d7929668a3f30156668ffed6abbb18221cd98388bc9e5e7b241fadf690fd8",
         "lemma7_tail_after.csv": "ff4d982824b281ef085a0fa71154b251e504895a4feef66134429d27ebb21316",
-        "martingale_means.csv": "e03b9f29f7997ed35f9b9cb04599558c6e8a77b9024b22bfa640c5a2e1fd1234",
+        "martingale_means.csv": "82462774fd6ae30e9e9655a9b67a066cedd094a43ad57b958ffa122f8c9cce2c",
         "measure_change_negative.csv": "aeffb646792cf19031a2e2164726c2672ee4584ccc9d0271854c8be6b3372da9",
         "measure_change_positive.csv": "a4c07a4d58c6dd134f7e612f228a5c9d5f8f5391ce0340ac4bf8df2e676af2f4",
-        "report.json": "fc99ea56ded0a70c3c74d41f34aec63dcd07bba3e0d6ffb58487e22510a4812d",
+        "report.json": "eb2b54f2c51d8efca2303b15a1f82bfd1d5245da31407d13f4d3df9c8b744393",
         "theorem1_onedim_ecdf.csv": "b81e17899191cff5332c9315029e0db32a775f0066ba72e8685a38d720366c56",
         "theorem1_twodim_probes.csv": "6472403a5338deb8c591747e27dbb4cb50f342577b7f9e38a36bf347252455fa",
     },
@@ -58,10 +58,10 @@ GOLDEN = {
         "lemma7_a_before.csv": "a2e6d70d737755a72a94c7fa07f45e3b089764671fba1b00c1880a323ba0752f",
         "lemma7_head_before.csv": "bf3e9e92f43121bd0f29b1037c34c772b9b44b942b0f6785e161028168e8390b",
         "lemma7_tail_after.csv": "2bee4e4a9008b07dc96da04a4956e0a22c18bcb34fd5a978217c8c06fcbafef5",
-        "martingale_means.csv": "1ef19832c4990372964dfe1201ee9a668a3408e8dd7cc559769efc95b48afb4a",
+        "martingale_means.csv": "d4a64d77d589bb8ae7c5247cc52076ff2e214c30a93176e84f4fbb78d1525770",
         "measure_change_negative.csv": "340710161a6079b604e6d74d35870b328a2b1a3c98e5af37c10bfbaabae0af5a",
         "measure_change_positive.csv": "f2568239ddf154d9a485cea86390e359171adfa9f5bfb80635e46d286842306f",
-        "report.json": "4d694bf2fc5aa45068a603da92d3d6a6d2909729846418c3d77a3984bc2bbb82",
+        "report.json": "a6f2b5b2cd0c1689db53989f17541b1663b549ff832e4e3d110e9a117f498fbe",
         "theorem1_onedim_ecdf.csv": "f54958fa36b74d85b4e9f2be3d040b491e6937d085b94e7364489915c898ac54",
         "theorem1_twodim_probes.csv": "40bef7c495d76e4177eebfd4082ab6561a4a2f030be641d909614bc9cab8f778",
     },

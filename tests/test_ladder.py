@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bpire_lab import ladder
 from bpire_lab.ladder import (
     LadderNonconvergence,
     estimate_ladder_tables,
@@ -69,10 +70,11 @@ def test_budget_floor(std_model, rng):
         estimate_ladder_tables(std_model, rng, budget=10)
 
 
-def test_step_cap_nonconvergence(std_model, rng):
+def test_step_cap_nonconvergence(std_model, rng, monkeypatch):
+    monkeypatch.setattr(ladder, "_STEP_CAP", 64)
+    monkeypatch.setattr(ladder, "_NONCONVERGENCE_TOL", 0.01)
     with pytest.raises(LadderNonconvergence):
-        estimate_ladder_tables(std_model, rng, budget=2000, step_cap=64,
-                               nonconvergence_tol=0.01)
+        estimate_ladder_tables(std_model, rng, budget=2000)
 
 
 def test_save_load_roundtrip(std_tables, tmp_path):

@@ -11,13 +11,12 @@ from bpire_lab.limit import (
     estimate_level_change_prob,
     levy_levels,
     sample_gamma_batch,
-    sample_limit_fdd_batch,
     sample_two_sided_batch,
     series_terms,
     stable_standard,
 )
 from bpire_lab.bpire import cohort_log_values
-from bpire_lab.env import check_stable_params, normal_model
+from bpire_lab.env import EnvironmentModel, check_stable_params
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
 from bpire_lab.streams import derive_stream
@@ -183,7 +182,7 @@ def test_glued_cohorts_match_stepwise_sums(std_model, std_tables, rng):
 
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     rng = derive_stream(11, 0, "zeta")
-    tiny = normal_model(rate=1e-9)
+    tiny = EnvironmentModel(rate_params=(1e-9,))
     env = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
     assert np.all(np.exp(_zeta_log(env, 0, 4, rng)) == 0.0)
     with pytest.raises(ValueError):  # horizon too short for the cohort
@@ -233,7 +232,7 @@ def test_gamma_batch_lower_bound(std_model, std_tables, rng):
 
 
 def test_gamma_zero_without_immigrants(std_tables, rng):
-    tiny = normal_model(rate=1e-9)
+    tiny = EnvironmentModel(rate_params=(1e-9,))
     batch = sample_gamma_batch(tiny, 4, 4, reps=200, rng=rng, tables=std_tables)
     assert np.all(batch.sigma2 == 0.0)
     assert np.all(batch.gamma == 0.0)
@@ -255,82 +254,6 @@ def test_series_terms_match_star_sequence(std_model, std_tables, rng):
         assert np.allclose(neg[:, j], env.mu_star(i + 1) * np.exp(-env.s_star(i)))
 
 
-# -- finite-dimensional limit draws ------------------------------------------
-
-def test_fdd_first_coordinate_is_first_gamma(std_model, rng):
-    pool = np.arange(1.0, 41.0)
-    y, changed, gammas = sample_limit_fdd_batch(
-        (1.0,), std_model, 0.01, 40, rng, gamma_pool=pool)
-    assert np.array_equal(y[:, 0], pool[:40])
-
-
-def test_fdd_no_change_keeps_gamma(std_model, rng):
-    y, changed, gammas = sample_limit_fdd_batch(
-        (0.5, 1.0, 1.5), std_model, 5e-3, 600, rng,
-        gamma_pool=rng.exponential(1.0, 600 * 3))
-    same01 = ~changed[:, 0]
-    assert np.all(y[same01, 1] == y[same01, 0])
-    chg01 = changed[:, 0]
-    assert np.all(y[chg01, 1] == gammas[chg01, 1])
-
-
-def test_fdd_scalar_wrapper(std_model, rng):
-    y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 5e-3, 1, rng,
-        gamma_pool=np.array([3.0, 7.0]))
-    assert y[0, 0] == 3.0
-    assert y[0, 1] in (3.0, 7.0)
-    assert changed[0].shape == (1,)
-
-
-def test_fdd_gamma_independent_of_level(std_model, rng):
-    reps = 6000
-    pool = rng.exponential(1.0, reps * 2)
-    y, changed, gammas = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2e-3, reps, rng,
-        gamma_pool=pool)
-    # correlation between the first gamma and the change indicator
-    corr = np.corrcoef(gammas[:, 0], changed[:, 0].astype(float))[0, 1]
-    assert abs(corr) <= 3.5 / math.sqrt(reps)
-
-
-def test_fdd_time_validation(std_model, rng):
-    with pytest.raises(ValueError):
-        sample_limit_fdd_batch((2.0, 1.0), std_model, 0.01, 10, rng,
-                               gamma_pool=np.ones(20))
-    with pytest.raises(ValueError):
-        sample_limit_fdd_batch((1.0,), std_model, 0.01, 10, rng,
-                               gamma_pool=np.ones(5))
-
-
-def test_fdd_joint_law_matches_mixture(std_model, rng):
-    # self-consistency of the construction: the two-coordinate law of the
-    # limit draws equals the mixture of independent and common gamma
-    # coordinates weighted by the level-change probability
-    from bpire_lab.stats import joint_two_time_test
-
-    reps = 8000
-    pool = rng.exponential(1.0, reps * 2)
-    y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 2e-3, reps, rng,
-        gamma_pool=pool)
-    p_hat = changed[:, 0].mean()
-    rep = joint_two_time_test(y[:, 0], y[:, 1], pool, p_hat)
-    assert rep.max_discrepancy <= 2.0 * 2.0 / math.sqrt(reps) + 0.015
-
-
-def test_fdd_classification_is_binary(std_model, rng):
-    # each replica is classified either as a strict level decrease or as
-    # an unchanged level: the two event frequencies sum to one exactly
-    reps = 500
-    y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 5e-3, reps, rng,
-        gamma_pool=rng.exponential(1.0, reps * 2))
-    p_change = changed[:, 0].mean()
-    p_same = (~changed[:, 0]).mean()
-    assert p_change + p_same == 1.0
-
-
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
     batch = sample_gamma_batch(std_model, 4, 4, reps=50, rng=rng, tables=std_tables)
     path = write_csv(str(tmp_path), "gamma.csv", {
@@ -342,18 +265,7 @@ def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
     assert len(lines) == 4 + 50
 
 
-def test_fdd_csv_export(std_model, rng, tmp_path):
-    y, changed, _ = sample_limit_fdd_batch(
-        (1.0, 2.0), std_model, 0.01, 20, rng,
-        gamma_pool=rng.exponential(1.0, 40))
-    path = write_csv(str(tmp_path), "fdd.csv", {
-        "y1": y[:, 0], "y2": y[:, 1], "changed12": changed[:, 0].astype(int),
-    }, {"delta": 0.01, "t_values": [1.0, 2.0]})
-    lines = open(path).read().splitlines()
-    assert lines[0] == "# delta = 0.01"
-    assert lines[2] == "y1,y2,changed12"
-    assert len(lines) == 3 + 20
-
+# -- level changes of the Lévy path -------------------------------------------
 
 def test_brownian_level_change_probability(rng):
     # argmin of a Brownian path on [0,2] lands past the midpoint with
@@ -367,8 +279,8 @@ def test_brownian_level_change_probability(rng):
 
 
 def test_level_change_grid_index_matches_fdd(monkeypatch):
-    # 0.07 / 0.01 evaluates to 7.000000000000001: both Lévy-level callers
-    # must still end the path at grid index 7, not 8
+    # 0.07 / 0.01 evaluates to 7.000000000000001: the level-change
+    # estimate must still end the path at grid index 7, not 8
     widths = []
 
     def fake_stable(alpha, rho, size, rng):
@@ -377,6 +289,4 @@ def test_level_change_grid_index_matches_fdd(monkeypatch):
 
     monkeypatch.setattr(limit, "stable_standard", fake_stable)
     estimate_level_change_prob(2.0, 0.5, 0.05, 0.07, 0.01, 4, None)
-    sample_limit_fdd_batch((0.05, 0.07), normal_model(), 0.01, 4, None,
-                           gamma_pool=np.ones(8))
-    assert widths == [7, 7]
+    assert widths == [7]

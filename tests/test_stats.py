@@ -133,14 +133,15 @@ def test_ks_against_cdf_calibration():
 
 def test_joint_test_degenerate_branches(rng):
     gam = rng.exponential(1.0, 4000)
-    probes = np.array([(0.5, 1.0), (1.0, 2.0), (2.0, 0.5)])
     g = ecdf(gam)
-    # independent-coordinates branch
-    rep1 = joint_two_time_test(gam[:2000], gam[2000:], gam, 1.0, probes=probes)
+    # independent-coordinates branch, on the report's own probe grid
+    rep1 = joint_two_time_test(gam[:2000], gam[2000:], gam, 1.0)
+    probes = rep1.probes
     expect1 = g.evaluate(probes[:, 0]) * g.evaluate(probes[:, 1])
     assert np.allclose(rep1.predicted, expect1)
     # common-coordinate branch
-    rep0 = joint_two_time_test(gam[:2000], gam[:2000], gam, 0.0, probes=probes)
+    rep0 = joint_two_time_test(gam[:2000], gam[:2000], gam, 0.0)
+    assert np.array_equal(rep0.probes, probes)
     expect0 = g.evaluate(probes.min(axis=1))
     assert np.allclose(rep0.predicted, expect0)
     assert np.allclose(rep0.observed, ecdf(gam[:2000]).evaluate(probes.min(axis=1)),
@@ -148,10 +149,12 @@ def test_joint_test_degenerate_branches(rng):
 
 
 def test_joint_test_total_mass_probe(rng):
+    # a reference marginal with all its mass past the data puts every
+    # probe at (big, big)
     gam = rng.exponential(1.0, 1000)
     big = gam.max() + 1.0
-    rep = joint_two_time_test(gam[:500], gam[500:], gam, 0.37,
-                              probes=np.array([(big, big)]))
+    rep = joint_two_time_test(gam[:500], gam[500:], np.full(10, big), 0.37)
+    assert np.all(rep.probes == big)
     assert rep.predicted[0] == pytest.approx(1.0)
     assert rep.observed[0] == 1.0
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import norm
 
-from bpire_lab.env import pareto_model
+from bpire_lab.env import EnvironmentModel
 from bpire_lab.limit import stable_standard
 from bpire_lab.runner import _recentered_block
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
@@ -60,7 +60,7 @@ def test_terminal_clt_normal_family(std_model, rng):
 def test_pareto_family_stable_limit(rng):
     # S_n / (c n^{1/a}) must match the standard stable law the package
     # itself samples; the scale constant is the analytic tail constant
-    model = pareto_model(alpha=1.3)
+    model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
     spec = StableSpec(alpha=1.3, rho=0.5, scale=model.stable_scale())
     reps, n = 4000, 512
     s = simulate_walk_matrix(model, n, reps, rng)
