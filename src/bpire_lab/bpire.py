@@ -316,7 +316,7 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
     for k in np.unique(ks[ks > 0]):
         while prev < k:
             w = min(k - prev, _MAX_WINDOW)
-            # steps, then rates, one call each per window
+            # the draw order fixes the bytes: the steps, then the rates, one call each
             s_k, suffix, new_lin, new_log, b_win = _window_cohorts(
                 s_prev, model.draw_x(rng, (w, reps)),
                 np.asarray(model.draw_rate(rng, (w, reps)), dtype=float), rng)
