@@ -3,8 +3,9 @@
 Offspring laws are geometric, so they compose in closed form over any
 stretch of the walk, and every verdict draws its populations from that
 composition in O(1) variates per cohort: ``cohort_log_values`` for the
-ratio law and the cohort martingales, and ``simulate_normalized_at`` for
-the pre-limit process Y_n of theorem 1, whose population is a sum of
+cohort martingales of the martingale check, ``limit_log_values`` for
+their J -> inf limits in the ratio law, and ``simulate_normalized_at``
+for the pre-limit process Y_n of theorem 1, whose population is a sum of
 independent immigrant cohorts plus the descendants carried from the
 previous probe. The window sampler behind it, ``_window_cohorts``, takes
 given steps and rates, so the martingale check draws its conditional
@@ -40,6 +41,7 @@ __all__ = [
     "EXACT_CAP",
     "branch_generation",
     "cohort_log_values",
+    "limit_log_values",
     "simulate_normalized_at",
     "compute_normalizers",
 ]
@@ -90,13 +92,13 @@ def _poisson_log(lam_log: np.ndarray, rng: np.random.Generator):
 
 
 def _gamma_log(c_lin: np.ndarray, c_log: np.ndarray, rng: np.random.Generator):
-    """ln G, G ~ Gamma(c), for positive counts c given as (linear, log).
+    """ln G, G ~ Gamma(c), for counts c given as (linear, log); -inf at c = 0.
 
     Exact for every finite count; a count stored as inf (past 2^53) takes
     G = c, within a relative sd of 2^-26.5.
     """
     g_log = c_log.copy()
-    fits = np.isfinite(c_lin)
+    fits = np.isfinite(c_lin) & (c_lin > 0.0)
     g_log[fits] = np.log(rng.standard_gamma(c_lin[fits]))
     return g_log
 
@@ -206,6 +208,18 @@ def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
     mu, a_log, b_log = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (mu, a_log, b_log)))
     return a_log + _cohort_counts(mu, a_log, b_log, rng)[1]
+
+
+def limit_log_values(mu, b_log, rng: np.random.Generator) -> np.ndarray:
+    """ln of the cohort martingale limits lim_J A·Z, drawn exactly.
+
+    Along a walk that drifts to +inf, the composition of
+    ``cohort_log_values`` has A -> 0 and B -> sum_{k>=0} e^{-(S_k - S_0)}.
+    The Poisson(mu/(A+B)) surviving lines tend to L ~ Poisson(``mu``/B),
+    and A·NegBin(L, A/(A+B)) tends to B·G with G ~ Gamma(L). Returns
+    ln B·G, of mean ``mu``, and -inf where the cohort died (L = 0).
+    """
+    return b_log + _gamma_log(*_poisson_log(_log_count(mu) - b_log, rng), rng)
 
 
 @dataclass

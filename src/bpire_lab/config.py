@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .env import EnvironmentModel, check_stable_params, validate_model
+from .env import EnvironmentModel, InvalidModelError, validate_model
 from .walk import StableSpec
 
 
@@ -78,12 +78,6 @@ class RunConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.x_family not in ("normal", "pareto"):
-            problems.append(f"x_family: unknown family {self.x_family!r}")
-        if self.x_param <= 0:
-            problems.append(f"x_param: must be positive, got {self.x_param}")
-        if self.x_family == "pareto" and not 0 < self.x_param < 2:
-            problems.append(f"x_param: pareto tail index must lie in (0,2), got {self.x_param}")
         if self.rate_family not in ("constant", "lognormal"):
             problems.append(f"rate_family: unknown family {self.rate_family!r}")
         rates = self.rate_params
@@ -93,12 +87,11 @@ class RunConfig:
             problems.append(f"rate_params: constant family takes one positive rate, got {rates}")
         if self.rate_family == "lognormal" and not (finite and len(rates) == 2 and rates[1] >= 0):
             problems.append(f"rate_params: lognormal family takes [m, s] with s >= 0, got {rates}")
-        try:
-            check_stable_params(self.alpha, self.rho)
-        except ValueError as exc:
-            problems.append(f"alpha/rho: {exc}")
-        if self.eps <= 0:
-            problems.append(f"eps: must be positive, got {self.eps}")
+        if not problems:  # the rates are well-formed, so the model can be built
+            try:
+                self.model()
+            except InvalidModelError as exc:
+                problems.append(f"model: {exc}")
         if self.stable_scale is not None and self.stable_scale <= 0:
             problems.append(f"stable_scale: must be positive, got {self.stable_scale}")
         if not self.horizons or any(int(n) < 1 for n in self.horizons):
@@ -129,6 +122,8 @@ class RunConfig:
             problems.append(f"ladder_budget: need >= 1000 epochs, got {self.ladder_budget}")
         if self.workers < 1:
             problems.append(f"workers: must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            problems.append(f"master_seed: must be >= 0, got {self.master_seed}")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -1,6 +1,6 @@
 """The limiting objects: stable Lévy paths, glued conditioned
-environments, martingale-limit proxies, and the ratio law driving the
-limit process.
+environments, and the ratio law driving the limit process, drawn from
+exact martingale limits.
 
 The limit process is built from two independent ingredients: the level
 (running infimum) of a strictly stable Lévy process, and an i.i.d.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import cohort_log_values
+from .bpire import limit_log_values
 from .conditioned import resample_by_weight, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
@@ -123,15 +123,8 @@ class TwoSidedBatch:
     s_neg: np.ndarray
     mu_neg: np.ndarray
 
-    @property
-    def reps(self) -> int:
-        return self.s_pos.shape[0]
-
     def s_star(self, i: int) -> np.ndarray:
         return self.s_pos[:, i] if i >= 0 else -self.s_neg[:, -i]
-
-    def mu_star(self, i: int) -> np.ndarray:
-        return self.mu_pos[:, i - 1] if i >= 1 else self.mu_neg[:, -i]
 
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
@@ -139,8 +132,8 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
                            pos_extra: int = 0) -> TwoSidedBatch:
     """Draw glued environments at series half-width ``I``.
 
-    The positive side is sampled to horizon I + ``pos_extra`` (cohort
-    evolution beyond the series needs the extra steps), the negative side
+    The positive side is sampled to horizon I + ``pos_extra`` (the tail
+    sums beyond the series need the extra steps), the negative side
     to horizon I; the two sides are independent. Both sides follow the
     renewal-reweighted measure that the limiting environment obeys:
     exact rejection paths, importance-resampled by their terminal renewal
@@ -172,28 +165,22 @@ def series_terms(env: TwoSidedBatch, I: int):
     return pos, neg
 
 
-def _glued_cohorts(env: TwoSidedBatch, I: int, J: int):
-    """Laws of the 2I immigrant cohorts i = -I..I-1 of the glued environment.
+def _glued_tails(env: TwoSidedBatch, I: int, J: int):
+    """Tail sums of the 2I immigrant cohorts i = -I..I-1 of the glued
+    environment.
 
-    Returns (reps, 2I) arrays: S*_i, mu*_{i+1}, and the fractional-linear
-    coefficients ln A = -(S*_{i+J} - S*_i) and
-    ln B = ln sum_{k<J} e^{-(S*_{i+k} - S*_i)} of the cohort's J steps.
-    ln B takes one shift per cohort, the largest of its exponents, so no
-    window of the walk underflows to zero.
+    Returns (reps, 2I) arrays: S*_i, mu*_{i+1}, and
+    ln T_i = ln sum_{j=i}^{I+J-1} e^{-S*_j}, the sum running J steps past
+    the series into the positive tail. One right-to-left ``logaddexp``
+    pass over the glued walk gives every T_i, so no increment of the walk
+    underflows a sum to zero.
     """
     if env.s_neg.shape[1] <= I or env.s_pos.shape[1] < I + J:
         raise ValueError(f"two-sided environment too short for I={I}, J={J}")
     s = np.concatenate([-env.s_neg[:, I:0:-1], env.s_pos[:, :I + J]], axis=1)
     mu = np.concatenate([env.mu_neg[:, I - 1::-1], env.mu_pos[:, :I]], axis=1)
-    width = 2 * I
-    s_i = s[:, :width]
-    top = np.zeros_like(s_i)
-    for k in range(1, J):
-        np.maximum(top, s_i - s[:, k:k + width], out=top)
-    total = np.zeros_like(s_i)
-    for k in range(J):
-        total += np.exp(s_i - s[:, k:k + width] - top)
-    return s_i, mu, s_i - s[:, J:J + width], top + np.log(total)
+    t_log = np.logaddexp.accumulate(-s[:, ::-1], axis=1)[:, ::-1]
+    return s[:, :2 * I], mu, t_log[:, :2 * I]
 
 
 @dataclass
@@ -207,18 +194,20 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
                        rng: np.random.Generator, tables: LadderTables) -> GammaBatch:
     """Draw ``reps`` truncated (Sigma1, Sigma2, gamma) realizations.
 
-    Sigma1 sums mu*_{i+1} e^{-S*_i} and Sigma2 sums zeta*_i e^{-S*_i}
-    over i in [-I, I-1], with zeta proxies at martingale depth J: the
-    cohort values a*_{i,i+J} Z*_{i,i+J}, each drawn exactly from the
-    composed offspring law of its J steps.
+    Sigma1 sums t_i = mu*_{i+1} e^{-S*_i} and Sigma2 sums zeta*_i e^{-S*_i}
+    over i in [-I, I-1]. Each zeta*_i is the martingale limit of cohort
+    i, drawn exactly given the environment: zeta*_i e^{-S*_i} = T_i G_i
+    with G_i ~ Gamma(Poisson(t_i/T_i)) and T_i = sum_{j>=i} e^{-S*_j},
+    summed over a positive tail of J steps past the series.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
     pos, neg = series_terms(env, I)
     sigma1 = pos.sum(axis=1) + neg.sum(axis=1)
-    s_i, mu, a_log, b_log = _glued_cohorts(env, I, J)
-    sigma2 = np.exp(cohort_log_values(mu, a_log, b_log, rng) - s_i).sum(axis=1)
+    s_i, mu, t_log = _glued_tails(env, I, J)
+    # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
+    sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)
     return GammaBatch(sigma1=sigma1, sigma2=sigma2, gamma=sigma2 / sigma1)
 
 

@@ -11,6 +11,7 @@ from bpire_lab.bpire import (
     branch_generation,
     cohort_log_values,
     compute_normalizers,
+    limit_log_values,
     simulate_normalized_at,
 )
 from bpire_lab.conditioned import sample_conditioned_batch
@@ -370,7 +371,7 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     # the cohort joining one generation after the walk argmin, normalized
     # by e^{-(S_n - S_{tau+1})}, matches the martingale-limit law of the
     # glued environment's first forward cohort
-    from bpire_lab.limit import _glued_cohorts, sample_two_sided_batch
+    from bpire_lab.limit import _glued_tails, sample_two_sided_batch
 
     n, reps, off = 512, 3000, 1
     x = std_model.draw_x(rng, (reps, n))
@@ -387,8 +388,9 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
     env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
-    _, mu, a_log, b_log = _glued_cohorts(env, 2, 64)
-    lim = np.exp(cohort_log_values(mu[:, 2 + off], a_log[:, 2 + off], b_log[:, 2 + off], rng))
+    s_i, mu, t_log = _glued_tails(env, 2, 64)
+    c = 2 + off
+    lim = np.exp(limit_log_values(mu[:, c], t_log[:, c] + s_i[:, c], rng))
     assert ks_two_sample(pre, lim).statistic <= 0.06
 
 

@@ -138,6 +138,30 @@ def test_cli_bad_rate_params_exit_code(tmp_path, capsys):
     assert "config error: rate_params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, check", [
+    ({"alpha": 1.5}, "alpha matches family"),
+    ({"x_family": "pareto", "x_param": 1.5, "alpha": 1.5, "rho": 0.6}, "rho matches symmetric family"),
+])
+def test_cli_model_mismatch_exit_code(tmp_path, capsys, fields, check):
+    # (alpha, rho) that the step family contradicts is a configuration error
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fields))
+    code = main(["validate-env", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: model: {check}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_negative_seed_exit_code(tmp_path, capsys, how):
+    # a negative master seed cannot key a stream: rejected before any draw
+    if how == "flag":
+        argv = ["arcsine", "--config", write_config(tmp_path), "--seed", "-1"]
+    else:
+        argv = ["arcsine", "--config", write_config(tmp_path, master_seed=-1)]
+    assert main(argv) == 2
+    assert "config error: master_seed" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["walk-stats", "--config", str(tmp_path / "none.json")]) == 2
 

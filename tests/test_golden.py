@@ -24,7 +24,7 @@ GOLDEN = {
     "normal": {
         "arcsine_ecdf.csv": "97ed1a08b3dfc00e58087a71ce65ded824c1a41f807140e82742ceee7f0be75e",
         "band_fractions.csv": "3723d17e733a351737a9b5a7c50d0a83d2c3124a102f4637cd6d8f1336f947a5",
-        "gamma_ecdf.csv": "19f69783311da6cc1e987f7a6b3da26143ef029183979c0d6b717a270e123f4b",
+        "gamma_ecdf.csv": "85879625404be39d7fe367979d83a21494842cd6178faa35575098c0b437a930",
         "ladder_tables.txt": "56a4d2706d5dd73d97e11e954f1d4e085dd868125514bbee967e17f7de65c1dc",
         "lemma1_offset+1.csv": "aad6d2f5ff9e273c5937512fbc44ae7e4079289772bd24300763175fcef31883",
         "lemma1_offset+2.csv": "b2b94bd47136b1b917b9239c67d6b767516856ba3df28064968b2b2fbd740f47",
@@ -39,14 +39,14 @@ GOLDEN = {
         "martingale_means.csv": "82462774fd6ae30e9e9655a9b67a066cedd094a43ad57b958ffa122f8c9cce2c",
         "measure_change_negative.csv": "aeffb646792cf19031a2e2164726c2672ee4584ccc9d0271854c8be6b3372da9",
         "measure_change_positive.csv": "a4c07a4d58c6dd134f7e612f228a5c9d5f8f5391ce0340ac4bf8df2e676af2f4",
-        "report.json": "eb2b54f2c51d8efca2303b15a1f82bfd1d5245da31407d13f4d3df9c8b744393",
-        "theorem1_onedim_ecdf.csv": "b81e17899191cff5332c9315029e0db32a775f0066ba72e8685a38d720366c56",
-        "theorem1_twodim_probes.csv": "6472403a5338deb8c591747e27dbb4cb50f342577b7f9e38a36bf347252455fa",
+        "report.json": "af87e579a7d04ba743cca7bd9f9490864eb752d8896782dbc7de73f8570001c7",
+        "theorem1_onedim_ecdf.csv": "9fcd7b96fa333c3fbc8358f37c04cf6bfabd351317d753eed60a3dcd1e2b780f",
+        "theorem1_twodim_probes.csv": "811ad01f3d07cd45cbcc2fe58f9a9bb259cceda9f06b550b9970bcb11df2ed82",
     },
     "pareto": {
         "arcsine_ecdf.csv": "f62e6b9da13f5ca1c3d784ea2b14ded3b136517e5963f18e61e8dd1113d68f2a",
         "band_fractions.csv": "bd4756da292375484b2532d090467d966ed77becd28162091587ddd3eb85594e",
-        "gamma_ecdf.csv": "3382646931e5a2447c01d2583590029fbdcc7a22681561617691db6b26c0f120",
+        "gamma_ecdf.csv": "ded0da9f0cb19ed1c5e58bbfc83cf6f49168ae69662f7774360e9c49393da7f7",
         "ladder_tables.txt": "15a9973c0cd4259dcd4b618a91ef8211b43da4e3a99fa426d07b2355bbaeb7e3",
         "lemma1_offset+1.csv": "73372ab96fe74fe277be22cec0f4a2dac6ab23ba05cbf75f95f9b556c4422b77",
         "lemma1_offset+2.csv": "98b5f0898b0914eeca1374068b6a4f80c576bc6b6406c256ccc54a66d4eb8cf7",
@@ -61,9 +61,9 @@ GOLDEN = {
         "martingale_means.csv": "d4a64d77d589bb8ae7c5247cc52076ff2e214c30a93176e84f4fbb78d1525770",
         "measure_change_negative.csv": "340710161a6079b604e6d74d35870b328a2b1a3c98e5af37c10bfbaabae0af5a",
         "measure_change_positive.csv": "f2568239ddf154d9a485cea86390e359171adfa9f5bfb80635e46d286842306f",
-        "report.json": "a6f2b5b2cd0c1689db53989f17541b1663b549ff832e4e3d110e9a117f498fbe",
-        "theorem1_onedim_ecdf.csv": "f54958fa36b74d85b4e9f2be3d040b491e6937d085b94e7364489915c898ac54",
-        "theorem1_twodim_probes.csv": "40bef7c495d76e4177eebfd4082ab6561a4a2f030be641d909614bc9cab8f778",
+        "report.json": "e0a6fce5bdce1ca39e609235dcb0b0a20977ad889b3e97031cb2569faee2b2fa",
+        "theorem1_onedim_ecdf.csv": "49db990ff2e5a011b3e30ac408ac4133165a1d5d7ba9c3a60e1b2fbc3e7c6805",
+        "theorem1_twodim_probes.csv": "c0db3ec686076585d6eb9f8d796f8d60f3505eea7c2c8448529aa8fbf4221efa",
     },
 }
 

@@ -7,7 +7,8 @@ from scipy.stats import cauchy, kstest, levy_stable, norm
 import bpire_lab.limit as limit
 from bpire_lab.limit import (
     GammaBatch,
-    _glued_cohorts,
+    TwoSidedBatch,
+    _glued_tails,
     estimate_level_change_prob,
     levy_levels,
     sample_gamma_batch,
@@ -15,7 +16,7 @@ from bpire_lab.limit import (
     series_terms,
     stable_standard,
 )
-from bpire_lab.bpire import cohort_log_values
+from bpire_lab.bpire import cohort_log_values, limit_log_values
 from bpire_lab.env import EnvironmentModel, check_stable_params
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
@@ -122,7 +123,7 @@ def test_two_sided_gluing_invariants(std_model, std_tables, rng):
         assert np.all(env.s_star(i) >= 0.0)
     for i in (-1, -3, -6):
         assert np.all(env.s_star(i) > 0.0)
-    assert np.all(env.mu_star(1) > 0.0)
+    assert np.all(env.mu_pos[:, 0] > 0.0)
 
 
 def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, rng):
@@ -144,40 +145,48 @@ def test_scalar_environment_view(std_model, std_tables, rng):
     env = sample_two_sided_batch(std_model, 4, 256, rng, std_tables)
     assert np.all(env.s_star(0) == 0.0)
     assert np.all(env.s_star(-2) > 0.0)
-    assert np.all(env.mu_star(1) > 0.0)
+    assert np.all(env.mu_pos[:, 0] > 0.0)
 
 
-# -- martingale-limit proxies and the ratio law ------------------------------
+# -- martingale limits and the ratio law ------------------------------------
+
+def _mu_star(env, i):
+    # mu*_i of the glued environment: mu_pos to the right of 0, mu_neg to the left
+    return env.mu_pos[:, i - 1] if i >= 1 else env.mu_neg[:, -i]
+
+
+def _tiled(env, reps):
+    # one environment row repeated across replicas
+    return TwoSidedBatch(*(np.repeat(a, reps, axis=0)
+                           for a in (env.s_pos, env.mu_pos, env.s_neg, env.mu_neg)))
+
 
 def _zeta_log(env, i, J, rng):
-    # ln zeta*_i at depth J: the closed-form value of cohort i
+    # ln zeta*_i: the exact martingale limit of cohort i over a tail of J steps
     I = env.s_neg.shape[1] - 1
-    _, mu, a_log, b_log = _glued_cohorts(env, I, J)
-    return cohort_log_values(mu[:, I + i], a_log[:, I + i], b_log[:, I + i], rng)
+    s_i, mu, t_log = _glued_tails(env, I, J)
+    return limit_log_values(mu[:, I + i], t_log[:, I + i] + s_i[:, I + i], rng)
 
 
-def test_glued_cohorts_match_stepwise_sums(std_model, std_tables, rng):
-    # the window sums agree with a logaddexp loop over each cohort's steps,
+def test_glued_tails_match_stepwise_sums(std_model, std_tables, rng):
+    # the tail sums agree with a logaddexp loop over each cohort's tail,
     # also on a hand-built environment with +-800 jumps, where one shift
-    # for the whole walk would underflow some windows to zero
-    from bpire_lab.limit import TwoSidedBatch
-
+    # for the whole walk would underflow some sums to zero
     I, J = 3, 4
     drawn = sample_two_sided_batch(std_model, I, 40, rng, std_tables, pos_extra=J)
     jumps = np.array([[0.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0]])
-    wild = TwoSidedBatch(s_pos=np.cumsum(jumps, axis=1), mu_pos=np.ones((1, 7)),
-                         s_neg=-np.cumsum(np.abs(jumps[:, :4]), axis=1), mu_neg=np.ones((1, 3)))
+    wild = TwoSidedBatch(s_pos=np.cumsum(jumps, axis=1), mu_pos=np.arange(1.0, 8.0)[None],
+                         s_neg=-np.cumsum(np.abs(jumps[:, :4]), axis=1),
+                         mu_neg=np.arange(11.0, 14.0)[None])
     for env in (drawn, wild):
-        s_i, mu, a_log, b_log = _glued_cohorts(env, I, J)
+        s_i, mu, t_log = _glued_tails(env, I, J)
         for c, i in enumerate(range(-I, I)):
-            walk = [env.s_star(i + k) - env.s_star(i) for k in range(J + 1)]
-            b_ref = np.full(env.reps, -np.inf)
-            for k in range(J):
-                b_ref = np.logaddexp(b_ref, -walk[k])
+            t_ref = np.full(len(s_i), -np.inf)
+            for j in range(i, I + J):
+                t_ref = np.logaddexp(t_ref, -env.s_star(j))
             assert np.array_equal(s_i[:, c], env.s_star(i))
-            assert np.array_equal(mu[:, c], env.mu_star(i + 1))
-            assert np.allclose(a_log[:, c], -walk[J], rtol=1e-12, atol=1e-12)
-            assert np.allclose(b_log[:, c], b_ref, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(mu[:, c], _mu_star(env, i + 1))
+            assert np.allclose(t_log[:, c], t_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
@@ -185,36 +194,47 @@ def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     tiny = EnvironmentModel(rate_params=(1e-9,))
     env = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
     assert np.all(np.exp(_zeta_log(env, 0, 4, rng)) == 0.0)
-    with pytest.raises(ValueError):  # horizon too short for the cohort
+    with pytest.raises(ValueError):  # horizon too short for the tail
         _zeta_log(env, 1, 8, rng)
 
 
 def test_zeta_conditional_mean(std_model, std_tables, rng):
-    # E(zeta proxy | environment) = mu*_{i+1} at any depth: tile one
+    # E(zeta*_i | environment) = mu*_{i+1} at any tail length: tile one
     # environment row across replicas and average over cohort noise
-    from bpire_lab.limit import TwoSidedBatch
-
     base = sample_two_sided_batch(std_model, 4, 1, rng, std_tables, pos_extra=8)
     reps = 40_000
-    tiled = TwoSidedBatch(
-        s_pos=np.repeat(base.s_pos, reps, axis=0),
-        mu_pos=np.repeat(base.mu_pos, reps, axis=0),
-        s_neg=np.repeat(base.s_neg, reps, axis=0),
-        mu_neg=np.repeat(base.mu_neg, reps, axis=0),
-    )
+    tiled = _tiled(base, reps)
     for i, J in ((0, 1), (0, 6), (-2, 4)):
         vals = np.exp(_zeta_log(tiled, i, J, rng))
         se = vals.std(ddof=1) / math.sqrt(reps)
-        target = float(base.mu_star(i + 1)[0])
+        target = float(_mu_star(base, i + 1)[0])
         assert abs(vals.mean() - target) <= 4.0 * se
 
 
 def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
+    # doubling the positive tail that T_i sums leaves the law in place
     reps = 6000
     env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=64)
     a = np.exp(_zeta_log(env, 0, 24, rng))
     b = np.exp(_zeta_log(env, 0, 48, rng))
     assert ks_two_sample(a, b).statistic <= 0.05
+
+
+def test_zeta_limit_matches_deep_cohort(std_model, std_tables, rng):
+    # oracle on one conditioned environment: the exact limit against the
+    # closed-form cohort value A·Z at depth 256 (257 for cohort -1), over
+    # the same stretch of walk, where A = e^{-(S*_{I+J} - S*_i)} is tiny;
+    # two-sample KS at the 5% critical value
+    I, J, reps = 1, 255, 20_000
+    base = sample_two_sided_batch(std_model, I, 1, rng, std_tables, pos_extra=J)
+    s_i, mu, t_log = _glued_tails(_tiled(base, reps), I, J)
+    lim = np.exp(limit_log_values(mu, t_log + s_i, rng))
+    glued = np.concatenate([-base.s_neg[0, I:0:-1], base.s_pos[0]])  # S*_{-I}..S*_{I+J}
+    for c in range(2 * I):
+        walk = glued[c:] - glued[c]
+        deep = np.exp(cohort_log_values(mu[:, c], -walk[-1],
+                                        np.logaddexp.reduce(-walk[:-1]), rng))
+        assert ks_two_sample(lim[:, c], deep).statistic <= 1.358 * math.sqrt(2.0 / reps)
 
 
 def test_gamma_sample_basics(std_model, std_tables, rng):
@@ -249,9 +269,9 @@ def test_series_terms_match_star_sequence(std_model, std_tables, rng):
     env = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
     pos, neg = series_terms(env, 4)
     for j in range(4):
-        assert np.allclose(pos[:, j], env.mu_star(j + 1) * np.exp(-env.s_star(j)))
+        assert np.allclose(pos[:, j], _mu_star(env, j + 1) * np.exp(-env.s_star(j)))
         i = -(j + 1)
-        assert np.allclose(neg[:, j], env.mu_star(i + 1) * np.exp(-env.s_star(i)))
+        assert np.allclose(neg[:, j], _mu_star(env, i + 1) * np.exp(-env.s_star(i)))
 
 
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
