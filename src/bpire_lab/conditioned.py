@@ -73,15 +73,25 @@ def _harmonic(tables: LadderTables, side: str):
     return lambda y: tables.u_at(-y)
 
 
-_KILL_SEGMENT = 128  # steps between early-kill sweeps in rejection
+# Longest kill sweep in rejection: the sweeps double from 1 step up to
+# this length, which bounds the rows x steps block drawn at once.
+_KILL_SEGMENT = 128
 
 
 def _rejection(model: EnvironmentModel, n: int, reps: int,
                rng: np.random.Generator, side: str) -> np.ndarray:
     """Exact conditional sampling by resimulation.
 
-    Proposals are killed as soon as they leave the conditioning region,
-    so the cost per proposal is O(sqrt(n)) steps instead of n.
+    Proposals advance in sweeps of 1, 2, 4, ... steps (at most
+    ``_KILL_SEGMENT``) and are dropped at the end of the first sweep in
+    which they leave the conditioning region. A proposal is dropped only
+    once it has left the region, so the accepted paths are exact. For a
+    symmetric continuous step law, Sparre Andersen's theorem gives
+    P(S_1, ..., S_k >= 0) = C(2k, k)/4^k (Feller vol. II, XII.7), so a
+    proposal stopped at its exit draws E[min(tau, n)] = 2n C(2n, n)/4^n
+    steps, and an accepted path costs about 2n variates. A sweep is never
+    longer than the steps before it plus one, so the doubling at most
+    doubles a proposal's draws.
     """
     accepted = [np.zeros((0, n + 1))]
     got = 0
@@ -97,8 +107,10 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
         rows = np.arange(m)
         cur = np.zeros(m)
         kept = []  # per sweep: the surviving proposals and their segments
-        for lo in range(0, n, _KILL_SEGMENT):
-            k = min(_KILL_SEGMENT, n - lo)
+        lo, width = 0, 1
+        while lo < n:
+            k = min(width, n - lo)
+            lo, width = lo + k, min(2 * width, _KILL_SEGMENT)
             seg = cur[:, None] + np.cumsum(model.draw_x(rng, (len(rows), k)), axis=1)
             ok = (seg.min(axis=1) >= 0.0) if side == "positive" else (seg.max(axis=1) < 0.0)
             rows, seg = rows[ok], seg[ok]

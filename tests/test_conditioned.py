@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -8,7 +11,47 @@ from bpire_lab.conditioned import (
     resample_by_weight,
     sample_conditioned_batch,
 )
+from bpire_lab.env import EnvironmentModel
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
+from test_golden import FAMILIES
+
+
+@dataclass(frozen=True)
+class _RecordingModel(EnvironmentModel):
+    """An environment model that keeps every step block it draws."""
+
+    draws: list = field(default_factory=list, compare=False)
+
+    def draw_x(self, rng, size=None):
+        x = super().draw_x(rng, size)
+        self.draws.append(x)
+        return x
+
+
+def _in_region(seg, side):
+    return (seg.min(axis=1) >= 0.0) if side == "positive" else (seg.max(axis=1) < 0.0)
+
+
+def _replay_sweeps(draws, n, side):
+    """Proposals and accepted proposals of rejection, from its step blocks.
+
+    Each proposal chunk starts at 0 with a one-step block over all its
+    rows; every later block continues the rows still in the region. The
+    rows that reach step n in the region are accepted.
+    """
+    proposals = accepted = 0
+    lo = n
+    for d in draws:
+        if lo == n:
+            cur, lo = np.zeros(len(d)), 0
+            proposals += len(d)
+        seg = cur[:, None] + np.cumsum(d, axis=1)
+        cur, lo = seg[_in_region(seg, side), -1], lo + d.shape[1]
+        if lo == n:
+            accepted += len(cur)
+        elif len(cur) == 0:
+            lo = n
+    return proposals, accepted
 
 
 @pytest.mark.parametrize("method", ["rejection", "h-transform"])
@@ -116,6 +159,51 @@ def test_rejection_exhaustion(std_model, rng, monkeypatch):
     monkeypatch.setattr(conditioned, "REJECTION_CAP", 4)
     with pytest.raises(RejectionExhausted):
         sample_conditioned_batch(std_model, 4000, "rejection", 2, rng, "positive")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("side", ["positive", "negative"])
+@pytest.mark.parametrize("n", [64, 512, 2000])
+def test_rejection_cost_per_accepted_path(rng, family, side, n):
+    # Sparre Andersen: for a symmetric continuous step law the walk stays
+    # in either region for k steps with probability C(2k, k)/4^k, and a
+    # proposal stopped at its exit costs 2n variates per accepted path
+    model = _RecordingModel(**FAMILIES[family])
+    batch = sample_conditioned_batch(model, n, "rejection", 400, rng, side)
+    assert batch.s.shape == (400, n + 1)
+    proposals, accepted = _replay_sweeps(model.draws, n, side)
+    assert accepted >= 400
+    assert sum(d.size for d in model.draws) <= 3 * n * accepted
+    p = math.comb(2 * n, n) / 4**n
+    se = math.sqrt(p * (1.0 - p) / proposals)
+    assert abs(accepted / proposals - p) <= 4.0 * se
+
+
+def _filtered_paths(model, n, reps, rng, side):
+    """Oracle: whole free paths, kept when every step stays in the region."""
+    kept, got = [], 0
+    while got < reps:
+        s = np.cumsum(model.draw_x(rng, (4096, n)), axis=1)
+        s = s[_in_region(s, side)]
+        kept.append(s)
+        got += len(s)
+    return np.concatenate(kept)[:reps]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_rejection_matches_full_path_filter(rng, family, side):
+    # n = 300 is no sum of whole sweeps (1 + 2 + ... + 128 = 255), so the
+    # last sweep is cut short
+    n, reps = 300, 2000
+    model = EnvironmentModel(**FAMILIES[family])
+    rej = sample_conditioned_batch(model, n, "rejection", reps, rng, side).s[:, 1:]
+    ref = _filtered_paths(model, n, reps, rng, side)
+    extremum = np.min if side == "positive" else np.max
+    crit = 1.95 * math.sqrt(2.0 / reps)  # two-sample KS at the 0.1% level
+    for a, b in ((rej[:, -1], ref[:, -1]), (rej[:, 149], ref[:, 149]),
+                 (extremum(rej, axis=1), extremum(ref, axis=1))):
+        assert ks_two_sample(a, b).statistic <= crit
 
 
 def test_requires_tables_for_h_transform(std_model, rng):
