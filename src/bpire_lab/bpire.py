@@ -2,14 +2,17 @@
 
 Offspring laws are geometric, so they compose in closed form over any
 stretch of the walk, and every verdict draws its populations from that
-composition in O(1) variates per cohort: ``cohort_log_values`` for the
-cohort martingales of the martingale check, ``limit_log_values`` for
-their J -> inf limits in the ratio law, and ``simulate_normalized_at``
-for the pre-limit process Y_n of theorem 1, whose population is a sum of
-independent immigrant cohorts plus the descendants carried from the
-previous probe. The window sampler behind it, ``_window_cohorts``, takes
-given steps and rates, so the martingale check draws its conditional
-means E(Z_k | env) through it on fixed environments.
+composition: ``cohort_log_values`` for the cohort martingales of the
+martingale check and ``limit_log_values`` for their J -> inf limits in
+the ratio law, in O(1) variates per cohort, and
+``simulate_normalized_at`` for the pre-limit process Y_n of theorem 1,
+whose population is a sum of independent immigrant cohorts plus the
+descendants carried from the previous probe. The window sampler behind
+it, ``_window_cohorts``, draws a chunk's surviving lines by Poisson
+superposition, in O(1) variates per replica per chunk plus O(1) per
+surviving line. It takes given steps and rates, so the martingale check
+draws its conditional means E(Z_k | env) through it on fixed
+environments.
 
 Population states are carried as pairs (linear count, log count): the
 linear value is an exact integer whenever the population is small enough
@@ -143,20 +146,20 @@ def branch_generation(c_lin: np.ndarray, c_log: np.ndarray, x: np.ndarray,
     return z_lin, z_log
 
 
-def _descendants(lines, lines_log, a_log, b_log, rng: np.random.Generator):
+def _descendants(lines, lines_log, ba_log, rng: np.random.Generator):
     """Counts Z = L + Poisson(G·B/A), G ~ Gamma(L), of L surviving lines.
 
     Each line that survives the composed law 1/(1 - f(s)) = A/(1 - s) + B
     leaves 1 + Geometric(A/(A+B)) descendants, so L lines leave
-    L + NegBin(L, A/(A+B)). Takes and returns (linear, log) counts; rows
-    with L = 0 stay empty.
+    L + NegBin(L, A/(A+B)). Takes (linear, log) line counts and
+    ``ba_log`` = ln B/A, and returns (linear, log) counts; rows with L = 0
+    stay empty.
     """
     z_lin = np.zeros(lines.shape)
     z_log = np.full(lines.shape, -np.inf)
     live = lines > 0.0
     lines, lines_log = lines[live], lines_log[live]
-    extra, extra_log = _poisson_log(
-        _gamma_log(lines, lines_log, rng) + b_log[live] - a_log[live], rng)
+    extra, extra_log = _poisson_log(_gamma_log(lines, lines_log, rng) + ba_log[live], rng)
     z_lin[live] = lines + extra
     z_log[live] = np.logaddexp(lines_log, extra_log)
     return z_lin, z_log
@@ -166,7 +169,7 @@ def _cohort_counts(mu, a_log, b_log, rng: np.random.Generator):
     """Z of Poisson(``mu``) immigrant cohorts under the composed law
     (A, B), as (linear, log) counts: Poisson(mu/(A+B)) lines survive."""
     return _descendants(*_poisson_log(_log_count(mu) - np.logaddexp(a_log, b_log), rng),
-                        a_log, b_log, rng)
+                        b_log - a_log, rng)
 
 
 def _carried_counts(c_lin, c_log, a_log, b_log, rng: np.random.Generator):
@@ -189,7 +192,7 @@ def _carried_counts(c_lin, c_log, a_log, b_log, rng: np.random.Generator):
         lines_log[exact] = _log_count(lines[exact])
     if (~exact).any():
         lines[~exact], lines_log[~exact] = _poisson_log(c_log[~exact] + p_log[~exact], rng)
-    return _descendants(lines, lines_log, a_log, b_log, rng)
+    return _descendants(lines, lines_log, b_log - a_log, rng)
 
 
 def cohort_log_values(mu, a_log, b_log, rng: np.random.Generator) -> np.ndarray:
@@ -253,8 +256,65 @@ def _log_col_sums(v: np.ndarray) -> np.ndarray:
     return top + _log_count(np.exp(v - top).sum(axis=0))
 
 
+def _log_group_sums(v: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """ln of the sums of e^v within each of ``n`` groups, shifted by each
+    group's maximum; -inf on empty groups."""
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, groups, v)
+    top[~np.isfinite(top)] = 0.0
+    return top + _log_count(np.bincount(groups, np.exp(v - top[groups]), n))
+
+
 _COHORT_CHUNK = 128  # cohorts per kernel call: bounds the temporaries of a window
 _MAX_WINDOW = 1024  # generations per window: bounds its walk and rate arrays
+
+
+def _cohort_lines(lam_log: np.ndarray, rng: np.random.Generator):
+    """Surviving lines of independent Poisson(lambda) counts, one per cell
+    of the (rows, reps) array ``lam_log`` = ln lambda, returned for the
+    occupied cells only: their row and column indices and (linear, log)
+    line counts.
+
+    By Poisson superposition a column's lines are Poisson(sum lambda) in
+    all, each placed in a row independently with probability
+    lambda_i / sum lambda. The placement is one flat ``searchsorted`` of
+    column + uniform against column + cumulative share, as
+    ``Generator.choice(p=)`` does for one column. A column that expects
+    more lines than it has rows gains nothing from that and draws its
+    cells directly, so no column holds more than about one line per row.
+    """
+    rows, reps = lam_log.shape
+    cdf = np.exp(lam_log)
+    np.cumsum(cdf, axis=0, out=cdf)
+    total = cdf[-1].copy()
+    dense = total > rows
+    placed = (total > 0.0) & ~dense
+    if dense.any():
+        cdf[:, dense] = 0.0
+    np.divide(cdf, total, out=cdf, where=placed)
+    cdf += np.arange(reps)
+    counts = rng.poisson(np.where(placed, total, 0.0))
+    cols = np.repeat(np.arange(reps), counts)
+    first = cols * rows  # flat index of each line's column, row 0
+    cells = np.searchsorted(cdf.T.ravel(), cols + rng.random(len(cols)), side="right")
+    # keep each line in its column whatever the rounding
+    cells, lines = np.unique(np.clip(cells, first, first + rows - 1), return_counts=True)
+    cols, row = np.divmod(cells, rows)
+    lines = lines.astype(float)
+    lines_log = np.log(lines)
+    if dense.any():
+        idx = np.flatnonzero(dense)
+        d_lin, d_log = _poisson_log(lam_log[:, idx], rng)
+        r, j = np.nonzero(d_lin > 0.0)
+        cols, row = np.concatenate([cols, idx[j]]), np.concatenate([row, r])
+        lines = np.concatenate([lines, d_lin[r, j]])
+        lines_log = np.concatenate([lines_log, d_log[r, j]])
+    return row, cols, lines, lines_log
+
+
+def _log_expm1(y):
+    """ln(e^y - 1) for y >= 0, -inf at 0, with no overflow at large y."""
+    return y + _log_count(-np.expm1(-y))
 
 
 def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
@@ -265,13 +325,18 @@ def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
     steps are not kept past the walk. The walk is one array of w + 1
     rows, s[j] = S_{prev+j}, each row across all replicas. The cohorts
     are drawn in chunks of ``_COHORT_CHUNK`` rows from the right, so that
-    the suffix sums ln sum_{j=i}^{k-1} e^{-S_j} run right to left with
-    ``logaddexp``, one generation at a time: no walk increment underflows
-    a suffix. Cohort i has ln A_i = S_i - S_k and ln B_i = S_i plus its
-    suffix sum.
+    the suffix sums T_i = ln sum_{j=i}^{k} e^{-S_j} run right to left
+    with ``logaddexp``, one generation at a time, from T_k = -S_k: no
+    walk increment underflows a suffix. Cohort i has A_i = e^{S_i - S_k}
+    and ln(A_i + B_i) = S_i + T_i, so Poisson(lambda_i) of its lines
+    survive, lambda_i = mu_{i+1} e^{-S_i - T_i}. Each chunk draws its
+    lines with ``_cohort_lines``, in O(1) variates per replica plus O(1)
+    per line, and only the cohorts left with a line go on to
+    ``_descendants``, at ln B_i/A_i = ln(e^{T_i + S_k} - 1).
 
-    Returns S_k, the suffix sum from prev, the cohorts' total count at k
-    as (linear, log), and ln sum_{prev<=i<k} mu_{i+1} e^{-S_i}.
+    Returns S_k, the suffix sum ln sum_{prev<=j<k} e^{-S_j}, the cohorts'
+    total count at k as (linear, log), and
+    ln sum_{prev<=i<k} mu_{i+1} e^{-S_i}.
     """
     reps = len(s_prev)
     w = len(x)
@@ -281,25 +346,30 @@ def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
     del x  # a caller that passes its draw directly frees it here
     s[1:] += s_prev
     s_k = s[w].copy()
-    suffix = np.full(reps, -np.inf)
-    z_lin = np.zeros(reps)
-    z_log = np.full(reps, -np.inf)
+    suffix = -s_k
     b_log = np.full(reps, -np.inf)
+    cols, z_lin, z_log = [], [], []
     for hi in range(w, 0, -_COHORT_CHUNK):
         lo = max(hi - _COHORT_CHUNK, 0)
         s_i = s[lo:hi]
-        mu = rates[lo:hi]
-        b_i = np.negative(s_i)
-        np.logaddexp(b_i[-1], suffix, out=b_i[-1])
-        for j in range(len(b_i) - 2, -1, -1):
-            np.logaddexp(b_i[j + 1], b_i[j], out=b_i[j])
-        suffix = b_i[0].copy()
-        b_i += s_i
-        c_lin, c_log = _cohort_counts(mu, s_i - s_k, b_i, rng)
-        z_lin += c_lin.sum(axis=0)
-        z_log = np.logaddexp(z_log, _log_col_sums(c_log))
-        b_log = np.logaddexp(b_log, _log_col_sums(np.log(mu) - s_i))
-    return s_k, suffix, z_lin, z_log, b_log
+        t = np.negative(s_i)
+        np.logaddexp(t[-1], suffix, out=t[-1])
+        for j in range(len(t) - 2, -1, -1):
+            np.logaddexp(t[j + 1], t[j], out=t[j])
+        suffix = t[0].copy()
+        lam_log = np.log(rates[lo:hi]) - s_i
+        b_log = np.logaddexp(b_log, _log_col_sums(lam_log))
+        lam_log -= t
+        row, col, lines, lines_log = _cohort_lines(lam_log, rng)
+        c_lin, c_log = _descendants(lines, lines_log,
+                                    _log_expm1(t[row, col] + s_k[col]), rng)
+        cols.append(col)
+        z_lin.append(c_lin)
+        z_log.append(c_log)
+    cols = np.concatenate(cols)
+    return (s_k, _log_expm1(suffix + s_k) - s_k,
+            np.bincount(cols, np.concatenate(z_lin), reps).astype(float),
+            _log_group_sums(np.concatenate(z_log), cols, reps), b_log)
 
 
 def simulate_normalized_at(model, n: int, ts, reps: int,

@@ -167,14 +167,20 @@ def test_normalized_process_exact_ratio(monkeypatch):
 
     # force every cohort and the carried population to its mean, A Z = mu
     # and A Z = Z_prev: then e^{-S_k} Z_k = b_k and the normalized value is
-    # exactly one
-    def cohort_mean(mu, a_log, b_log, rng):
-        return mu * np.exp(-a_log), np.log(mu) - a_log
+    # exactly one. A cohort's mean is lambda = mu/(A+B) lines in every cell,
+    # each leaving 1 + B/A descendants on average
+    def lines_mean(lam_log, rng):
+        row, col = np.indices(lam_log.shape).reshape(2, -1)
+        return row, col, np.exp(lam_log).ravel(), lam_log.ravel()
+
+    def descendants_mean(lines, lines_log, ba_log, rng):
+        return lines * (1.0 + np.exp(ba_log)), lines_log + np.logaddexp(0.0, ba_log)
 
     def carried_mean(c_lin, c_log, a_log, b_log, rng):
         return c_lin * np.exp(-a_log), c_log - a_log
 
-    monkeypatch.setattr(bpire, "_cohort_counts", cohort_mean)
+    monkeypatch.setattr(bpire, "_cohort_lines", lines_mean)
+    monkeypatch.setattr(bpire, "_descendants", descendants_mean)
     monkeypatch.setattr(bpire, "_carried_counts", carried_mean)
     for x in (0.0, 0.7):  # flat, and a drift that makes every A differ from one
         y = simulate_normalized_at(_DeterministicModel(x), 4, [0.25, 0.5, 1.0], 3, None)
@@ -249,6 +255,38 @@ def test_normalized_process_survives_huge_jumps(rng):
         y = simulate_normalized_at(_JumpModel(), 40, (0.5, 1.0), 2000, rng)
     assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
     assert np.any(y > 0.0)
+
+
+@pytest.mark.parametrize("walk, rate, k", [("normal", 2.0, 300), ("jumps", 2.0, 300),
+                                           ("normal", 64.0, 300), ("normal", 2.0, 4)],
+                         ids=["normal", "jumps", "normal-dense", "normal-short"])
+def test_window_matches_independent_cohorts(std_model, walk, rate, k):
+    # on one fixed environment, Z_k of the window's superposed lines
+    # against the sum of independent per-cohort draws of the closed form,
+    # at the 0.1% two-sample critical value. k = 300 spans three cohort
+    # chunks; at rate 64 a chunk expects more lines than rows, so its
+    # columns draw their cells directly; at k = 4, Z_k is a small count,
+    # so each line's descendants show one by one. ln Z is compared at 6
+    # decimals, so the atoms at small counts match whatever the rounding
+    # of either side.
+    reps = 20_000
+    crit = 1.949 * math.sqrt(2.0 / reps)
+    window_rng, cohort_rng = (np.random.default_rng(seq)
+                              for seq in np.random.SeedSequence(20261018).spawn(2))
+    x = (std_model if walk == "normal" else _JumpModel()).draw_x(window_rng, k)
+    _, _, _, window, _ = bpire._window_cohorts(
+        np.zeros(reps), np.broadcast_to(x[:, None], (k, reps)), np.full((k, reps), rate),
+        window_rng)
+    # cohort i joins at generation i + 1: ln A_i = S_i - S_k, and
+    # ln B_i = S_i + ln sum_{i<=j<k} e^{-S_j}
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    a_log = s[:k] - s[k]
+    b_log = s[:k] + np.logaddexp.accumulate(-s[k - 1::-1])[::-1]
+    cohorts = np.full(reps, -np.inf)
+    for i in range(k):
+        cohorts = np.logaddexp(cohorts, cohort_log_values(np.full(reps, rate), a_log[i],
+                                                          b_log[i], cohort_rng) - a_log[i])
+    assert ks_two_sample(np.round(window, 6), np.round(cohorts, 6)).statistic <= crit
 
 
 def test_saturation_error_exact_only(rng):

@@ -36,12 +36,12 @@ GOLDEN = {
         "lemma7_a_before.csv": "891cee383ab756dc7e649f1aee1315a60668a7732b4115150824c36acd9abe0d",
         "lemma7_head_before.csv": "ad36cd4479e3b5f23f925977e16832cb29aaa9023c4fab5a6d44a3bcf7cb1480",
         "lemma7_tail_after.csv": "1293f2ba0d6905be6fd4db8dda14c97acb538be077ff95258944f78898824467",
-        "martingale_means.csv": "82462774fd6ae30e9e9655a9b67a066cedd094a43ad57b958ffa122f8c9cce2c",
+        "martingale_means.csv": "7a31e30d58d5556924463cdd745cee74afa13c2bd44a6b1ea563fe3d38eac386",
         "measure_change_negative.csv": "f3b347c412e13b8e18d302c0bcf6500ef7cadb489a2d551b181f7648e8f1f85e",
         "measure_change_positive.csv": "02fe87206289af7261d1630930a14e0955b1e8cd2fa42b0f6b368b892b4b8904",
-        "report.json": "e92e6a8dbcf727e9c1e5448db0ff1b9fd72fc7e69b20cf58b1fdc825b40040bf",
-        "theorem1_onedim_ecdf.csv": "76e0b5c773fd731f1939c565cac616817017fc73657960e6ab9e8e11917614a1",
-        "theorem1_twodim_probes.csv": "5c5651202eb4bec54ff1df249659d48722e8e86322d176239b90595055a99f2a",
+        "report.json": "73482351907624cecc7f36e3260003d8ee7c49a924e88a6488beb394bd2761de",
+        "theorem1_onedim_ecdf.csv": "8c683e0d62f639c4fd44ebcc62885a21f2c721439c8230920545a93e9d8bab62",
+        "theorem1_twodim_probes.csv": "d80338c547d83a28ed2e6e034c2fdc3e14bf83ade49e7c487ca930f365dd2d3c",
     },
     "pareto": {
         "arcsine_ecdf.csv": "f62e6b9da13f5ca1c3d784ea2b14ded3b136517e5963f18e61e8dd1113d68f2a",
@@ -58,12 +58,12 @@ GOLDEN = {
         "lemma7_a_before.csv": "9d381c6bcde56fdcff01225cd45d5060a9a426bbad428fbcbbcf2535b4541a08",
         "lemma7_head_before.csv": "d3d345dfe9741689f19f704e4e3e41b53c67f9afad45d868b5318938273ef815",
         "lemma7_tail_after.csv": "374a432bbbaac7c7992c901c9e7f40587d2f52e6f3e1fb1cabd1c1092969e35d",
-        "martingale_means.csv": "d4a64d77d589bb8ae7c5247cc52076ff2e214c30a93176e84f4fbb78d1525770",
+        "martingale_means.csv": "3855e98ff7d2b6664f83e6381bc624846b8ca4bf8dbdf46fb1300cc8ea8ea9dd",
         "measure_change_negative.csv": "ac5efeff04ddc25a18929a257a0772ebbae5cf138fe43069f04b41604ad71ddf",
         "measure_change_positive.csv": "8c33cfaa753c625c283031c715d9587c27d25d2cc5e4148feb7d29298c92a424",
-        "report.json": "a42242df73ccb1174a431ec488f0abc0ddf97d6de64ae9a847accf992a0b0a5b",
-        "theorem1_onedim_ecdf.csv": "e36462cd9f0250cafe299dc4504c67cd6710ca8063d82fec65a3978a1cbfd4f7",
-        "theorem1_twodim_probes.csv": "0c3f3c1c94a8bc818ef6ba52fc40615e4ca6e3c1915a2ad61490e2bdc2915be6",
+        "report.json": "5cc4cfcbc23489da0e87bca96394fb58481e9b05976b1681b1b80ef4446a6bbe",
+        "theorem1_onedim_ecdf.csv": "eb29a20b22dd22ca4685925996dc7a3cf4f6e8ac8ed727d255143c8ebb9595fb",
+        "theorem1_twodim_probes.csv": "2a51d04bce20033e1453ba4e6c7cfa153667f816c26c96bd44478f0b4285ffd8",
     },
 }
 
