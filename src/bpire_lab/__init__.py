@@ -8,7 +8,7 @@ from .env import EnvironmentModel, EnvSteps, validate_model
 from .walk import StableSpec, arcsine_cdf, normalizer
 from .ladder import LadderTables, estimate_ladder_tables
 from .conditioned import ConditionedSample, sample_conditioned_batch
-from .bpire import NormalizerPair, compute_normalizers
+from .bpire import compute_normalizers
 from .limit import (
     levy_levels,
     sample_gamma_batch,

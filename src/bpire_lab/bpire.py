@@ -32,14 +32,9 @@ benchmark's tracer wraps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .env import EnvSteps
-
 __all__ = [
-    "NormalizerPair",
     "SaturationError",
     "EXACT_CAP",
     "branch_generation",
@@ -225,27 +220,23 @@ def limit_log_values(mu, b_log, rng: np.random.Generator) -> np.ndarray:
     return b_log + _gamma_log(*_poisson_log(_log_count(mu) - b_log, rng), rng)
 
 
-@dataclass
-class NormalizerPair:
-    """The environment normalizers a_k = e^{-S_k}, b_k = sum mu e^{-S}."""
+def compute_normalizers(x, mu):
+    """Walk and normalizers of environment steps along the last axis.
 
-    a: np.ndarray
-    b: np.ndarray
-    a_log: np.ndarray
-    b_log: np.ndarray
-
-
-def compute_normalizers(env: EnvSteps) -> NormalizerPair:
-    """Exact normalizer sequences from realized environment steps."""
-    if len(env) == 0:
+    ``x`` holds the steps x_1..x_n and ``mu`` the rates mu_1..mu_n, of one
+    shape. Returns (s, b_log), each with n + 1 entries on the last axis:
+    the walk S_0 = 0..S_n, so that ln a_k = -S_k, and ln b_k with
+    b_k = sum_{i<k} mu_{i+1} e^{-S_i} (b_0 = 0), summed by ``logaddexp``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 0:
         raise ValueError("environment must be nonempty")
-    s = np.concatenate([[0.0], np.cumsum(env.x)])
-    a_log = -s
+    s = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=s[..., 1:])
+    b_log = np.full_like(s, -np.inf)
     with np.errstate(divide="ignore"):
-        terms = np.log(env.mu) - s[:-1]  # mu_{i+1} e^{-S_i}
-    b_log = np.concatenate([[-np.inf], np.logaddexp.accumulate(terms)])
-    with np.errstate(over="ignore"):
-        return NormalizerPair(a=np.exp(a_log), b=np.exp(b_log), a_log=a_log, b_log=b_log)
+        np.logaddexp.accumulate(np.log(mu) - s[..., :-1], axis=-1, out=b_log[..., 1:])
+    return s, b_log
 
 
 def _log_col_sums(v: np.ndarray) -> np.ndarray:

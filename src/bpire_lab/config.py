@@ -111,6 +111,12 @@ class RunConfig:
             problems.append(f"band_eps: need positive values, got {self.band_eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
+        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i;
+        # type(i) is int also turns away bools
+        if not (isinstance(self.lemma_offsets, (list, tuple)) and all(
+                type(i) is int and 1 <= abs(i) <= self.trunc_i for i in self.lemma_offsets)):
+            problems.append(f"lemma_offsets: need integers i with 1 <= |i| <= trunc_i = "
+                            f"{self.trunc_i}, got {self.lemma_offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():

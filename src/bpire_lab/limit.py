@@ -109,35 +109,37 @@ def levy_levels(alpha: float, rho: float, delta: float, idx, reps: int,
 
 @dataclass
 class TwoSidedBatch:
-    """Replica batch of glued two-sided environments.
+    """Replica batch of glued two-sided environments, in one coordinate
+    system.
 
-    Positive side: ``s_pos`` rows are S*_0..S*_{hp} (nonnegative walk),
-    ``mu_pos`` the rates mu*_1..mu*_{hp}. Negative side: ``s_neg`` rows
-    are the negative-conditioned walk S^-_0..S^-_{hn} (negative from
-    index 1), ``mu_neg`` its rates mu^-_1..mu^-_{hn}; the glued values
-    at i <= 0 are S*_i = -S^-_{-i} and mu*_i = mu^-_{-i+1}.
+    Column ``origin + i`` of ``s`` is S*_i and the same column of ``mu``
+    is mu*_{i+1}, for i = -origin..width - origin - 1 (``mu`` stops one
+    column short of ``s``). S*_i for i >= 0 is the nonnegative walk; for
+    i < 0 it is minus the negative walk read backward, S*_i = -S^-_{-i},
+    with mu*_{i+1} = mu^-_{-i}.
     """
 
-    s_pos: np.ndarray
-    mu_pos: np.ndarray
-    s_neg: np.ndarray
-    mu_neg: np.ndarray
+    s: np.ndarray
+    mu: np.ndarray
+    origin: int
 
     def s_star(self, i: int) -> np.ndarray:
-        return self.s_pos[:, i] if i >= 0 else -self.s_neg[:, -i]
+        if not -self.origin <= i < self.s.shape[1] - self.origin:
+            raise IndexError(f"S*_{i} lies outside the glued environment")
+        return self.s[:, self.origin + i]
 
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
                            rng: np.random.Generator, tables: LadderTables,
                            pos_extra: int = 0) -> TwoSidedBatch:
-    """Draw glued environments at series half-width ``I``.
+    """Draw glued environments at series half-width ``I``: S*_{-I}..S*_hp,
+    origin I, with hp = I + ``pos_extra``.
 
-    The positive side is sampled to horizon I + ``pos_extra`` (the tail
-    sums beyond the series need the extra steps), the negative side
-    to horizon I; the two sides are independent. Both sides follow the
-    renewal-reweighted measure that the limiting environment obeys:
-    exact rejection paths, importance-resampled by their terminal renewal
-    weight.
+    The positive side is sampled to horizon hp (the tail sums beyond the
+    series need the extra steps), the negative side to horizon I; the two
+    sides are independent. Both sides follow the renewal-reweighted
+    measure that the limiting environment obeys: exact rejection paths,
+    importance-resampled by their terminal renewal weight.
     """
     if I < 1:
         raise ValueError("I must be >= 1")
@@ -147,22 +149,22 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
         batch = sample_conditioned_batch(model, horizon, "rejection", reps, rng,
                                          side, tables)
         sides[side] = resample_by_weight(batch.s, batch.tilt_weights, reps, rng)
-    mu_pos = np.asarray(model.draw_rate(rng, (reps, hp)), dtype=float)
-    mu_neg = np.asarray(model.draw_rate(rng, (reps, I)), dtype=float)
-    return TwoSidedBatch(s_pos=sides["positive"], mu_pos=mu_pos,
-                         s_neg=sides["negative"], mu_neg=mu_neg)
+    mu_pos = model.draw_rate(rng, (reps, hp))
+    mu_neg = model.draw_rate(rng, (reps, I))
+    s = np.concatenate([-sides["negative"][:, :0:-1], sides["positive"]], axis=1)
+    mu = np.concatenate([mu_neg[:, ::-1], mu_pos], axis=1).astype(float)
+    return TwoSidedBatch(s=s, mu=mu, origin=I)
 
 
 def series_terms(env: TwoSidedBatch, I: int):
     """Per-index terms mu*_{i+1} e^{-S*_i} of the first series.
 
-    Returns (pos, neg): ``pos[:, j]`` is the term at i = j for
-    j = 0..I-1; ``neg[:, j]`` the term at i = -(j+1) for j = 0..I-1,
-    which in the negative side's own coordinates is mu^-_{j+1} e^{S^-_{j+1}}.
+    Returns (pos, neg): ``pos[:, j]`` is the term at i = j and
+    ``neg[:, j]`` the term at i = -(j+1), for j = 0..I-1.
     """
-    pos = env.mu_pos[:, :I] * np.exp(-env.s_pos[:, :I])
-    neg = env.mu_neg[:, :I] * np.exp(env.s_neg[:, 1:I + 1])
-    return pos, neg
+    o = env.origin
+    terms = env.mu[:, o - I:o + I] * np.exp(-env.s[:, o - I:o + I])
+    return terms[:, I:], terms[:, I - 1::-1]
 
 
 def _glued_tails(env: TwoSidedBatch, I: int, J: int):
@@ -175,12 +177,12 @@ def _glued_tails(env: TwoSidedBatch, I: int, J: int):
     pass over the glued walk gives every T_i, so no increment of the walk
     underflows a sum to zero.
     """
-    if env.s_neg.shape[1] <= I or env.s_pos.shape[1] < I + J:
+    o = env.origin
+    if o < I or env.s.shape[1] - o < I + J:
         raise ValueError(f"two-sided environment too short for I={I}, J={J}")
-    s = np.concatenate([-env.s_neg[:, I:0:-1], env.s_pos[:, :I + J]], axis=1)
-    mu = np.concatenate([env.mu_neg[:, I - 1::-1], env.mu_pos[:, :I]], axis=1)
+    s = env.s[:, o - I:o + I + J]
     t_log = np.logaddexp.accumulate(-s[:, ::-1], axis=1)[:, ::-1]
-    return s[:, :2 * I], mu, t_log[:, :2 * I]
+    return s[:, :2 * I], env.mu[:, o - I:o + I], t_log[:, :2 * I]
 
 
 @dataclass

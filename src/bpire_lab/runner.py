@@ -124,15 +124,8 @@ def _cond_series_block(count, rng, model, n, side):
 
 def _ratio_block(count, rng, model, n, i):
     """Pre-limit normalizer ratios recentered at the walk argmin."""
-    x = model.draw_x(rng, (count, n))
-    mu = np.asarray(model.draw_rate(rng, (count, n)), dtype=float)
-    s = np.concatenate([np.zeros((count, 1)), np.cumsum(x, axis=1)], axis=1)
-    terms = np.log(mu) - s[:, :n]
-    b_log = np.concatenate(
-        [np.full((count, 1), -np.inf), np.logaddexp.accumulate(terms, axis=1)],
-        axis=1,
-    )
-    a_log = -s
+    s, b_log = compute_normalizers(model.draw_x(rng, (count, n)),
+                                   model.draw_rate(rng, (count, n)))
     tau = np.argmin(s, axis=1)
     valid = (tau - i >= 0) & (tau + i <= n)
     rows = np.arange(count)[valid]
@@ -141,8 +134,8 @@ def _ratio_block(count, rng, model, n, i):
     return {
         "tail_after": 1.0 - np.exp(b_log[rows, t + i] - bn),
         "head_before": np.exp(b_log[rows, t - i] - bn),
-        "a_after": np.exp(a_log[rows, t + i] - bn),
-        "a_before": np.exp(a_log[rows, t - i] - bn),
+        "a_after": np.exp(-s[rows, t + i] - bn),
+        "a_before": np.exp(-s[rows, t - i] - bn),
     }
 
 
@@ -338,14 +331,13 @@ class Runner:
         cfg = self.cfg
         n = cfg.n_walk
         reps = cfg.replicas["lemma1"]
-        offsets = [int(i) for i in cfg.lemma_offsets]
         pre_parts = _map_blocks(_recentered_block, reps, cfg, "lemma1-pre",
-                                self.model, n, tuple(offsets))
+                                self.model, n, tuple(cfg.lemma_offsets))
         env = sample_two_sided_batch(
             self.model, cfg.trunc_i, reps,
             derive_stream(cfg.master_seed, 0, "lemma1-limit"), self.tables)
         records = []
-        for i in offsets:
+        for i in cfg.lemma_offsets:
             pre = _cat(pre_parts, i)
             records.append(self._versus_limit(
                 f"lemma1/offset{i:+d}", pre, env.s_star(i), reps,
@@ -359,20 +351,20 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["lemma5"]
         trunc = cfg.series_trunc
+        pre = {side: _cat(_map_blocks(_cond_series_block, reps, cfg,
+                                      f"lemma5-pre-{side}", self.model, n, side))
+               for side in ("positive", "negative")}
         env = sample_two_sided_batch(
             self.model, trunc, reps,
             derive_stream(cfg.master_seed, 0, "lemma5-limit"), self.tables)
-        pos_terms, neg_terms = series_terms(env, trunc)
-        records = []
-        for side, terms in (("positive", pos_terms), ("negative", neg_terms)):
-            pre = _cat(_map_blocks(_cond_series_block, reps, cfg,
-                                   f"lemma5-pre-{side}", self.model, n, side))
-            records.append(self._versus_limit(
-                f"lemma5/eq-{side}", pre, terms.sum(axis=1), reps,
+        return [
+            self._versus_limit(
+                f"lemma5/eq-{side}", pre[side], terms.sum(axis=1), reps,
                 f"lemma5_{side}.csv",
                 self._prov("lemma5", side=side, n=n, replicas=reps),
-                n=n, series_trunc=trunc))
-        return records
+                n=n, series_trunc=trunc)
+            for side, terms in zip(pre, series_terms(env, trunc))
+        ]
 
     def run_lemma7(self):
         cfg = self.cfg
@@ -390,8 +382,8 @@ class Runner:
         limits = {
             "tail_after": pos_terms[:, i:].sum(axis=1) / sigma1,
             "head_before": neg_terms[:, i:].sum(axis=1) / sigma1,
-            "a_after": np.exp(-env.s_pos[:, i]) / sigma1,
-            "a_before": np.exp(env.s_neg[:, i]) / sigma1,
+            "a_after": np.exp(-env.s_star(i)) / sigma1,
+            "a_before": np.exp(-env.s_star(-i)) / sigma1,
         }
         return [
             self._versus_limit(
@@ -421,14 +413,14 @@ class Runner:
         records = []
         rows = []
         for label, env in self._fixed_envs().items():
-            norms = compute_normalizers(env)
-            # the first cohort's law over d steps: ln A = a_log[d], ln B = b_log[d]
+            s, b_log = compute_normalizers(env.x, env.mu)
+            # the first cohort's law over d steps: ln A = -S_d, ln B = b_log[d]
             # of the same steps with unit rates
-            unit = compute_normalizers(EnvSteps(x=env.x, mu=np.ones(len(env))))
+            _, unit_b_log = compute_normalizers(env.x, np.ones(len(env)))
             at = list(depths)
             values = np.concatenate(_map_blocks(
                 _cohort_value_block, reps, cfg, f"martingale-cohort-{label}",
-                float(env.mu[0]), unit.a_log[at], unit.b_log[at]), axis=1)
+                float(env.mu[0]), -s[at], unit_b_log[at]), axis=1)
             z = np.concatenate(_map_blocks(
                 _population_at_block, reps, cfg, f"martingale-mean-{label}",
                 env, ks), axis=1)
@@ -437,7 +429,8 @@ class Runner:
                 ("martingale", d, f"depth{d}", values[j], float(env.mu[0]))
                 for j, d in enumerate(depths)
             ] + [
-                ("conditional-mean", k, f"k{k}", z[j], float(norms.b[k] / norms.a[k]))
+                ("conditional-mean", k, f"k{k}", z[j],
+                 float(np.exp(b_log[k]) / np.exp(-s[k])))
                 for j, k in enumerate(ks)
             ]
             for check, gen, tag, vals, target in cases:

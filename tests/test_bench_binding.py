@@ -37,6 +37,52 @@ bpire.branch_generation(np.ones(2), np.zeros(2), np.zeros(2), rng)
 attrs = {span[2]: span[5] for span in tracer.spans}
 assert attrs["bpire.normalized"] == {"replica_gens": 12}, attrs
 assert attrs["bpire.branch"] == {"live": 2, "log": 0}, attrs
+
+# every other wrapper whose attrs read an argument or a result: called
+# once each, its span's attrs checked against the call
+import os
+from bpire_lab import conditioned, ladder, limit, report, stats, walk
+from bpire_lab.config import RunConfig
+
+
+def traced(name, fn, *args, **kwargs):
+    # the call's result and the attrs of its outermost span ``name``,
+    # which closes after any nested span of the same name
+    start = len(tracer.spans)
+    result = fn(*args, **kwargs)
+    return result, [s[5] for s in tracer.spans[start:] if s[2] == name][-1]
+
+
+model = bpire_lab.EnvironmentModel()
+tables, got = traced("ladder", ladder.estimate_ladder_tables, model, rng, budget=1000)
+meta = tables.meta
+assert got == {"walkers": meta["walkers"], "epochs": meta["epochs_desc"] + meta["epochs_asc"],
+               "capped_frac_desc": meta["capped_frac_desc"],
+               "capped_frac_asc": meta["capped_frac_asc"]}, got
+assert got["walkers"] > 0 and got["epochs"] >= 1000, got
+_, got = traced("conditioned", conditioned.sample_conditioned_batch,
+                model, 5, "rejection", 7, rng, "positive")
+assert got == {"paths": 7, "horizon": 5}, got
+_, got = traced("limit.gamma", limit.sample_gamma_batch, model, 2, 2, reps=3, rng=rng,
+                tables=tables)
+assert got == {"reps": 3}, got
+_, got = traced("limit.level_change", limit.estimate_level_change_prob,
+                2.0, 0.5, 0.5, 1.0, 0.25, 6, rng)
+assert got == {"steps": 24}, got
+_, got = traced("walk.matrix", walk.simulate_walk_matrix, model, 4, 5, rng)
+assert got == {"steps": 20}, got
+_, got = traced("stats.ks", stats.ks_two_sample, np.zeros(3), np.ones(4))
+assert got == {"points": 7}, got
+_, got = traced("stats.ks", stats.ks_against_cdf, np.linspace(0.1, 0.9, 5), lambda v: v)
+assert got == {"points": 5}, got
+path, got = traced("report.csv", report.write_csv, os.path.join(sys.argv[1], "csv"), "t.csv",
+                   {"a": [1, 2]}, {"seed": 0})
+assert got == {"bytes": os.path.getsize(path)} and got["bytes"] > 0, got
+_, got = traced("env.draw_x", model.draw_x, rng, (2, 3))
+assert got == {"variates": 6}, got
+cfg = RunConfig(out_dir=os.path.join(sys.argv[1], "out"))
+_, got = traced("runner.dispatch", runner.Runner(cfg).dispatch, "validate-env")
+assert got == {"check": "validate-env"}, got
 print("bound")
 """
 

@@ -63,31 +63,50 @@ def test_first_generation_is_offspring_of_immigrants(rng):
     assert abs(zs.mean() - 3.0) <= 3.0 * se  # critical step keeps the mean
 
 
+def normalizers(env):
+    """(a, b): a_k = e^{-S_k} and b_k of ``compute_normalizers``."""
+    s, b_log = compute_normalizers(env.x, env.mu)
+    return np.exp(-s), np.exp(b_log)
+
+
 def test_normalizer_examples():
     env = EnvSteps(x=np.array([math.log(2.0)]), mu=np.array([3.0]))
-    norms = compute_normalizers(env)
-    assert norms.a[0] == 1.0 and norms.b[0] == 0.0
-    assert norms.a[1] == pytest.approx(0.5)
-    assert norms.b[1] == pytest.approx(3.0)
+    a, b = normalizers(env)
+    assert a[0] == 1.0 and b[0] == 0.0
+    assert a[1] == pytest.approx(0.5)
+    assert b[1] == pytest.approx(3.0)
 
     env2 = EnvSteps(x=np.zeros(2), mu=np.ones(2))
-    norms2 = compute_normalizers(env2)
-    assert norms2.b[2] == pytest.approx(2.0)
-    assert norms2.a[2] == pytest.approx(1.0)
+    a2, b2 = normalizers(env2)
+    assert b2[2] == pytest.approx(2.0)
+    assert a2[2] == pytest.approx(1.0)
 
 
 def test_normalizers_monotone_b(std_model, rng):
     steps = drawn_env(std_model, 64, rng)
-    norms = compute_normalizers(steps)
-    assert np.all(np.diff(norms.b[1:]) > 0)
-    assert norms.b[0] == 0.0
+    _, b = normalizers(steps)
+    assert np.all(np.diff(b[1:]) > 0)
+    assert b[0] == 0.0
+
+
+def test_normalizers_batched_match_rows(std_model, rng):
+    # a batch along the leading axes gives each row's 1-D result bit for bit
+    x = std_model.draw_x(rng, (3, 2, 16))
+    mu = np.exp(rng.normal(0.0, 1.0, (3, 2, 16)))
+    s, b_log = compute_normalizers(x, mu)
+    assert s.shape == b_log.shape == (3, 2, 17)
+    for idx in np.ndindex(3, 2):
+        s_row, b_row = compute_normalizers(x[idx], mu[idx])
+        assert np.array_equal(s[idx], s_row) and np.array_equal(b_log[idx], b_row)
+    with pytest.raises(ValueError):
+        compute_normalizers(np.zeros((3, 0)), np.zeros((3, 0)))
 
 
 def test_conditional_mean_identity(rng):
     # MC mean of Z_3 equals b_3/a_3 = 6 for the flat critical environment
     env = flat_env(3, x=0.0, mu=2.0)
-    norms = compute_normalizers(env)
-    target = norms.b[3] / norms.a[3]
+    a, b = normalizers(env)
+    target = b[3] / a[3]
     assert target == pytest.approx(6.0)
     vals = trajectory(env, 3, 20_000, rng)[0][:, 3]
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -111,8 +130,8 @@ def test_cohort_martingale_value_examples(rng):
     zl = cohort_log_sizes(0.0, np.full(5, math.log(2.0)), 10, rng)
     assert np.all(np.exp(zl) == 0.0)
     # a_{2,5} = e^{-(S_5 - S_2)} = e^{-3 ln 2} = 1/8
-    norms = compute_normalizers(flat_env(6, x=math.log(2.0), mu=1.0))
-    assert norms.a[5] / norms.a[2] == pytest.approx(1 / 8)
+    a, _ = normalizers(flat_env(6, x=math.log(2.0), mu=1.0))
+    assert a[5] / a[2] == pytest.approx(1 / 8)
 
 
 def test_cohort_martingale_mean(rng):
@@ -162,8 +181,8 @@ def test_normalized_process_zero_population(rng):
 
 
 def test_normalized_process_exact_ratio(monkeypatch):
-    norms = compute_normalizers(flat_env(4, x=0.0, mu=2.0))
-    assert np.allclose(norms.b / norms.a, 2.0 * np.arange(5))
+    a, b = normalizers(flat_env(4, x=0.0, mu=2.0))
+    assert np.allclose(b / a, 2.0 * np.arange(5))
 
     # force every cohort and the carried population to its mean, A Z = mu
     # and A Z = Z_prev: then e^{-S_k} Z_k = b_k and the normalized value is
@@ -426,8 +445,8 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
     env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
-    s_i, mu, t_log = _glued_tails(env, 2, 64)
-    c = 2 + off
+    s_i, mu, t_log = _glued_tails(env, env.origin, 64)
+    c = env.origin + off  # column of cohort i = off among i = -origin..origin-1
     lim = np.exp(limit_log_values(mu[:, c], t_log[:, c] + s_i[:, c], rng))
     assert ks_two_sample(pre, lim).statistic <= 0.06
 
@@ -437,10 +456,9 @@ def test_trajectory_csv_export(std_model, rng, tmp_path):
     n = 8
     steps = drawn_env(std_model, n, rng)
     z = trajectory(steps, n, 1, rng)[0]
-    norms = compute_normalizers(steps)
-    s = np.concatenate([[0.0], np.cumsum(steps.x)])
+    s, b_log = compute_normalizers(steps.x, steps.mu)
     path = write_csv(str(tmp_path), "traj.csv", {
-        "k": np.arange(n + 1), "z": z[0], "s": s, "a": norms.a, "b": norms.b,
+        "k": np.arange(n + 1), "z": z[0], "s": s, "a": np.exp(-s), "b": np.exp(b_log),
     }, {"horizon": n})
     lines = open(path).read().splitlines()
     assert lines[0].startswith("#")

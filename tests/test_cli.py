@@ -162,6 +162,20 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, how):
     assert "config error: master_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offsets", [[-6], [1, 5], [0], [1.5], [True], 2])
+def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
+    # lemma1 reads S*_i for 1 <= |i| <= trunc_i = 4 only: any other offset,
+    # or one that is not an integer, is a configuration error, not a
+    # traceback or a silently truncated offset
+    argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=offsets)]
+    assert main(argv) == 2
+    assert "config error: lemma_offsets" in capsys.readouterr().err
+
+
+def test_config_accepts_lemma_offsets_at_trunc_i():
+    RunConfig(trunc_i=4, lemma_offsets=[-4, -1, 1, 4])
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["walk-stats", "--config", str(tmp_path / "none.json")]) == 2
 

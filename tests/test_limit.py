@@ -123,7 +123,7 @@ def test_two_sided_gluing_invariants(std_model, std_tables, rng):
         assert np.all(env.s_star(i) >= 0.0)
     for i in (-1, -3, -6):
         assert np.all(env.s_star(i) > 0.0)
-    assert np.all(env.mu_pos[:, 0] > 0.0)
+    assert np.all(env.mu[:, env.origin] > 0.0)
 
 
 def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, rng):
@@ -145,25 +145,37 @@ def test_scalar_environment_view(std_model, std_tables, rng):
     env = sample_two_sided_batch(std_model, 4, 256, rng, std_tables)
     assert np.all(env.s_star(0) == 0.0)
     assert np.all(env.s_star(-2) > 0.0)
-    assert np.all(env.mu_pos[:, 0] > 0.0)
+    assert np.all(env.mu[:, env.origin] > 0.0)
+
+
+def test_s_star_rejects_indices_outside_the_environment(std_model, std_tables, rng):
+    # S*_i spans i = -I..I+pos_extra; one step past either end is an
+    # IndexError, not a wrapped column of the glued array
+    env = sample_two_sided_batch(std_model, 3, 16, rng, std_tables, pos_extra=2)
+    assert env.s.shape[1] == 3 + 5 + 1 and env.mu.shape[1] == 3 + 5
+    assert np.array_equal(env.s_star(-3), env.s[:, 0])
+    assert np.array_equal(env.s_star(5), env.s[:, -1])
+    for i in (-4, 6, -9):
+        with pytest.raises(IndexError):
+            env.s_star(i)
 
 
 # -- martingale limits and the ratio law ------------------------------------
 
 def _mu_star(env, i):
-    # mu*_i of the glued environment: mu_pos to the right of 0, mu_neg to the left
-    return env.mu_pos[:, i - 1] if i >= 1 else env.mu_neg[:, -i]
+    # mu*_i of the glued environment: column origin + i - 1 holds mu*_{(i-1)+1}
+    return env.mu[:, env.origin + i - 1]
 
 
 def _tiled(env, reps):
     # one environment row repeated across replicas
-    return TwoSidedBatch(*(np.repeat(a, reps, axis=0)
-                           for a in (env.s_pos, env.mu_pos, env.s_neg, env.mu_neg)))
+    return TwoSidedBatch(np.repeat(env.s, reps, axis=0), np.repeat(env.mu, reps, axis=0),
+                         env.origin)
 
 
 def _zeta_log(env, i, J, rng):
     # ln zeta*_i: the exact martingale limit of cohort i over a tail of J steps
-    I = env.s_neg.shape[1] - 1
+    I = env.origin
     s_i, mu, t_log = _glued_tails(env, I, J)
     return limit_log_values(mu[:, I + i], t_log[:, I + i] + s_i[:, I + i], rng)
 
@@ -174,10 +186,12 @@ def test_glued_tails_match_stepwise_sums(std_model, std_tables, rng):
     # for the whole walk would underflow some sums to zero
     I, J = 3, 4
     drawn = sample_two_sided_batch(std_model, I, 40, rng, std_tables, pos_extra=J)
-    jumps = np.array([[0.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0]])
-    wild = TwoSidedBatch(s_pos=np.cumsum(jumps, axis=1), mu_pos=np.arange(1.0, 8.0)[None],
-                         s_neg=-np.cumsum(np.abs(jumps[:, :4]), axis=1),
-                         mu_neg=np.arange(11.0, 14.0)[None])
+    # S*_{-3}..S*_7: the steps 800, 1, 2 on both sides of 0, then 3, 1, -805, 2;
+    # mu*_{-2}..mu*_7 = 13, 12, 11, then 1..7
+    jumps = np.array([803.0, -2.0, -1.0, -800.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0])
+    wild = TwoSidedBatch(s=np.cumsum(jumps)[None],
+                         mu=np.concatenate([[13.0, 12.0, 11.0], np.arange(1.0, 8.0)])[None],
+                         origin=3)
     for env in (drawn, wild):
         s_i, mu, t_log = _glued_tails(env, I, J)
         for c, i in enumerate(range(-I, I)):
@@ -229,7 +243,7 @@ def test_zeta_limit_matches_deep_cohort(std_model, std_tables, rng):
     base = sample_two_sided_batch(std_model, I, 1, rng, std_tables, pos_extra=J)
     s_i, mu, t_log = _glued_tails(_tiled(base, reps), I, J)
     lim = np.exp(limit_log_values(mu, t_log + s_i, rng))
-    glued = np.concatenate([-base.s_neg[0, I:0:-1], base.s_pos[0]])  # S*_{-I}..S*_{I+J}
+    glued = base.s[0]  # S*_{-I}..S*_{I+J}
     for c in range(2 * I):
         walk = glued[c:] - glued[c]
         deep = np.exp(cohort_log_values(mu[:, c], -walk[-1],
