@@ -17,6 +17,9 @@ VERSION = "0.1.0"
 
 
 def _plain(value):
+    # bool before int: a Python bool is an int and would be written as 0/1
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
@@ -27,8 +30,6 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return value
 
 

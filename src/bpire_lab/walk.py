@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .env import EnvironmentModel, check_stable_params
 
@@ -52,49 +52,20 @@ def simulate_walk_matrix(model: EnvironmentModel, n: int, reps: int,
     return s
 
 
-def _arcsine_lower(rho: float, x: float) -> float:
-    # integral over [0, x] with the algebraic u^{rho-1} endpoint factor
-    val, _ = integrate.quad(
-        lambda u: (1.0 - u) ** (-rho), 0.0, x, weight="alg", wvar=(rho - 1.0, 0.0),
-        epsabs=1e-10, epsrel=1e-10,
-    )
-    return val
-
-
-def _arcsine_upper(rho: float, x: float) -> float:
-    # integral over [x, 1] with the algebraic (1-u)^{-rho} endpoint factor
-    val, _ = integrate.quad(
-        lambda u: u ** (rho - 1.0), x, 1.0, weight="alg", wvar=(0.0, -rho),
-        epsabs=1e-10, epsrel=1e-10,
-    )
-    return val
-
-
 def arcsine_cdf(rho: float, x) -> float:
     """Generalized arcsine law: (sin(pi rho)/pi) * int_0^x u^{rho-1}(1-u)^{-rho} du.
 
-    Evaluated by adaptive quadrature with the endpoint singularities
-    handled algebraically; absolute error below 1e-8. Accepts scalar or
-    array ``x`` in [0, 1].
+    The density is that of Beta(rho, 1 - rho), so the law is its
+    regularized incomplete beta function I_x(rho, 1 - rho). Accepts scalar
+    or array ``x`` in [0, 1].
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
     if xs.min() < 0.0 or xs.max() > 1.0:
         raise ValueError("x must lie in [0,1]")
-    norm = np.sin(np.pi * rho) / np.pi
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if xi == 0.0:
-            out[i] = 0.0
-        elif xi == 1.0:
-            out[i] = 1.0
-        elif xi <= 0.5:
-            out[i] = norm * _arcsine_lower(rho, xi)
-        else:
-            out[i] = 1.0 - norm * _arcsine_upper(rho, xi)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    out = special.betainc(rho, 1.0 - rho, xs)
+    return float(out) if xs.ndim == 0 else out
 
 
 def normalizer(spec: StableSpec, n: int) -> float:

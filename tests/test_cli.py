@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
+from bpire_lab.report import TestRecord as Record
 from bpire_lab.runner import run
 
 
@@ -113,6 +115,17 @@ def test_csv_provenance_headers(tmp_path):
     assert any("seed" in ln for ln in header)
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "x,empirical,model"
+
+
+def test_report_writes_bools_as_json_booleans():
+    # a bool is an int in Python; the report must still say true/false
+    rec = Record(name="x", statistic=np.float64(0.5), threshold=None, verdict=True,
+                     seed=1, replicas=10,
+                     inputs={"decreasing": True, "flags": [np.bool_(False), 2], "k": np.int64(3)})
+    inputs = json.loads(json.dumps(rec.to_dict()))["inputs"]
+    assert inputs == {"decreasing": True, "flags": [False, 2], "k": 3}
+    assert inputs["decreasing"] is True and inputs["flags"][0] is False
+    assert type(inputs["flags"][1]) is int and type(inputs["k"]) is int
 
 
 def test_cli_unknown_subcommand(tmp_path, capsys):

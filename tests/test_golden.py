@@ -22,7 +22,7 @@ from test_cli import tiny_config
 
 GOLDEN = {
     "normal": {
-        "arcsine_ecdf.csv": "97ed1a08b3dfc00e58087a71ce65ded824c1a41f807140e82742ceee7f0be75e",
+        "arcsine_ecdf.csv": "7fbfff8dbae9f6b47dc0f9b37de981b0fd57fe712bac7f64341c94a7444b1d72",
         "band_fractions.csv": "3723d17e733a351737a9b5a7c50d0a83d2c3124a102f4637cd6d8f1336f947a5",
         "gamma_ecdf.csv": "4b1301747a8ad675853ad6bb6e3283e15d3da83c4fa31e95fc2c34ed99543ffe",
         "ladder_tables.txt": "56a4d2706d5dd73d97e11e954f1d4e085dd868125514bbee967e17f7de65c1dc",
@@ -39,12 +39,12 @@ GOLDEN = {
         "martingale_means.csv": "7a31e30d58d5556924463cdd745cee74afa13c2bd44a6b1ea563fe3d38eac386",
         "measure_change_negative.csv": "f3b347c412e13b8e18d302c0bcf6500ef7cadb489a2d551b181f7648e8f1f85e",
         "measure_change_positive.csv": "02fe87206289af7261d1630930a14e0955b1e8cd2fa42b0f6b368b892b4b8904",
-        "report.json": "73482351907624cecc7f36e3260003d8ee7c49a924e88a6488beb394bd2761de",
+        "report.json": "b697b5be82969a3e30c14f0be1526770703a6a5d8a3bb9b95b7b01d41a251525",
         "theorem1_onedim_ecdf.csv": "8c683e0d62f639c4fd44ebcc62885a21f2c721439c8230920545a93e9d8bab62",
         "theorem1_twodim_probes.csv": "d80338c547d83a28ed2e6e034c2fdc3e14bf83ade49e7c487ca930f365dd2d3c",
     },
     "pareto": {
-        "arcsine_ecdf.csv": "f62e6b9da13f5ca1c3d784ea2b14ded3b136517e5963f18e61e8dd1113d68f2a",
+        "arcsine_ecdf.csv": "640aed9260f78d41a0557df3419094d0b4e4375cee3b4f981d2389c5717281d0",
         "band_fractions.csv": "bd4756da292375484b2532d090467d966ed77becd28162091587ddd3eb85594e",
         "gamma_ecdf.csv": "c1d84943d46df675aa332619761a41aa7d2c556615322ee82b39f9da018cf504",
         "ladder_tables.txt": "15a9973c0cd4259dcd4b618a91ef8211b43da4e3a99fa426d07b2355bbaeb7e3",
@@ -61,7 +61,7 @@ GOLDEN = {
         "martingale_means.csv": "3855e98ff7d2b6664f83e6381bc624846b8ca4bf8dbdf46fb1300cc8ea8ea9dd",
         "measure_change_negative.csv": "ac5efeff04ddc25a18929a257a0772ebbae5cf138fe43069f04b41604ad71ddf",
         "measure_change_positive.csv": "8c33cfaa753c625c283031c715d9587c27d25d2cc5e4148feb7d29298c92a424",
-        "report.json": "5cc4cfcbc23489da0e87bca96394fb58481e9b05976b1681b1b80ef4446a6bbe",
+        "report.json": "6f1b1955eb33fa7da5098f10db39a2de416207ebf00e822001cbecaca3818548",
         "theorem1_onedim_ecdf.csv": "eb29a20b22dd22ca4685925996dc7a3cf4f6e8ac8ed727d255143c8ebb9595fb",
         "theorem1_twodim_probes.csv": "2a51d04bce20033e1453ba4e6c7cfa153667f816c26c96bd44478f0b4285ffd8",
     },
