@@ -8,7 +8,9 @@ sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
 two-sided environment. The two-sided environment glues an independent
 pair of conditioned walks: a nonnegative one indexed forward and a
 negative one indexed backward (with flipped sign), each carrying its own
-immigration rates.
+immigration rates. They are glued once, when drawn, into one array per
+quantity in one coordinate system (``TwoSidedBatch``): column
+origin + i holds S*_i and mu*_{i+1}, and every reader slices it.
 """
 
 from __future__ import annotations

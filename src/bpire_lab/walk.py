@@ -3,7 +3,9 @@
 The walk is S_0 = 0, S_k = x_1 + ... + x_k over the environment's log
 means. Everything downstream is driven by its extrema: the running
 minimum, the running maximum, and the first index at which the minimum
-is attained.
+is attained. That index over n steps, divided by n, tends to the
+generalized arcsine law Beta(rho, 1 - rho), whose CDF ``arcsine_cdf``
+evaluates in closed form as a regularized incomplete beta function.
 """
 
 from __future__ import annotations
