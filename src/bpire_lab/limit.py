@@ -146,15 +146,21 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
     if I < 1:
         raise ValueError("I must be >= 1")
     hp = I + max(pos_extra, 0)
-    sides = {}
-    for side, horizon in (("positive", hp), ("negative", I)):
-        batch = sample_conditioned_batch(model, horizon, "rejection", reps, rng,
-                                         side, tables)
-        sides[side] = resample_by_weight(batch.s, batch.tilt_weights, reps, rng)
-    mu_pos = model.draw_rate(rng, (reps, hp))
-    mu_neg = model.draw_rate(rng, (reps, I))
-    s = np.concatenate([-sides["negative"][:, :0:-1], sides["positive"]], axis=1)
-    mu = np.concatenate([mu_neg[:, ::-1], mu_pos], axis=1).astype(float)
+    # each draw goes straight into its columns of the glued arrays, and a
+    # side's batch is dropped before the next draw, so memory holds one
+    # copy of the environment. The draw order fixes the bytes: the
+    # positive side's paths and their resample, the same for the negative
+    # side, then the positive and the negative rates.
+    s = np.empty((reps, I + hp + 1))
+    pos = sample_conditioned_batch(model, hp, "rejection", reps, rng, "positive", tables)
+    s[:, I:] = resample_by_weight(pos.s, pos.tilt_weights, reps, rng)
+    del pos
+    neg = sample_conditioned_batch(model, I, "rejection", reps, rng, "negative", tables)
+    s[:, I - 1::-1] = -resample_by_weight(neg.s, neg.tilt_weights, reps, rng)[:, 1:]
+    del neg
+    mu = np.empty((reps, I + hp))
+    mu[:, I:] = model.draw_rate(rng, (reps, hp))
+    mu[:, I - 1::-1] = model.draw_rate(rng, (reps, I))
     return TwoSidedBatch(s=s, mu=mu, origin=I)
 
 

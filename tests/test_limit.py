@@ -163,7 +163,7 @@ def test_s_star_rejects_indices_outside_the_environment(std_model, std_tables, r
 # -- martingale limits and the ratio law ------------------------------------
 
 def _mu_star(env, i):
-    # mu*_i of the glued environment: column origin + i - 1 holds mu*_{(i-1)+1}
+    # mu*_i of the glued environment sits in column origin + i - 1
     return env.mu[:, env.origin + i - 1]
 
 
