@@ -70,7 +70,8 @@ class ConditionedSample:
 def _harmonic(tables: LadderTables, side: str):
     if side == "positive":
         return lambda y: tables.v_at(y)
-    return lambda y: tables.u_at(-y)
+    # u = v for the symmetric step laws (see ladder.py)
+    return lambda y: tables.v_at(-y)
 
 
 # Longest kill sweep in rejection: the sweeps double from 1 step up to

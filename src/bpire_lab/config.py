@@ -34,6 +34,27 @@ DEFAULT_REPLICAS = {
     "band": 10_000,
 }
 
+# fields that must hold integers, and lists that must hold integers or
+# finite reals; type(v) is int also turns away bools
+_INT_FIELDS = ("n_walk", "n_small", "trunc_i", "trunc_j", "series_trunc",
+               "ladder_budget", "workers", "master_seed")
+_LIST_FIELDS = {"horizons": (int,), "lemma_offsets": (int,),
+                "t_values": (int, float), "band_eps": (int, float)}
+
+
+def _type_problems(cfg) -> list:
+    ints = {name: getattr(cfg, name) for name in _INT_FIELDS}
+    ints.update((f"replicas.{key}", val) for key, val in cfg.replicas.items())
+    problems = [f"{name}: need an integer, got {val!r}"
+                for name, val in ints.items() if type(val) is not int]
+    for name, kinds in _LIST_FIELDS.items():
+        vals = getattr(cfg, name)
+        if not (isinstance(vals, (list, tuple)) and all(
+                type(v) in kinds and math.isfinite(v) for v in vals)):
+            what = "integers" if kinds == (int,) else "finite numbers"
+            problems.append(f"{name}: need a list of {what}, got {vals!r}")
+    return problems
+
 
 @dataclass
 class RunConfig:
@@ -77,7 +98,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        problems = []
+        # the value checks below compare numbers, so a wrong type stops here
+        problems = _type_problems(self)
+        if problems:
+            raise ConfigError("; ".join(problems))
         if self.rate_family not in ("constant", "lognormal"):
             problems.append(f"rate_family: unknown family {self.rate_family!r}")
         rates = self.rate_params
@@ -94,7 +118,7 @@ class RunConfig:
                 problems.append(f"model: {exc}")
         if self.stable_scale is not None and self.stable_scale <= 0:
             problems.append(f"stable_scale: must be positive, got {self.stable_scale}")
-        if not self.horizons or any(int(n) < 1 for n in self.horizons):
+        if not self.horizons or any(n < 1 for n in self.horizons):
             problems.append(f"horizons: need positive integers, got {self.horizons}")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             problems.append("horizons: must be increasing")
@@ -111,10 +135,8 @@ class RunConfig:
             problems.append(f"band_eps: need positive values, got {self.band_eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
-        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i;
-        # type(i) is int also turns away bools
-        if not (isinstance(self.lemma_offsets, (list, tuple)) and all(
-                type(i) is int and 1 <= abs(i) <= self.trunc_i for i in self.lemma_offsets)):
+        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i
+        if not all(1 <= abs(i) <= self.trunc_i for i in self.lemma_offsets):
             problems.append(f"lemma_offsets: need integers i with 1 <= |i| <= trunc_i = "
                             f"{self.trunc_i}, got {self.lemma_offsets}")
         if self.series_trunc < 1:
@@ -122,7 +144,7 @@ class RunConfig:
         for key, val in self.replicas.items():
             if key not in DEFAULT_REPLICAS:
                 problems.append(f"replicas.{key}: unknown test name")
-            elif int(val) < 10:
+            elif val < 10:
                 problems.append(f"replicas.{key}: too few replicas ({val})")
         if self.ladder_budget < 1000:
             problems.append(f"ladder_budget: need >= 1000 epochs, got {self.ladder_budget}")

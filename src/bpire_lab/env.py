@@ -36,6 +36,7 @@ __all__ = [
     "validate_model",
 ]
 
+# every family must be symmetric: ladder.py reads u as v, which needs X ~ -X
 X_FAMILIES = ("normal", "pareto")
 RATE_FAMILIES = ("constant", "lognormal")
 

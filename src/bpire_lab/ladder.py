@@ -1,15 +1,22 @@
-"""Monte Carlo renewal functions of the walk's ladder-height processes.
+"""Monte Carlo renewal function of the walk's ladder-height process.
 
 Under oscillation, absolute values of strict descending ladder heights
 form a renewal process; its renewal function v(x) (with v(0) = 1,
 counting the origin) is the harmonic function of the walk killed on
 going negative. Weak ascending ladder heights give u(x), the harmonic
-function of the walk killed on reaching nonnegative territory. Both are
-estimated empirically: each walker contributes one renewal realization,
-followed until its cumulative ladder height leaves the grid.
+function of the walk killed on reaching nonnegative territory.
 
-Both shipped step families are continuous, so weak and strict ladder
-epochs coincide almost surely; record times are detected strictly.
+One table serves both sides. Every shipped step law is symmetric, so -S
+has the law of S and the ascending ladder heights of S have the law of
+its descending ones; and every shipped step law is continuous, so weak
+and strict ladder epochs coincide almost surely. Hence u = v exactly,
+not approximately (Feller vol. II, XII.1-XII.3 and XVIII.5), and the
+negative side reads u(x) as v(x). An asymmetric step family would need
+its own ascending table, so ``env.X_FAMILIES`` admits none.
+
+v is estimated empirically: each walker contributes one renewal
+realization, followed until its cumulative ladder depth leaves the
+grid. Record times are detected strictly.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ __all__ = [
 
 _CHUNK = 512  # steps simulated per vectorized sweep
 _STEP_CAP = 262_144  # steps after which a walker's renewal sequence is cut
-_NONCONVERGENCE_TOL = 0.05  # largest tolerated share of cut walkers per side
+_NONCONVERGENCE_TOL = 0.05  # largest tolerated share of cut walkers
+_SPAN = 10  # grid top in mean ladder heights
 
 
 class LadderNonconvergence(RuntimeError):
@@ -39,44 +47,35 @@ class LadderNonconvergence(RuntimeError):
 
 @dataclass
 class LadderTables:
-    """Renewal-function estimates on a grid of nonnegative heights.
+    """Renewal-function estimate on a grid of nonnegative heights.
 
     ``v`` counts strict descending ladder points by cumulative depth,
-    ``u`` weak ascending ladder points by cumulative height; both include
-    the origin, so v(0) = u(0) = 1 by convention.
+    including the origin, so v(0) = 1 by convention. It is also the
+    weak ascending renewal function u (see the module docstring).
     """
 
     grid: np.ndarray
     v: np.ndarray
-    u: np.ndarray
     v_se: np.ndarray
-    u_se: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def _interp(self, table: np.ndarray, x) -> np.ndarray:
+    def v_at(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         if np.any(xs < 0):
             raise ValueError("ladder renewal functions are defined on x >= 0")
-        out = np.interp(xs, self.grid, table)
+        out = np.interp(xs, self.grid, self.v)
         # linear extrapolation beyond the grid with the final slope
         top = self.grid[-1]
-        slope = (table[-1] - table[-2]) / (self.grid[-1] - self.grid[-2])
+        slope = (self.v[-1] - self.v[-2]) / (self.grid[-1] - self.grid[-2])
         high = xs > top
         if np.any(high):
-            out = np.where(high, table[-1] + (xs - top) * slope, out)
+            out = np.where(high, self.v[-1] + (xs - top) * slope, out)
         return out
-
-    def v_at(self, x):
-        return self._interp(self.v, x)
-
-    def u_at(self, x):
-        return self._interp(self.u, x)
 
 
 def _first_height_sample(model: EnvironmentModel, rng: np.random.Generator,
-                         side: str, walkers: int = 2048,
-                         max_steps: int = 65536) -> np.ndarray:
-    """Sample first ladder heights: |S| at the first record time."""
+                         walkers: int = 2048, max_steps: int = 65536) -> np.ndarray:
+    """Sample first strict descending ladder heights: |S| at the first S < 0."""
     cur = np.zeros(walkers)
     alive = np.ones(walkers, dtype=bool)
     out: list[float] = []
@@ -85,7 +84,7 @@ def _first_height_sample(model: EnvironmentModel, rng: np.random.Generator,
         idx = np.nonzero(alive)[0]
         x = model.draw_x(rng, (len(idx), _CHUNK))
         s = cur[idx, None] + np.cumsum(x, axis=1)
-        hit = (s < 0.0) if side == "desc" else (s > 0.0)
+        hit = s < 0.0
         anyhit = hit.any(axis=1)
         first = np.argmax(hit, axis=1)
         vals = s[np.arange(len(idx)), first]
@@ -99,38 +98,37 @@ def _first_height_sample(model: EnvironmentModel, rng: np.random.Generator,
 
 
 def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
-                    rng: np.random.Generator, side: str):
-    """Per-walker counts of ladder points with cumulative height <= grid top.
+                    rng: np.random.Generator):
+    """Per-walker counts of descending ladder points with depth <= grid top.
 
     Returns (cumulative counts, walkers x grid; number of capped walkers).
     """
     top = grid[-1]
     counts = np.zeros((walkers, len(grid)), dtype=np.int32)
     cur = np.zeros(walkers)
-    rec = np.zeros(walkers)  # signed record level: running min or max
+    rec = np.zeros(walkers)  # running minimum of the walk, <= 0
     active = np.arange(walkers)
     steps_used = 0
     while len(active) and steps_used < _STEP_CAP:
         k = min(_CHUNK, _STEP_CAP - steps_used)
-        x = model.draw_x(rng, (len(active), k))
-        s = cur[active, None] + np.cumsum(x, axis=1)
-        # seed the running extremum with the historical record so only
+        # one buffer holds the draws, then the walk, then its running minimum
+        run = model.draw_x(rng, (len(active), k))
+        np.cumsum(run, axis=1, out=run)
+        run += cur[active, None]
+        cur[active] = run[:, -1]
+        np.minimum.accumulate(run, axis=1, out=run)
+        # seed the running minimum with the historical record so only
         # genuinely new records fire
-        ext = np.concatenate([rec[active, None], s], axis=1)
-        if side == "desc":
-            run = np.minimum.accumulate(ext, axis=1)
-            is_rec = run[:, 1:] < run[:, :-1]
-        else:
-            run = np.maximum.accumulate(ext, axis=1)
-            is_rec = run[:, 1:] > run[:, :-1]
-        run = run[:, 1:]
-        heights = np.abs(run)
+        old = rec[active]
+        np.minimum(run, old[:, None], out=run)
+        is_rec = np.empty(run.shape, dtype=bool)
+        np.less(run[:, 0], old, out=is_rec[:, 0])
+        np.less(run[:, 1:], run[:, :-1], out=is_rec[:, 1:])
         w_idx, t_idx = np.nonzero(is_rec)
-        h = heights[w_idx, t_idx]
+        h = np.abs(run[w_idx, t_idx])
         keep = h <= top
         cells = np.searchsorted(grid, h[keep], side="left")
         np.add.at(counts, (active[w_idx[keep]], cells), 1)
-        cur[active] = s[:, -1]
         rec[active] = run[:, -1]
         active = active[np.abs(run[:, -1]) <= top]
         steps_used += k
@@ -140,65 +138,54 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
 
 def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
                            budget: int = 200_000) -> LadderTables:
-    """Estimate both renewal functions by direct renewal simulation.
+    """Estimate the renewal function v by direct renewal simulation.
 
     ``budget`` is the target number of ladder epochs across all walkers
     (at least 1000). The grid spans 10 mean ladder heights in 512
     points. Each walker runs until its record leaves the grid or
     ``_STEP_CAP`` steps elapse; if more than ``_NONCONVERGENCE_TOL`` of
-    the walkers hit the cap on either side, :class:`LadderNonconvergence`
-    is raised. Capped walkers censor a small tail of late ladder points; the
-    capped fractions are recorded in the metadata.
+    the walkers hit the cap, :class:`LadderNonconvergence` is raised.
+    Capped walkers censor a small tail of late ladder points; the capped
+    fraction is recorded in the metadata. Only descending walkers run,
+    since u = v for the symmetric step laws: the metadata keys
+    ``epochs_asc`` and ``capped_frac_asc`` are kept and are 0.
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000 ladder epochs")
-    scales = {}
-    for side in ("desc", "asc"):
-        pilot = _first_height_sample(model, rng, side)
-        # heavy-tailed steps give ladder heights with infinite mean; cap
-        # the span scale by a quantile so the grid stays reachable
-        scales[side] = float(min(pilot.mean(), 3.0 * np.median(pilot)))
-    grid = np.linspace(0.0, 10.0 * max(scales.values()), 512)
-    per_walker = max(2.0, grid[-1] / min(scales.values()))
-    walkers = max(512, int(budget / per_walker))
+    pilot = _first_height_sample(model, rng)
+    # heavy-tailed steps give ladder heights with infinite mean; cap the
+    # span scale by a quantile so the grid stays reachable
+    scale = float(min(pilot.mean(), 3.0 * np.median(pilot)))
+    grid = np.linspace(0.0, _SPAN * scale, 512)
+    # by the renewal theorem a walker meets about _SPAN epochs on the grid
+    walkers = max(512, int(budget) // _SPAN)
 
-    est = {}
-    capped_frac = {}
-    for side in ("desc", "asc"):
-        counts, capped = _renewal_counts(model, grid, walkers, rng, side)
-        fn = 1.0 + counts.mean(axis=0)
-        se = counts.std(axis=0, ddof=1) / np.sqrt(walkers)
-        est[side] = (fn, se, int(counts[:, -1].sum()))
-        capped_frac[side] = capped / walkers
-        if capped / walkers > _NONCONVERGENCE_TOL:
-            raise LadderNonconvergence(
-                f"{side} side: {capped}/{walkers} walkers exceeded the "
-                f"step cap {_STEP_CAP}"
-            )
-
-    v, v_se, v_epochs = est["desc"]
-    u, u_se, u_epochs = est["asc"]
+    counts, capped = _renewal_counts(model, grid, walkers, rng)
+    if capped / walkers > _NONCONVERGENCE_TOL:
+        raise LadderNonconvergence(
+            f"{capped}/{walkers} walkers exceeded the step cap {_STEP_CAP}")
     return LadderTables(
-        grid=grid, v=v, u=u, v_se=v_se, u_se=u_se,
+        grid=grid,
+        v=1.0 + counts.mean(axis=0),
+        v_se=counts.std(axis=0, ddof=1) / np.sqrt(walkers),
         meta={
             "walkers": walkers,
             "step_cap": _STEP_CAP,
-            "epochs_desc": v_epochs,
-            "epochs_asc": u_epochs,
-            "capped_frac_desc": capped_frac["desc"],
-            "capped_frac_asc": capped_frac["asc"],
+            "epochs_desc": int(counts[:, -1].sum()),
+            "epochs_asc": 0,
+            "capped_frac_desc": capped / walkers,
+            "capped_frac_asc": 0.0,
         },
     )
 
 
 def save_ladder_tables(tables: LadderTables, path: str) -> None:
-    """Write tables in a keyed text format (grid, v, u, standard errors)."""
+    """Write the table in a keyed text format (grid, v, standard error)."""
     buf = io.StringIO()
     for key, val in sorted(tables.meta.items()):
         buf.write(f"# {key} = {val}\n")
-    buf.write("# columns: x v v_se u u_se\n")
-    for row in zip(tables.grid, tables.v, tables.v_se, tables.u, tables.u_se):
+    buf.write("# columns: x v v_se\n")
+    for row in zip(tables.grid, tables.v, tables.v_se):
         buf.write(" ".join(repr(float(c)) for c in row) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
-

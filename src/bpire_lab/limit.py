@@ -171,7 +171,10 @@ def series_terms(env: TwoSidedBatch, I: int):
     ``neg[:, j]`` the term at i = -(j+1), for j = 0..I-1.
     """
     o = env.origin
-    terms = env.mu[:, o - I:o + I] * np.exp(-env.s[:, o - I:o + I])
+    # one (reps, 2I) buffer: negate, exponentiate and scale in place
+    terms = np.negative(env.s[:, o - I:o + I])
+    np.exp(terms, out=terms)
+    terms *= env.mu[:, o - I:o + I]
     return terms[:, I:], terms[:, I - 1::-1]
 
 

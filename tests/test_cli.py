@@ -185,6 +185,21 @@ def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
     assert "config error: lemma_offsets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"t_values": [1, "x"]}, "t_values"),
+    ({"band_eps": ["a"]}, "band_eps"),
+    ({"trunc_i": 2.5}, "trunc_i"),
+    ({"n_walk": 64.5}, "n_walk"),
+    ({"horizons": [20, 40.5]}, "horizons"),
+])
+def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, name):
+    # a number field of the wrong type is a configuration error: not a
+    # TypeError traceback, and not a float accepted where an integer is due
+    argv = ["validate-env", "--config", write_config(tmp_path, **fields)]
+    assert main(argv) == 2
+    assert f"config error: {name}: need " in capsys.readouterr().err
+
+
 def test_config_accepts_lemma_offsets_at_trunc_i():
     RunConfig(trunc_i=4, lemma_offsets=[-4, -1, 1, 4])
 

@@ -24,46 +24,46 @@ GOLDEN = {
     "normal": {
         "arcsine_ecdf.csv": "7fbfff8dbae9f6b47dc0f9b37de981b0fd57fe712bac7f64341c94a7444b1d72",
         "band_fractions.csv": "3723d17e733a351737a9b5a7c50d0a83d2c3124a102f4637cd6d8f1336f947a5",
-        "gamma_ecdf.csv": "4b1301747a8ad675853ad6bb6e3283e15d3da83c4fa31e95fc2c34ed99543ffe",
-        "ladder_tables.txt": "56a4d2706d5dd73d97e11e954f1d4e085dd868125514bbee967e17f7de65c1dc",
-        "lemma1_offset+1.csv": "b21b08aa29bdba62885a0c326b9c4797ec2ce3a36594a2e62e3dba06130b7ce0",
-        "lemma1_offset+2.csv": "f7905ff7087fe3a084a889eea6aeb5c91874a051a3343366a50f055223613d77",
-        "lemma1_offset-1.csv": "c3cf90852e5c7021dd57f59c83521f85820ed63589b7e913251a3cc900a43059",
-        "lemma1_offset-2.csv": "484ebad9f84a973a0fbd5c9cb6425cfbff92380814779b63f4875616f2818c6c",
-        "lemma5_negative.csv": "f9ead8cde458afb70500b371876bc6f22e60435242820b22a59e72033b4a9226",
-        "lemma5_positive.csv": "69e6b8c814e46a3a8c0faa48ec66427b1a1db1ea1162b8333cc6635ce6d8d909",
-        "lemma7_a_after.csv": "040b28ce8c51e19ff2918fbfd81007d0b059af523fbc4b0f4d9e4bb618e5fae6",
-        "lemma7_a_before.csv": "891cee383ab756dc7e649f1aee1315a60668a7732b4115150824c36acd9abe0d",
-        "lemma7_head_before.csv": "ad36cd4479e3b5f23f925977e16832cb29aaa9023c4fab5a6d44a3bcf7cb1480",
-        "lemma7_tail_after.csv": "1293f2ba0d6905be6fd4db8dda14c97acb538be077ff95258944f78898824467",
+        "gamma_ecdf.csv": "41201e82f1d5951071d19ce31e771ee921a17401f333adc51983f42d4bce39ab",
+        "ladder_tables.txt": "cdfba7ae5f226590b91c1659b3e697dc53c2196b472f09d92c4fccbc46e113ad",
+        "lemma1_offset+1.csv": "59479f1993a1886b76da0b669c22be62243f5c34be87a7e5c5cad575cdf112a5",
+        "lemma1_offset+2.csv": "55823b5a124cbed28f40c03ef36786d6fa64fcac862e03723d7cf4086ca8d027",
+        "lemma1_offset-1.csv": "f3d8721e889fd70d34d7129add2be6076bd3b160f39fecd2d69cef38c1e967df",
+        "lemma1_offset-2.csv": "bd4ee3ba1bb26efe0c2d503325a20719f7bcda934031c3a638f375c0d836b1bc",
+        "lemma5_negative.csv": "4371c75ae54184adc2e052508451132ffaa5dd20ab3e18723c2d61cc50223a92",
+        "lemma5_positive.csv": "b3fa8cfec88bf5fddb4677edaf3f4d43916ef81ef1e9fd313ba53d1cef500c55",
+        "lemma7_a_after.csv": "f626270d30de6f1e6e18639a249aa09ac6122a6ceb8d2590ec0aa15c678cb228",
+        "lemma7_a_before.csv": "a3e6d4030bd985e7b0e56810266311b7ffeae3c85a8a4d23e834e9430b3b05e3",
+        "lemma7_head_before.csv": "a6c04205d19031c6aab2dbe45123df5e9356e852e0119be8186f87581eba0678",
+        "lemma7_tail_after.csv": "593e781e275ee0ec6ac02886f8c718627a016f68deac756623df9069dfabef01",
         "martingale_means.csv": "7a31e30d58d5556924463cdd745cee74afa13c2bd44a6b1ea563fe3d38eac386",
-        "measure_change_negative.csv": "f3b347c412e13b8e18d302c0bcf6500ef7cadb489a2d551b181f7648e8f1f85e",
-        "measure_change_positive.csv": "02fe87206289af7261d1630930a14e0955b1e8cd2fa42b0f6b368b892b4b8904",
-        "report.json": "b697b5be82969a3e30c14f0be1526770703a6a5d8a3bb9b95b7b01d41a251525",
-        "theorem1_onedim_ecdf.csv": "8c683e0d62f639c4fd44ebcc62885a21f2c721439c8230920545a93e9d8bab62",
-        "theorem1_twodim_probes.csv": "d80338c547d83a28ed2e6e034c2fdc3e14bf83ade49e7c487ca930f365dd2d3c",
+        "measure_change_negative.csv": "5a3753c0b6111d66fb37ece3a0357e26e5fff754d1ac0f35353754f74dfe6656",
+        "measure_change_positive.csv": "99e035b0a179c93da290efe71d0968df70491e0db11b0971cbc2f012aa68df3b",
+        "report.json": "020c7ac50e66dbca894ff31ed07f1275e2792f3e51586a2553ddad573792247d",
+        "theorem1_onedim_ecdf.csv": "f631c4d7430ae2023ce1a68fa9f86829c2d7fd68e2000770e552e9a13597beee",
+        "theorem1_twodim_probes.csv": "aeec851fe503e2b2f5d0ea74703a0c762da8d2f83ce12f03403236c77af96f11",
     },
     "pareto": {
         "arcsine_ecdf.csv": "640aed9260f78d41a0557df3419094d0b4e4375cee3b4f981d2389c5717281d0",
         "band_fractions.csv": "bd4756da292375484b2532d090467d966ed77becd28162091587ddd3eb85594e",
-        "gamma_ecdf.csv": "c1d84943d46df675aa332619761a41aa7d2c556615322ee82b39f9da018cf504",
-        "ladder_tables.txt": "15a9973c0cd4259dcd4b618a91ef8211b43da4e3a99fa426d07b2355bbaeb7e3",
-        "lemma1_offset+1.csv": "85a6cb8c3fb36ecd356e3d704428e25731e682f34f410e7aac54bd0f155e0feb",
-        "lemma1_offset+2.csv": "ec3ffdc2003622a663a6929366dfe63f2df0a3d6869a39144cac1ca92a8fe04a",
-        "lemma1_offset-1.csv": "fc79177aa6e737eefa8d7f352d061bcca083b80cd0d73d94a37c7f9266ba6a3e",
-        "lemma1_offset-2.csv": "87b870347820b39683daab4ca93637f738d67b7891b06b29fa47b72f070848b6",
-        "lemma5_negative.csv": "23aba32b0c5322d9e88cad2a903a568d3f9af25cd852e1a801273c672d982cf3",
-        "lemma5_positive.csv": "4a41e776e11e8359926406c07093b0c5658c71345cc416613ff833a6f055f0f0",
-        "lemma7_a_after.csv": "c33fabd3d27b45b240e31f203f6f7c68e75154d6e9b6d312a5f4367016d8b258",
-        "lemma7_a_before.csv": "9d381c6bcde56fdcff01225cd45d5060a9a426bbad428fbcbbcf2535b4541a08",
-        "lemma7_head_before.csv": "d3d345dfe9741689f19f704e4e3e41b53c67f9afad45d868b5318938273ef815",
-        "lemma7_tail_after.csv": "374a432bbbaac7c7992c901c9e7f40587d2f52e6f3e1fb1cabd1c1092969e35d",
+        "gamma_ecdf.csv": "365dfde23826adbdc3b89d5f5fa8bfeb369a2613854254b53b463fa7a54f9cce",
+        "ladder_tables.txt": "da02142b37d35ddc08f86916d3b35e63a812b72f78fd6d851ba3aff8497f3ea9",
+        "lemma1_offset+1.csv": "d428397b40910712f27282ace85949ad932f6ec2a9b333ede7be6e2c762b7151",
+        "lemma1_offset+2.csv": "5b8cdf6b0d21480de6d871ced69373b606d47a18ae5a092e68e34d01d58b5714",
+        "lemma1_offset-1.csv": "4330a1114dd619cc19957add86f067e9c6fda0343933954ffc6aafbe17854de6",
+        "lemma1_offset-2.csv": "f967fdead0fd4a34c5b55385ad699ccf79134bbcc8e2e310825bb7771b4530d1",
+        "lemma5_negative.csv": "668e03746ff0e16a0f3a11ee7cffa1cfc03342c7679363634f683f29a4eabbaa",
+        "lemma5_positive.csv": "b65b78c9495913a6c9e5fe5fc5a1ea476181594f376972e120cf3b8289fa42fe",
+        "lemma7_a_after.csv": "f0aaa2e93fd825e280b322666e8f8415981d60a1070417de31c8cc04b1bfbc5d",
+        "lemma7_a_before.csv": "cc06fe405b9e9911c7ab4791f1e65f61cbe52e47374b0609134b4d7fcdf97f10",
+        "lemma7_head_before.csv": "f25be8f873ff305c448383c495baa0d1575670672da426ea57a26b97c684d79b",
+        "lemma7_tail_after.csv": "db57dc3d4bf4e41962f61edc595e9ece8a681c64f6f6c10b1c1849b87f325467",
         "martingale_means.csv": "3855e98ff7d2b6664f83e6381bc624846b8ca4bf8dbdf46fb1300cc8ea8ea9dd",
-        "measure_change_negative.csv": "ac5efeff04ddc25a18929a257a0772ebbae5cf138fe43069f04b41604ad71ddf",
-        "measure_change_positive.csv": "8c33cfaa753c625c283031c715d9587c27d25d2cc5e4148feb7d29298c92a424",
-        "report.json": "6f1b1955eb33fa7da5098f10db39a2de416207ebf00e822001cbecaca3818548",
-        "theorem1_onedim_ecdf.csv": "eb29a20b22dd22ca4685925996dc7a3cf4f6e8ac8ed727d255143c8ebb9595fb",
-        "theorem1_twodim_probes.csv": "2a51d04bce20033e1453ba4e6c7cfa153667f816c26c96bd44478f0b4285ffd8",
+        "measure_change_negative.csv": "185dee321d9ab23884f33516d965a1bdb4c8337c7564baa0689cf8f6961eb6d4",
+        "measure_change_positive.csv": "2f0e8df67ec37d5f9bf49d9445336652c7bcb136078f84be3ee97b858ac2cbcb",
+        "report.json": "70a7ac19157a9ff99ce327f829facb4c1cf213d03852aea727aaf7d3f0dfcd54",
+        "theorem1_onedim_ecdf.csv": "a56e19713b94bb2c9a41260bcd4d1058e756fbc95e0be529b38e42c71bdd53cb",
+        "theorem1_twodim_probes.csv": "eb47bf34aff24edfb0c6188c93f4b641aa6b0f63b65e0ac80151a2cb1648c5c6",
     },
 }
 
