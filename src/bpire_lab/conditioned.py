@@ -25,6 +25,7 @@ Methods:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,19 +93,25 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     proposal stopped at its exit draws E[min(tau, n)] = 2n C(2n, n)/4^n
     steps, and an accepted path costs about 2n variates. A sweep is never
     longer than the steps before it plus one, so the doubling at most
-    doubles a proposal's draws.
+    doubles a proposal's draws. Each chunk holds the expected number of
+    proposals that yield the paths still needed, so few accepted paths are
+    drawn and dropped; a chunk that falls short is followed by a smaller
+    one.
     """
     accepted = [np.zeros((0, n + 1))]
     got = 0
     attempts = 0
     budget = REJECTION_CAP * reps
-    chunk = int(min(32768, max(1024, 8 * reps)))
+    # C(2n, n)/4^n, the probability that a proposal is accepted
+    p_accept = math.exp(math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1)
+                        - n * math.log(4.0))
     while got < reps:
         if attempts >= budget:
             raise RejectionExhausted(
                 f"{side} rejection at n={n}: {attempts} attempts for {got}/{reps} paths"
             )
-        m = min(chunk, budget - attempts)
+        need = reps - got
+        m = min(32768, budget - attempts, math.ceil(need / p_accept))
         rows = np.arange(m)
         cur = np.zeros(m)
         kept = []  # per sweep: the surviving proposals and their segments

@@ -102,11 +102,22 @@ class EnvironmentModel:
         if self.x_family == "normal":
             return rng.normal(0.0, self.x_param, size)
         if self.x_family == "pareto":
-            # integers(0, 2) makes the draws of choice([-1, 1]) with less overhead
-            sign = rng.integers(0, 2, size) * 2 - 1
-            x = rng.uniform(0.0, 1.0, size)
+            # One uniform per step. W = 1 - random() lies on the 2^-53 grid
+            # of (0, 1]; the step is negative when W > 1/2. Then
+            # V = 2W - ceil(2W) + 1 is 2W on the lower half and 2W - 1 on
+            # the upper one: every intermediate is a multiple of 2^-52 of
+            # size at most 2, so all are exact, and V is uniform on the
+            # 2^-52 grid of (0, 1] given either sign. The step is
+            # +-V^(-1/a); V is never 0, so no step is infinite.
+            x = 1.0 - rng.random(size)
+            x *= 2.0
+            c = np.ceil(x)
+            x -= c
+            x += 1.0
             x **= -1.0 / self.x_param
-            x *= sign
+            c *= -2.0  # ceil(2W) in {1, 2} -> sign in {+1, -1}
+            c += 3.0
+            x *= c
             return x
         raise InvalidModelError(f"unknown x family {self.x_family!r}")
 

@@ -46,12 +46,17 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
         X = sin(alpha (U + t)) / (cos(alpha t) cos U)^{1/alpha}
             * (cos(alpha t + (alpha-1) U) / E)^{(1-alpha)/alpha}
 
-    for alpha != 1, and X = tan(U) + tan(pi (rho - 1/2)) at alpha = 1.
-    The symmetric case has characteristic function exp(-|s|^alpha); at
-    alpha = 2 this is Normal(0, 2). Computed in place: the draws plus one
-    buffer, three arrays of the requested size at most.
+    for alpha != 1, and X = tan(U) + tan(pi (rho - 1/2)) at alpha = 1
+    (Chambers, Mallows and Stuck, 1976). The symmetric case has
+    characteristic function exp(-|s|^alpha). At alpha = 2 (so rho = 1/2)
+    the formula reduces to 2 sin(U) sqrt(E), which is Normal(0, 2) by the
+    Box-Muller transform, and that normal is drawn directly. Computed in
+    place: the draws plus one buffer, three arrays of the requested size
+    at most.
     """
     check_stable_params(alpha, rho)
+    if alpha == 2.0:
+        return rng.normal(0.0, math.sqrt(2.0), size)
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     if alpha == 1.0:
         np.tan(u, out=u)

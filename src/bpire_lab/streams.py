@@ -1,9 +1,9 @@
 """Deterministic derivation of independent random streams.
 
 Every sampler in this package consumes a ``numpy.random.Generator``. For
-replica-parallel work each (replica, purpose) pair gets its own
-counter-based stream derived from a single master seed, so results never
-depend on scheduling or worker count.
+replica-parallel work each (replica, purpose) pair gets its own SFC64
+stream, keyed by a ``SeedSequence`` on a single master seed, so results
+never depend on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ def derive_stream(master_seed: int, replica_index: int, stream_name: str) -> np.
 
     The derivation is a keyed construction: the master seed is the entropy
     of a ``SeedSequence`` and (replica index, hashed stream name) form the
-    spawn key. Distinct pairs yield statistically independent Philox
-    streams, and the same triple always yields the same stream.
+    spawn key. Distinct pairs yield statistically independent SFC64
+    streams (the ``SeedSequence`` hashing decorrelates their states), and
+    the same triple always yields the same stream.
     """
     ss = np.random.SeedSequence(
         entropy=int(master_seed),
         spawn_key=(int(replica_index), name_key(stream_name)),
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def derive_block_stream(master_seed: int, block_index: int, stream_name: str) -> np.random.Generator:

@@ -163,17 +163,23 @@ def test_rejection_exhaustion(std_model, rng, monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("side", ["positive", "negative"])
-@pytest.mark.parametrize("n", [64, 512, 2000])
+@pytest.mark.parametrize("n", [5, 64, 512, 2000])
 def test_rejection_cost_per_accepted_path(rng, family, side, n):
     # Sparre Andersen: for a symmetric continuous step law the walk stays
     # in either region for k steps with probability C(2k, k)/4^k, and a
-    # proposal stopped at its exit costs 2n variates per accepted path
+    # proposal stopped at its exit costs 2n variates per accepted path.
+    # At n = 5 a quarter of the proposals are accepted, so 10,000 paths
+    # take several chunks, and accepted paths drawn past the last one
+    # needed would count against the paths returned.
+    reps = 10_000 if n == 5 else 400
     model = _RecordingModel(**FAMILIES[family])
-    batch = sample_conditioned_batch(model, n, "rejection", 400, rng, side)
-    assert batch.s.shape == (400, n + 1)
+    batch = sample_conditioned_batch(model, n, "rejection", reps, rng, side)
+    assert batch.s.shape == (reps, n + 1)
     proposals, accepted = _replay_sweeps(model.draws, n, side)
-    assert accepted >= 400
+    assert accepted >= reps
     assert sum(d.size for d in model.draws) <= 3 * n * accepted
+    if n == 5:
+        assert sum(d.size for d in model.draws) <= 3 * n * reps
     p = math.comb(2 * n, n) / 4**n
     se = math.sqrt(p * (1.0 - p) / proposals)
     assert abs(accepted / proposals - p) <= 4.0 * se

@@ -10,6 +10,7 @@ from bpire_lab.env import (
     InvalidModelError,
     validate_model,
 )
+from bpire_lab.stats import ks_against_cdf, ks_two_sample
 
 
 def geometric_q(x):
@@ -105,6 +106,42 @@ def test_pareto_positive_fraction(rng):
     xs = model.draw_x(rng, n)
     assert abs((xs > 0).mean() - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
     assert np.abs(xs).min() >= 1.0  # two-sided support excludes (-1, 1)
+
+
+@pytest.mark.parametrize("a", [1.3, 1.5])
+def test_pareto_step_law(rng, a):
+    # |X| has P(|X| > t) = t^{-a} on t >= 1, and the sign is independent
+    # of |X|: the law of |X| is the same on either side
+    n = 100_000
+    model = EnvironmentModel(x_family="pareto", x_param=a, alpha=a)
+    assert abs(model.draw_x(rng)) >= 1.0  # a scalar draw
+    xs = model.draw_x(rng, n)
+    mags = np.abs(xs)
+    ks = ks_against_cdf(mags, lambda t: 1.0 - t ** -a)
+    assert ks.statistic <= 1.95 / math.sqrt(n)  # the 0.1% level
+    pos, neg = mags[xs > 0], mags[xs < 0]
+    assert len(pos) + len(neg) == n
+    crit = 1.95 * math.sqrt(1.0 / len(pos) + 1.0 / len(neg))
+    assert ks_two_sample(pos, neg).statistic <= crit
+
+
+class _StubGenerator:
+    """Returns the extreme uniforms 0, 1/2 and 1 - 2^-53 of ``random``."""
+
+    def random(self, size=None):
+        return np.array([0.0, 0.5, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("a", [1.3, 1.5])
+def test_pareto_step_at_extreme_uniforms(a):
+    # W = 1 - u is 1, 1/2 and 2^-53: the signs are -, +, + and
+    # V = 2W - ceil(2W) + 1 is 1, 1 and 2^-52
+    xs = EnvironmentModel(x_family="pareto", x_param=a, alpha=a).draw_x(_StubGenerator(), 3)
+    assert np.all(np.isfinite(xs))
+    assert np.all(np.abs(xs) >= 1.0)
+    assert list(np.sign(xs)) == [-1.0, 1.0, 1.0]
+    assert xs[:2].tolist() == [-1.0, 1.0]
+    assert xs[2] == pytest.approx(2.0 ** (52.0 / a), rel=1e-12)
 
 
 def test_serial_independence(std_model, rng):

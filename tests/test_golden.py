@@ -22,48 +22,48 @@ from test_cli import tiny_config
 
 GOLDEN = {
     "normal": {
-        "arcsine_ecdf.csv": "7fbfff8dbae9f6b47dc0f9b37de981b0fd57fe712bac7f64341c94a7444b1d72",
-        "band_fractions.csv": "3723d17e733a351737a9b5a7c50d0a83d2c3124a102f4637cd6d8f1336f947a5",
-        "gamma_ecdf.csv": "41201e82f1d5951071d19ce31e771ee921a17401f333adc51983f42d4bce39ab",
-        "ladder_tables.txt": "cdfba7ae5f226590b91c1659b3e697dc53c2196b472f09d92c4fccbc46e113ad",
-        "lemma1_offset+1.csv": "59479f1993a1886b76da0b669c22be62243f5c34be87a7e5c5cad575cdf112a5",
-        "lemma1_offset+2.csv": "55823b5a124cbed28f40c03ef36786d6fa64fcac862e03723d7cf4086ca8d027",
-        "lemma1_offset-1.csv": "f3d8721e889fd70d34d7129add2be6076bd3b160f39fecd2d69cef38c1e967df",
-        "lemma1_offset-2.csv": "bd4ee3ba1bb26efe0c2d503325a20719f7bcda934031c3a638f375c0d836b1bc",
-        "lemma5_negative.csv": "4371c75ae54184adc2e052508451132ffaa5dd20ab3e18723c2d61cc50223a92",
-        "lemma5_positive.csv": "b3fa8cfec88bf5fddb4677edaf3f4d43916ef81ef1e9fd313ba53d1cef500c55",
-        "lemma7_a_after.csv": "f626270d30de6f1e6e18639a249aa09ac6122a6ceb8d2590ec0aa15c678cb228",
-        "lemma7_a_before.csv": "a3e6d4030bd985e7b0e56810266311b7ffeae3c85a8a4d23e834e9430b3b05e3",
-        "lemma7_head_before.csv": "a6c04205d19031c6aab2dbe45123df5e9356e852e0119be8186f87581eba0678",
-        "lemma7_tail_after.csv": "593e781e275ee0ec6ac02886f8c718627a016f68deac756623df9069dfabef01",
-        "martingale_means.csv": "7a31e30d58d5556924463cdd745cee74afa13c2bd44a6b1ea563fe3d38eac386",
-        "measure_change_negative.csv": "5a3753c0b6111d66fb37ece3a0357e26e5fff754d1ac0f35353754f74dfe6656",
-        "measure_change_positive.csv": "99e035b0a179c93da290efe71d0968df70491e0db11b0971cbc2f012aa68df3b",
-        "report.json": "020c7ac50e66dbca894ff31ed07f1275e2792f3e51586a2553ddad573792247d",
-        "theorem1_onedim_ecdf.csv": "f631c4d7430ae2023ce1a68fa9f86829c2d7fd68e2000770e552e9a13597beee",
-        "theorem1_twodim_probes.csv": "aeec851fe503e2b2f5d0ea74703a0c762da8d2f83ce12f03403236c77af96f11",
+        "arcsine_ecdf.csv": "43ca3f145f24aa47e802b22f07150b74b7e55790c5d63fd5e0e9bd91e5ded925",
+        "band_fractions.csv": "6cdc1f059aad7e67aad53e258047393f4aad1bfc9b855a711ca1aafcddd94873",
+        "gamma_ecdf.csv": "37d409e5ca52bcd152fec7bc45b247399f08e4d3c27ee5b0e116011113762969",
+        "ladder_tables.txt": "532d89b96598565a2d4195df72e8c735193d9303af03fe3a07d014b880407f83",
+        "lemma1_offset+1.csv": "73f192195b056b237f3e5933be33e81a198b9d23d3f848cdfd09e6402d8cb2f9",
+        "lemma1_offset+2.csv": "85027d0c0ffe64a19c240b1ebca58167ed52aecf805ed0803b5c6b0ed8883ab6",
+        "lemma1_offset-1.csv": "908819e2c19a89fff653c07eee787631986c0e89fc22ddfa5fad95ca49c83026",
+        "lemma1_offset-2.csv": "f79932c6cc9fdfe86188cd27f71faf1970738a4cd99ba3b840d1d2d4375586bd",
+        "lemma5_negative.csv": "de581f7cd6b86577a89547592e0c5cfa8180c478b46507dfadd46b1114e25e8e",
+        "lemma5_positive.csv": "f849603d2b917e04e20cfa3ae2c66990a41671bc84dac9a8fc9d59ca2e90b8a1",
+        "lemma7_a_after.csv": "956bb2cd2eea85ce49659d77acc21b2ad4ab970120d5caf21567d88bb0054657",
+        "lemma7_a_before.csv": "44d67a24356d91fbca00bec450fe19e86b5ed8fcf63b59ab8d683b86ccf8e5a7",
+        "lemma7_head_before.csv": "62933a43ea87359fb3ade0cdfd95cc5c61b876157ade3b8b5fe78cfcbb7b2baa",
+        "lemma7_tail_after.csv": "caf74a3e1ae31891d0da02070113808eda6c861a0d45378a3e3e11173be0cdf3",
+        "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
+        "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
+        "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
+        "report.json": "ef9e63372db96fcfdf459cc54c9bf7c884bf4ea630e7101b38b5dcfb01a5c2a1",
+        "theorem1_onedim_ecdf.csv": "4349f347e6589482dece5e6483ae294bc62026d181bc8296fe7c509e0351a574",
+        "theorem1_twodim_probes.csv": "47f48f28d6c1c9c1643978494da309cfc2688ce49aac0ba5d7d30f3bcc3d444f",
     },
     "pareto": {
-        "arcsine_ecdf.csv": "640aed9260f78d41a0557df3419094d0b4e4375cee3b4f981d2389c5717281d0",
-        "band_fractions.csv": "bd4756da292375484b2532d090467d966ed77becd28162091587ddd3eb85594e",
-        "gamma_ecdf.csv": "365dfde23826adbdc3b89d5f5fa8bfeb369a2613854254b53b463fa7a54f9cce",
-        "ladder_tables.txt": "da02142b37d35ddc08f86916d3b35e63a812b72f78fd6d851ba3aff8497f3ea9",
-        "lemma1_offset+1.csv": "d428397b40910712f27282ace85949ad932f6ec2a9b333ede7be6e2c762b7151",
-        "lemma1_offset+2.csv": "5b8cdf6b0d21480de6d871ced69373b606d47a18ae5a092e68e34d01d58b5714",
-        "lemma1_offset-1.csv": "4330a1114dd619cc19957add86f067e9c6fda0343933954ffc6aafbe17854de6",
-        "lemma1_offset-2.csv": "f967fdead0fd4a34c5b55385ad699ccf79134bbcc8e2e310825bb7771b4530d1",
-        "lemma5_negative.csv": "668e03746ff0e16a0f3a11ee7cffa1cfc03342c7679363634f683f29a4eabbaa",
-        "lemma5_positive.csv": "b65b78c9495913a6c9e5fe5fc5a1ea476181594f376972e120cf3b8289fa42fe",
-        "lemma7_a_after.csv": "f0aaa2e93fd825e280b322666e8f8415981d60a1070417de31c8cc04b1bfbc5d",
-        "lemma7_a_before.csv": "cc06fe405b9e9911c7ab4791f1e65f61cbe52e47374b0609134b4d7fcdf97f10",
-        "lemma7_head_before.csv": "f25be8f873ff305c448383c495baa0d1575670672da426ea57a26b97c684d79b",
-        "lemma7_tail_after.csv": "db57dc3d4bf4e41962f61edc595e9ece8a681c64f6f6c10b1c1849b87f325467",
-        "martingale_means.csv": "3855e98ff7d2b6664f83e6381bc624846b8ca4bf8dbdf46fb1300cc8ea8ea9dd",
-        "measure_change_negative.csv": "185dee321d9ab23884f33516d965a1bdb4c8337c7564baa0689cf8f6961eb6d4",
-        "measure_change_positive.csv": "2f0e8df67ec37d5f9bf49d9445336652c7bcb136078f84be3ee97b858ac2cbcb",
-        "report.json": "70a7ac19157a9ff99ce327f829facb4c1cf213d03852aea727aaf7d3f0dfcd54",
-        "theorem1_onedim_ecdf.csv": "a56e19713b94bb2c9a41260bcd4d1058e756fbc95e0be529b38e42c71bdd53cb",
-        "theorem1_twodim_probes.csv": "eb47bf34aff24edfb0c6188c93f4b641aa6b0f63b65e0ac80151a2cb1648c5c6",
+        "arcsine_ecdf.csv": "d987916480cee007bf85af6b4d58263d5d3b037a51243b66aa901ee547513ec7",
+        "band_fractions.csv": "b276f179e87ac714f673926ffefa1cd137b8bd77f7ce712bee491eb259255b89",
+        "gamma_ecdf.csv": "13bfead41ac012f2aa2b6d5d3d60ded1b7af65d490ad2414b32200400eb4b143",
+        "ladder_tables.txt": "18da00913593e3a605f105dc67efb8f2cd8b882947d30dbcc652ce345d787f5b",
+        "lemma1_offset+1.csv": "f62562229771b0e6740e37929a02eb32ffb78f9287d284c5e03291a1390d3bca",
+        "lemma1_offset+2.csv": "59cda2d255a4c45c21c03212099181111b0157e9061828f200963744f7c1c602",
+        "lemma1_offset-1.csv": "c9b313bf0c0c4e44d2011b5575f62c802fd9db6368d9af5f1017075eef430ffe",
+        "lemma1_offset-2.csv": "f8a48433f3586e9f82844a88fcd9687ca4a5623684580a24cf98e2837b6b2437",
+        "lemma5_negative.csv": "c33afef6357e5862724729f3c43737410c68b698860fcf0f5fceca1d24ea432a",
+        "lemma5_positive.csv": "4c993e1f4ab9cd38a617f0d8f3f691c561f5ad2d1d3e11db6f47444fa59f83f8",
+        "lemma7_a_after.csv": "3ee029a29426b5a1dcbd182eacd74cfd5062198916a2c45251d2a51c75a8c2af",
+        "lemma7_a_before.csv": "03d1c8c9bf15616cd995f9c5bb5b812850f6c1b8105ab2dd0b875b9bcc3abbfc",
+        "lemma7_head_before.csv": "7634be10890bcb2b1c44924322c5cabc4a18ac03c57e3704b4120117cd15a481",
+        "lemma7_tail_after.csv": "877c6fbdaca5d3f5f76ad037bbb1ef3f3bb4596bc2648c3fc2b8667992cc1cac",
+        "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
+        "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
+        "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
+        "report.json": "f69de3e3c3aa8218504aa7b065356b69cce3849668fe4822bc5b95b95be4902b",
+        "theorem1_onedim_ecdf.csv": "a60cf1f95bb09f6bcf900e0a07af6217d2cb7996a58f614b2bf773298ecb4e48",
+        "theorem1_twodim_probes.csv": "17b13597cbc84fc25aa044aef8d79b025081f3083c314a5494cb803119a4a5e8",
     },
 }
 
