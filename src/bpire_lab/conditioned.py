@@ -102,7 +102,8 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     got = 0
     attempts = 0
     budget = REJECTION_CAP * reps
-    # C(2n, n)/4^n, the probability that a proposal is accepted
+    # C(2n, n)/4^n, the probability that a proposal is accepted (in logs:
+    # the exact binomial takes seconds at n = 10^5)
     p_accept = math.exp(math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1)
                         - n * math.log(4.0))
     while got < reps:
