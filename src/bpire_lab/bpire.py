@@ -8,10 +8,13 @@ the ratio law, in O(1) variates per cohort, and
 ``simulate_normalized_at`` for the pre-limit process Y_n of theorem 1,
 whose population is a sum of independent immigrant cohorts plus the
 descendants carried from the previous probe. The window sampler behind
-it, ``_window_cohorts``, draws a chunk's surviving lines by Poisson
-superposition, in O(1) variates per replica per chunk plus O(1) per
-surviving line. It takes given steps and rates, so the martingale check
-draws its conditional means E(Z_k | env) through it on fixed
+it, ``_window_cohorts``, takes the replicas in blocks of about 2^17 walk
+cells. It sums each replica's window in the linear domain, shifted by
+the window's lowest point, and takes the exact log-space path only for
+a walk whose range exceeds 660; it then draws the block's surviving
+lines by Poisson superposition, in O(1) variates per replica plus O(1)
+per surviving line. It takes given steps and rates, so the martingale
+check draws its conditional means E(Z_k | env) through it on fixed
 environments.
 
 Population states are carried as pairs (linear count, log count): the
@@ -239,14 +242,6 @@ def compute_normalizers(x, mu):
     return s, b_log
 
 
-def _log_col_sums(v: np.ndarray) -> np.ndarray:
-    """ln of the column sums of e^v, shifted by each column's maximum;
-    -inf on empty columns."""
-    top = v.max(axis=0)
-    top[~np.isfinite(top)] = 0.0
-    return top + _log_count(np.exp(v - top).sum(axis=0))
-
-
 def _log_group_sums(v: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     """ln of the sums of e^v within each of ``n`` groups, shifted by each
     group's maximum; -inf on empty groups."""
@@ -256,111 +251,155 @@ def _log_group_sums(v: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     return top + _log_count(np.bincount(groups, np.exp(v - top[groups]), n))
 
 
-_COHORT_CHUNK = 128  # cohorts per kernel call: bounds the temporaries of a window
-_MAX_WINDOW = 1024  # generations per window: bounds its walk and rate arrays
+_MAX_WINDOW = 1024  # generations per window: bounds its step and rate arrays
+# walk cells per block of replicas: keeps a block's temporaries (1 MB each)
+# in L2, and a 2,500-replica window of up to 51 generations in one block
+_BLOCK_CELLS = 2 ** 17
+# widest walk range summed in the linear domain: e^-660 ~ 2^-952 keeps each
+# term e^{-(S_j - min S)} normal with 70 binary orders to spare for the
+# rates, and a ratio of two sums of up to 1,024 terms finite
+_LINEAR_RANGE = 660.0
+# smallest rate sum kept in the linear domain: below it, subnormal terms
+# could cost the sum bits; only rates under about 2^-8 can reach it
+_LINEAR_FLOOR = 2.0 ** -960
 
 
-def _cohort_lines(lam_log: np.ndarray, rng: np.random.Generator):
+def _cohort_lines(lam: np.ndarray, rng: np.random.Generator):
     """Surviving lines of independent Poisson(lambda) counts, one per cell
-    of the (rows, reps) array ``lam_log`` = ln lambda, returned for the
-    occupied cells only: their row and column indices and (linear, log)
-    line counts.
+    of the (reps, cells) array ``lam``, returned for the occupied cells
+    only: their replica and cell indices and (linear, log) line counts.
 
-    By Poisson superposition a column's lines are Poisson(sum lambda) in
-    all, each placed in a row independently with probability
+    By Poisson superposition a replica's lines are Poisson(sum lambda) in
+    all, each placed in a cell independently with probability
     lambda_i / sum lambda. The placement is one flat ``searchsorted`` of
-    column + uniform against column + cumulative share, as
-    ``Generator.choice(p=)`` does for one column. A column that expects
-    more lines than it has rows gains nothing from that and draws its
-    cells directly, so no column holds more than about one line per row.
+    the replicas' uniforms, sorted within each replica and scaled to its
+    stretch of the row-major cumulative sum of ``lam``, as
+    ``Generator.choice(p=)`` does for one replica. A replica that expects
+    more lines than it has cells gains nothing from that and draws its
+    cells directly, so no replica holds more than about one line per cell.
     """
-    rows, reps = lam_log.shape
-    cdf = np.exp(lam_log)
-    np.cumsum(cdf, axis=0, out=cdf)
-    total = cdf[-1].copy()
-    dense = total > rows
-    placed = (total > 0.0) & ~dense
-    if dense.any():
-        cdf[:, dense] = 0.0
-    np.divide(cdf, total, out=cdf, where=placed)
-    cdf += np.arange(reps)
-    counts = rng.poisson(np.where(placed, total, 0.0))
-    cols = np.repeat(np.arange(reps), counts)
-    first = cols * rows  # flat index of each line's column, row 0
-    cells = np.searchsorted(cdf.T.ravel(), cols + rng.random(len(cols)), side="right")
-    # keep each line in its column whatever the rounding
-    cells, lines = np.unique(np.clip(cells, first, first + rows - 1), return_counts=True)
-    cols, row = np.divmod(cells, rows)
+    reps, cells = lam.shape
+    total = lam.sum(axis=1)
+    dense = total > cells
+    rep = np.repeat(np.arange(reps), rng.poisson(np.where(dense, 0.0, total)))
+    # sorted within a replica, the keys keep the search local and the
+    # cells drawn stay the same
+    u = np.clip(np.sort(rep + rng.random(len(rep))) - rep, 0.0, 1.0)
+    cdf = np.cumsum(lam)
+    start = np.concatenate([[0.0], cdf[cells - 1:-1:cells]])
+    first = rep * cells  # flat index of each line's replica, cell 0
+    flat = np.searchsorted(cdf, start[rep] + u * total[rep], side="right")
+    # keep each line in its replica whatever the rounding
+    flat, lines = np.unique(np.clip(flat, first, first + cells - 1), return_counts=True)
+    rep, cell = np.divmod(flat, cells)
     lines = lines.astype(float)
     lines_log = np.log(lines)
     if dense.any():
+        # cell-major, so a block's draws follow the order of its cells
         idx = np.flatnonzero(dense)
-        d_lin, d_log = _poisson_log(lam_log[:, idx], rng)
-        r, j = np.nonzero(d_lin > 0.0)
-        cols, row = np.concatenate([cols, idx[j]]), np.concatenate([row, r])
-        lines = np.concatenate([lines, d_lin[r, j]])
-        lines_log = np.concatenate([lines_log, d_log[r, j]])
-    return row, cols, lines, lines_log
+        d_lin, d_log = _poisson_log(_log_count(lam[idx].T), rng)
+        c, j = np.nonzero(d_lin > 0.0)
+        rep, cell = np.concatenate([rep, idx[j]]), np.concatenate([cell, c])
+        lines = np.concatenate([lines, d_lin[c, j]])
+        lines_log = np.concatenate([lines_log, d_log[c, j]])
+    return rep, cell, lines, lines_log
 
 
-def _log_expm1(y):
-    """ln(e^y - 1) for y >= 0, -inf at 0, with no overflow at large y."""
-    return y + _log_count(-np.expm1(-y))
+def _log_sums(s: np.ndarray, rates: np.ndarray):
+    """``_window_sums`` in logs, exact at any walk increment: lambda, ln
+    b_win, the suffix and ln B_i/A_i of every cell."""
+    w = rates.shape[1]
+    d = s[:, w:] - s[:, :w]  # S_k - S_i = -ln A_i
+    ba_log = np.logaddexp.accumulate(d[:, ::-1], axis=1)[:, ::-1]
+    rate_log = np.log(rates)
+    lam = np.exp(rate_log + d - np.logaddexp(0.0, ba_log))  # mu/(A + B), A + B = A(1 + B/A)
+    return (lam, np.logaddexp.reduce(rate_log - s[:, :w], axis=1),
+            ba_log[:, 0] - s[:, w], ba_log)
+
+
+def _window_sums(s: np.ndarray, rates: np.ndarray):
+    """Survival rates and sums of one block of windows' immigrant cohorts.
+
+    ``s`` holds each replica's walk S_prev..S_k, shape (reps, w + 1), and
+    ``rates`` its rates mu_{prev+1}..mu_k, shape (reps, w). Cohort i has
+    A_i = e^{S_i - S_k} and B_i = sum_{i<=j<k} e^{S_i - S_j}, so
+    Poisson(lambda_i) of its lines survive, lambda_i = mu_{i+1}/(A_i + B_i).
+    A row is summed in the linear domain, shifted by its minimum
+    m = min_j S_j: with p_j = e^{-(S_j - m)} in (2^-952, 1] and one reverse
+    cumulative sum Q_i = sum_{i<=j<k} p_j, lambda_i = mu_{i+1} p_i/(Q_i + p_k)
+    and B_i/A_i = Q_i/p_k, so each cell costs one exp and no log. A row
+    whose range max S - m exceeds ``_LINEAR_RANGE``, or whose rate sum
+    falls under ``_LINEAR_FLOOR``, could underflow a term and is summed in
+    logs instead (``_log_sums``).
+
+    Returns lambda, shape (reps, w); ln b_win = ln sum_i mu_{i+1} e^{-S_i};
+    the suffix ln sum_{prev<=j<k} e^{-S_j}; a function giving ln B_i/A_i
+    at given replica and cell indices; and the mask of rows summed in logs.
+    """
+    w = rates.shape[1]
+    m = s.min(axis=1, keepdims=True)
+    p = np.subtract(m, s)
+    np.exp(p, out=p)  # underflows only on rows that are summed in logs
+    q = np.empty(rates.shape)
+    np.cumsum(p[:, w - 1::-1], axis=1, out=q[:, ::-1])
+    p_k = p[:, w:]
+    mp = np.multiply(p[:, :w], rates, out=p[:, :w])
+    total = mp.sum(axis=1)
+    exact = (s.max(axis=1) - m[:, 0] > _LINEAR_RANGE) | (total < _LINEAR_FLOOR)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # those rows only
+        lam = q + p_k  # apart from q: q + p_k - p_k is 0 where Q_i << p_k
+        np.divide(mp, lam, out=lam)
+        b_win = np.log(total) - m[:, 0]
+        suffix = np.log(q[:, 0]) - m[:, 0]
+    ba_exact = None
+    if exact.any():
+        lam[exact], b_win[exact], suffix[exact], ba_exact = _log_sums(s[exact], rates[exact])
+
+    def ba_log(rep, cell):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.log(q[rep, cell] / p_k[rep, 0])
+        if ba_exact is not None:
+            on = exact[rep]
+            out[on] = ba_exact[(np.cumsum(exact) - 1)[rep[on]], cell[on]]
+        return out
+
+    return lam, b_win, suffix, ba_log, exact
 
 
 def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
     """Walk and immigrant cohorts of one window (prev, k], k = prev + w.
 
     ``x`` holds the window's w steps and ``rates`` its immigration rates
-    mu_{prev+1}..mu_k, each of shape (w, reps) or broadcast to it; the
-    steps are not kept past the walk. The walk is one array of w + 1
-    rows, s[j] = S_{prev+j}, each row across all replicas. The cohorts
-    are drawn in chunks of ``_COHORT_CHUNK`` rows from the right, so that
-    the suffix sums T_i = ln sum_{j=i}^{k} e^{-S_j} run right to left
-    with ``logaddexp``, one generation at a time, from T_k = -S_k: no
-    walk increment underflows a suffix. Cohort i has A_i = e^{S_i - S_k}
-    and ln(A_i + B_i) = S_i + T_i, so Poisson(lambda_i) of its lines
-    survive, lambda_i = mu_{i+1} e^{-S_i - T_i}. Each chunk draws its
-    lines with ``_cohort_lines``, in O(1) variates per replica plus O(1)
-    per line, and only the cohorts left with a line go on to
-    ``_descendants``, at ln B_i/A_i = ln(e^{T_i + S_k} - 1).
+    mu_{prev+1}..mu_k, each of shape (reps, w) or broadcast to it. The
+    replicas are taken in blocks of about ``_BLOCK_CELLS`` walk cells. A
+    block builds its walk, s[r, j] = S_{prev+j} - S_prev of replica r,
+    takes the cohorts' survival rates and sums from ``_window_sums``,
+    draws their lines with ``_cohort_lines``, in O(1) variates per
+    replica plus O(1) per line, and sends only the cohorts left with a
+    line on to ``_descendants``.
 
     Returns S_k, the suffix sum ln sum_{prev<=j<k} e^{-S_j}, the cohorts'
     total count at k as (linear, log), and
     ln sum_{prev<=i<k} mu_{i+1} e^{-S_i}.
     """
-    reps = len(s_prev)
-    w = len(x)
-    s = np.empty((w + 1, reps))
-    s[0] = s_prev
-    np.cumsum(x, axis=0, out=s[1:])
-    del x  # a caller that passes its draw directly frees it here
-    s[1:] += s_prev
-    s_k = s[w].copy()
-    suffix = -s_k
-    b_log = np.full(reps, -np.inf)
-    cols, z_lin, z_log = [], [], []
-    for hi in range(w, 0, -_COHORT_CHUNK):
-        lo = max(hi - _COHORT_CHUNK, 0)
-        s_i = s[lo:hi]
-        t = np.negative(s_i)
-        np.logaddexp(t[-1], suffix, out=t[-1])
-        for j in range(len(t) - 2, -1, -1):
-            np.logaddexp(t[j + 1], t[j], out=t[j])
-        suffix = t[0].copy()
-        lam_log = np.log(rates[lo:hi]) - s_i
-        b_log = np.logaddexp(b_log, _log_col_sums(lam_log))
-        lam_log -= t
-        row, col, lines, lines_log = _cohort_lines(lam_log, rng)
-        c_lin, c_log = _descendants(lines, lines_log,
-                                    _log_expm1(t[row, col] + s_k[col]), rng)
-        cols.append(col)
-        z_lin.append(c_lin)
-        z_log.append(c_log)
-    cols = np.concatenate(cols)
-    return (s_k, _log_expm1(suffix + s_k) - s_k,
-            np.bincount(cols, np.concatenate(z_lin), reps).astype(float),
-            _log_group_sums(np.concatenate(z_log), cols, reps), b_log)
+    reps, w = x.shape
+    s_k, suffix, b_win = np.empty(reps), np.empty(reps), np.empty(reps)
+    z_lin, z_log = np.empty(reps), np.empty(reps)
+    step = max(1, _BLOCK_CELLS // (w + 1))
+    for lo in range(0, reps, step):
+        hi = min(lo + step, reps)
+        # the walk from S_prev = 0: every sum but b_win and the suffix is
+        # shift-invariant, and those two take S_prev back at the end
+        s = np.empty((hi - lo, w + 1))
+        s[:, 0] = 0.0
+        np.cumsum(x[lo:hi], axis=1, out=s[:, 1:])
+        s_k[lo:hi] = s[:, w]
+        lam, b_win[lo:hi], suffix[lo:hi], ba_log, _ = _window_sums(s, rates[lo:hi])
+        rep, cell, lines, lines_log = _cohort_lines(lam, rng)
+        c_lin, c_log = _descendants(lines, lines_log, ba_log(rep, cell), rng)
+        z_lin[lo:hi] = np.bincount(rep, c_lin, hi - lo)
+        z_log[lo:hi] = _log_group_sums(c_log, rep, hi - lo)
+    return s_k + s_prev, suffix - s_prev, z_lin, z_log, b_win - s_prev
 
 
 def simulate_normalized_at(model, n: int, ts, reps: int,
@@ -371,8 +410,8 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
     The probe generations are visited in ascending order, one window
     (prev, k] at a time. A window longer than ``_MAX_WINDOW`` generations
     is split at unreported checkpoints, so memory holds at most that many
-    rows of walk and rates whatever the horizon. Z_k sums the window's
-    immigrant cohorts, each drawn from its composed law, and the
+    generations of steps and rates whatever the horizon. Z_k sums the
+    window's immigrant cohorts, each drawn from its composed law, and the
     descendants of Z_prev under the law composed over the whole window;
     the laws compose exactly across a split.
     Returns an array of shape (reps, len(ts)).
@@ -393,8 +432,8 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
             w = min(k - prev, _MAX_WINDOW)
             # the draw order fixes the bytes: the steps, then the rates, one call each
             s_k, suffix, new_lin, new_log, b_win = _window_cohorts(
-                s_prev, model.draw_x(rng, (w, reps)),
-                np.asarray(model.draw_rate(rng, (w, reps)), dtype=float), rng)
+                s_prev, model.draw_x(rng, (reps, w)),
+                np.asarray(model.draw_rate(rng, (reps, w)), dtype=float), rng)
             b_log = np.logaddexp(b_log, b_win)
             if prev > 0:
                 c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)

@@ -167,8 +167,8 @@ def _population_at_block(count, rng, env, ks):
     """Population sizes Z_k from Z_0 = 0 under a fixed environment, one
     row per k, each drawn as the sum of its immigrant cohorts."""
     return np.array([
-        _window_cohorts(np.zeros(count), np.broadcast_to(env.x[:k, None], (k, count)),
-                        np.broadcast_to(env.mu[:k, None], (k, count)), rng)[2]
+        _window_cohorts(np.zeros(count), np.broadcast_to(env.x[:k], (count, k)),
+                        np.broadcast_to(env.mu[:k], (count, k)), rng)[2]
         for k in ks
     ])
 

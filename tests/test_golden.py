@@ -39,9 +39,9 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "ef9e63372db96fcfdf459cc54c9bf7c884bf4ea630e7101b38b5dcfb01a5c2a1",
-        "theorem1_onedim_ecdf.csv": "4349f347e6589482dece5e6483ae294bc62026d181bc8296fe7c509e0351a574",
-        "theorem1_twodim_probes.csv": "47f48f28d6c1c9c1643978494da309cfc2688ce49aac0ba5d7d30f3bcc3d444f",
+        "report.json": "f2cc591a1029c47a037d7b38b132941e85375bf214a4c6befeb613f2b9bd2810",
+        "theorem1_onedim_ecdf.csv": "82b5121701d1aff211071d61ef4456e5542fc64ff6c432abafeb38ec503ee4e4",
+        "theorem1_twodim_probes.csv": "fbedea8e0f5f173c1bb893c1acfa8d52aa53a3b0f49165520fdbf0fd0ac9e005",
     },
     "pareto": {
         "arcsine_ecdf.csv": "d987916480cee007bf85af6b4d58263d5d3b037a51243b66aa901ee547513ec7",
@@ -61,9 +61,9 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "f69de3e3c3aa8218504aa7b065356b69cce3849668fe4822bc5b95b95be4902b",
-        "theorem1_onedim_ecdf.csv": "a60cf1f95bb09f6bcf900e0a07af6217d2cb7996a58f614b2bf773298ecb4e48",
-        "theorem1_twodim_probes.csv": "17b13597cbc84fc25aa044aef8d79b025081f3083c314a5494cb803119a4a5e8",
+        "report.json": "733812481cfa89086831f7093f3cad746ab9a595d68ba9ba7b08d1947448cf21",
+        "theorem1_onedim_ecdf.csv": "62210e9cd2af8e946182b5d8391d4dd42a04e8879d3a8ff5371dd7501cf2ae72",
+        "theorem1_twodim_probes.csv": "5fe30060c9653277479fe86d1c30985c93ed757ea31ec3463116f20c5a59ed05",
     },
 }
 
