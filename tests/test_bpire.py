@@ -344,10 +344,10 @@ def _log_domain_sums(s, rates):
 def test_window_sums_match_log_domain():
     # the linear-domain sums of a block against their log-domain
     # definitions, on rows of normal steps (linear), +-800 jumps (summed
-    # in logs), walk ranges just under and just over 660, and rates of
-    # 1e-300 before a last step of -100, whose linear rate sum would
-    # underflow to 0 (summed in logs). The last rows also have
-    # Q_i << p_k, where Q_i + p_k - p_k would lose Q_i.
+    # in logs), walk ranges just under and just over 660, and walks whose
+    # last step is -100: with ordinary rates (linear, and Q_i << p_k, where
+    # Q_i + p_k - p_k would lose Q_i) and with rates of 1e-300, whose
+    # linear rate sum would underflow to 0 (summed in logs).
     # lambda is held to rtol 1e-12 (absolutely below 1e-300, where no line
     # is ever drawn) and the logs to 1e-12 absolute or relative, that is
     # the sums themselves to 1e-12 relative. The walks sit on a 2^-10
@@ -367,8 +367,8 @@ def test_window_sums_match_log_domain():
     # move each row's lowest point down to a range of 659.75 or 660.25
     low = edge.argmin(axis=1)
     edge[np.arange(20), low] = edge.max(axis=1) - np.repeat([659.75, 660.25], 10)
-    tiny = walk(np.column_stack([rng.normal(0.0, 1.0, (5, w - 1)), np.full(5, -100.0)]))
-    s = np.concatenate([normal, jumps, edge, tiny])
+    drop = walk(np.column_stack([rng.normal(0.0, 1.0, (5, w - 1)), np.full(5, -100.0)]))
+    s = np.concatenate([normal, jumps, edge, drop, drop])
     rates = np.exp(rng.uniform(-0.5, 1.4, (len(s), w)))
     rates[-5:] = 1e-300
     lam, b_win, suffix, ba, exact = bpire._window_sums(s, rates)
@@ -379,8 +379,8 @@ def test_window_sums_match_log_domain():
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
     # only the rows over 660 and the rows of tiny rates are summed in logs
     wide = s.max(axis=1) - s.min(axis=1) > 660.0
-    assert np.array_equal(wide[:80], np.repeat([False, True, False, True], [30, 30, 10, 10]))
-    assert np.array_equal(exact, wide | (np.arange(len(s)) >= 80))
+    assert np.array_equal(wide, np.repeat([False, True, False, True, False], [30, 30, 10, 10, 10]))
+    assert np.array_equal(exact, wide | (np.arange(len(s)) >= 85))
 
 
 def test_saturation_error_exact_only(rng):
