@@ -5,16 +5,11 @@ sequence."""
 
 from .config import RunConfig
 from .env import EnvironmentModel, EnvSteps, validate_model
-from .walk import StableSpec, arcsine_cdf, normalizer
+from .walk import arcsine_cdf
 from .ladder import LadderTables, estimate_ladder_tables
 from .conditioned import ConditionedSample, sample_conditioned_batch
 from .bpire import compute_normalizers
-from .limit import (
-    levy_levels,
-    sample_gamma_batch,
-    sample_two_sided_batch,
-    stable_standard,
-)
+from .limit import sample_gamma_batch, sample_two_sided_batch, stable_standard
 from .stats import ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
 from .streams import derive_stream
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .env import EnvironmentModel, InvalidModelError, validate_model
-from .walk import StableSpec
 
 
 class ConfigError(ValueError):
@@ -39,14 +38,26 @@ DEFAULT_REPLICAS = {
 _INT_FIELDS = ("n_walk", "n_small", "trunc_i", "trunc_j", "series_trunc",
                "ladder_budget", "workers", "master_seed")
 _LIST_FIELDS = {"horizons": (int,), "lemma_offsets": (int,),
-                "t_values": (int, float), "band_eps": (int, float)}
+                "t_values": (int, float), "band_eps": (int, float),
+                "rate_params": (int, float)}
 
 
 def _type_problems(cfg) -> list:
     ints = {name: getattr(cfg, name) for name in _INT_FIELDS}
-    ints.update((f"replicas.{key}", val) for key, val in cfg.replicas.items())
-    problems = [f"{name}: need an integer, got {val!r}"
-                for name, val in ints.items() if type(val) is not int]
+    problems = []
+    if isinstance(cfg.replicas, dict):
+        ints.update((f"replicas.{key}", val) for key, val in cfg.replicas.items())
+    else:
+        problems.append(f"replicas: need an object, got {cfg.replicas!r}")
+    problems += [f"{name}: need an integer, got {val!r}"
+                 for name, val in ints.items() if type(val) is not int]
+    for name in ("x_param", "alpha", "rho", "eps"):
+        val = getattr(cfg, name)
+        if not (type(val) in (int, float) and math.isfinite(val)):
+            problems.append(f"{name}: need a finite number, got {val!r}")
+    problems += [f"{name}: need a string, got {getattr(cfg, name)!r}"
+                 for name in ("x_family", "rate_family", "out_dir")
+                 if type(getattr(cfg, name)) is not str]
     for name, kinds in _LIST_FIELDS.items():
         vals = getattr(cfg, name)
         if not (isinstance(vals, (list, tuple)) and all(
@@ -68,14 +79,12 @@ class RunConfig:
     alpha: float = 2.0
     rho: float = 0.5
     eps: float = 1.0
-    stable_scale: float | None = None  # None: analytic value for the family
 
     # horizons, times, truncations
     horizons: list = field(default_factory=lambda: [200, 800, 3200])
     n_walk: int = 2000
     n_small: int = 5
     t_values: list = field(default_factory=lambda: [1.0, 2.0])
-    grid_delta: float | None = None  # None: 1e-3 * max(t_values)
     trunc_i: int = 64
     trunc_j: int = 64
     series_trunc: int = 512  # raw-series comparisons need a longer tail
@@ -92,9 +101,8 @@ class RunConfig:
     out_dir: str = "bpire-lab-out"
 
     def __post_init__(self):
-        merged = dict(DEFAULT_REPLICAS)
-        merged.update(self.replicas or {})
-        self.replicas = merged
+        if isinstance(self.replicas, dict):  # anything else fails the type gate
+            self.replicas = {**DEFAULT_REPLICAS, **self.replicas}
         self.validate()
 
     def validate(self) -> None:
@@ -105,19 +113,15 @@ class RunConfig:
         if self.rate_family not in ("constant", "lognormal"):
             problems.append(f"rate_family: unknown family {self.rate_family!r}")
         rates = self.rate_params
-        finite = isinstance(rates, (list, tuple)) and all(
-            isinstance(v, (int, float)) and math.isfinite(v) for v in rates)
-        if self.rate_family == "constant" and not (finite and len(rates) == 1 and rates[0] > 0):
+        if self.rate_family == "constant" and not (len(rates) == 1 and rates[0] > 0):
             problems.append(f"rate_params: constant family takes one positive rate, got {rates}")
-        if self.rate_family == "lognormal" and not (finite and len(rates) == 2 and rates[1] >= 0):
+        if self.rate_family == "lognormal" and not (len(rates) == 2 and rates[1] >= 0):
             problems.append(f"rate_params: lognormal family takes [m, s] with s >= 0, got {rates}")
         if not problems:  # the rates are well-formed, so the model can be built
             try:
                 self.model()
             except InvalidModelError as exc:
                 problems.append(f"model: {exc}")
-        if self.stable_scale is not None and self.stable_scale <= 0:
-            problems.append(f"stable_scale: must be positive, got {self.stable_scale}")
         if not self.horizons or any(n < 1 for n in self.horizons):
             problems.append(f"horizons: need positive integers, got {self.horizons}")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
@@ -129,8 +133,6 @@ class RunConfig:
         ts = list(self.t_values)
         if len(ts) < 2 or ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
             problems.append(f"t_values: need strictly increasing positives, got {ts}")
-        if self.grid_delta is not None and self.grid_delta <= 0:
-            problems.append(f"grid_delta: must be positive, got {self.grid_delta}")
         if not self.band_eps or any(e <= 0 for e in self.band_eps):
             problems.append(f"band_eps: need positive values, got {self.band_eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
@@ -164,15 +166,8 @@ class RunConfig:
         validate_model(model, strict=True)
         return model
 
-    def spec(self) -> StableSpec:
-        scale = self.stable_scale
-        if scale is None:
-            scale = self.model().stable_scale()
-        return StableSpec(alpha=self.alpha, rho=self.rho, scale=scale)
-
     def delta(self) -> float:
-        if self.grid_delta is not None:
-            return float(self.grid_delta)
+        """Lévy grid width: 1e-3 of the last time."""
         return 1e-3 * float(max(self.t_values))
 
     def to_dict(self) -> dict:

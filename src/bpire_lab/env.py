@@ -17,6 +17,10 @@ Shipped x families:
 
 Shipped rate families: ``constant`` and ``lognormal``. Both have finite
 (ln^+ rate)^p moments of every order.
+
+The model also owns the stable law its walk is attracted to: the scale
+c of each family and the normalizing sequence C_n = c n^{1/alpha}, with
+the slowly varying part constant for both shipped families.
 """
 
 from __future__ import annotations
@@ -148,6 +152,12 @@ class EnvironmentModel:
             return math.pi / 2.0
         c_a = math.gamma(2.0 - a) * math.cos(math.pi * a / 2.0) / (1.0 - a)
         return c_a ** (1.0 / a)
+
+    def normalizer(self, n: int) -> float:
+        """C_n = c n^{1/alpha}, with c the family's :meth:`stable_scale`."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return self.stable_scale() * n ** (1.0 / self.alpha)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""The limiting objects: stable Lévy paths, glued conditioned
+"""The limiting objects: stable Lévy levels, glued conditioned
 environments, and the ratio law driving the limit process, drawn from
 exact martingale limits.
 
 The limit process is built from two independent ingredients: the level
-(running infimum) of a strictly stable Lévy process, and an i.i.d.
+(running infimum) of a strictly stable Lévy process, of which theorem 1
+needs only whether it drops between two times (one pass over a grid
+path, ``estimate_level_change_prob``), and an i.i.d.
 sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
 two-sided environment. The two-sided environment glues an independent
 pair of conditioned walks: a nonnegative one indexed forward and a
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import limit_log_values
+from .bpire import _BLOCK_CELLS, limit_log_values
 from .conditioned import resample_by_weight, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
@@ -29,7 +31,6 @@ __all__ = [
     "TwoSidedBatch",
     "GammaBatch",
     "stable_standard",
-    "levy_levels",
     "sample_two_sided_batch",
     "series_terms",
     "sample_gamma_batch",
@@ -82,36 +83,6 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
     u /= buf
     u *= e
     return u
-
-
-def levy_levels(alpha: float, rho: float, delta: float, idx, reps: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Levels of a strictly stable Lévy path W at grid indices ``idx``.
-
-    W(0) = 0 and increments over cells of width delta are standard
-    stable variates scaled by delta^{1/alpha}; the level at index k is
-    the discretized running infimum min(0, W(delta), ..., W(k delta)).
-    ``idx`` must be nondecreasing and nonnegative; the path runs to
-    ``idx[-1]``. Returns an array of shape (reps, len(idx)). Replicas
-    are drawn in chunks of about 2e7 cells, and each chunk is summed in
-    place and reduced segment by segment, so memory holds one chunk.
-    """
-    idx = [int(k) for k in idx]
-    if delta <= 0 or not idx or idx[0] < 0 or any(b < a for a, b in zip(idx, idx[1:])):
-        raise ValueError("need delta > 0 and nondecreasing nonnegative grid indices")
-    levels = np.empty((reps, len(idx)))
-    chunk = max(1, int(2e7 // max(idx[-1], 1)))
-    for lo in range(0, reps, chunk):
-        w = stable_standard(alpha, rho, (min(chunk, reps - lo), idx[-1]), rng)
-        w *= delta ** (1.0 / alpha)
-        np.cumsum(w, axis=1, out=w)
-        level = np.zeros(len(w))
-        start = 0
-        for j, k in enumerate(idx):
-            level = np.minimum(level, w[:, start:k].min(axis=1, initial=0.0))
-            levels[lo:lo + len(w), j] = level
-            start = k
-    return levels
 
 
 @dataclass
@@ -238,6 +209,26 @@ def _grid_index(ts, delta: float) -> np.ndarray:
 def estimate_level_change_prob(alpha: float, rho: float, t1: float, t2: float,
                                delta: float, reps: int,
                                rng: np.random.Generator) -> float:
-    """Fraction of Lévy paths whose level strictly decreases on (t1, t2]."""
-    levels = levy_levels(alpha, rho, delta, _grid_index((t1, t2), delta), reps, rng)
-    return int((levels[:, 1] < levels[:, 0]).sum()) / reps
+    """Fraction of Lévy paths whose level strictly decreases on (t1, t2].
+
+    W(0) = 0 and W moves by delta^{1/alpha} times a standard stable
+    variate per grid cell; the level at grid index k is the running
+    infimum min(0, W(delta), ..., W(k delta)). With k = ceil(t / delta),
+    the level drops on (t1, t2] when the minimum over (k1, k2] lies below
+    min(0, minimum over [1, k1]). Replicas go in blocks of about
+    ``_BLOCK_CELLS`` cells: each block is drawn, summed in place and
+    reduced to its two minima.
+    """
+    if delta <= 0 or not 0 < t1 <= t2:
+        raise ValueError(f"need delta > 0 and 0 < t1 <= t2, got {delta}, {t1}, {t2}")
+    k1, k2 = _grid_index((t1, t2), delta).tolist()
+    rows = max(1, _BLOCK_CELLS // max(k2, 1))
+    drops = 0
+    for lo in range(0, reps, rows):
+        w = stable_standard(alpha, rho, (min(rows, reps - lo), k2), rng)
+        # W is left unscaled: scaling it by c > 0, here delta^{1/alpha},
+        # does not change the event that the minimum drops
+        np.cumsum(w, axis=1, out=w)
+        before = w[:, :k1].min(axis=1, initial=0.0)
+        drops += int((w[:, k1:].min(axis=1, initial=np.inf) < before).sum())
+    return drops / reps

@@ -31,7 +31,7 @@ from .limit import (
 from .report import VERSION, Report, TestRecord, write_csv
 from .stats import ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
 from .streams import derive_block_stream, derive_stream
-from .walk import arcsine_cdf, normalizer, simulate_walk_matrix
+from .walk import arcsine_cdf, simulate_walk_matrix
 
 _WORK_BLOCK = 2500
 
@@ -182,7 +182,6 @@ class Runner:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.model = cfg.model()
-        self.spec = cfg.spec()
         self._tables = None
         self._gamma_cache: dict = {}
 
@@ -270,16 +269,16 @@ class Runner:
             "walk-stats/sign-fraction", abs(frac - cfg.rho), 0.03,
             abs(frac - cfg.rho) <= 0.03, reps, n=n, fraction=frac,
         )]
+        scaled = sn / self.model.normalizer(n)
         if cfg.x_family == "normal":
             from scipy.stats import norm
-            scaled = sn / (cfg.x_param * np.sqrt(n))
-            ks = ks_against_cdf(scaled, norm.cdf, threshold=0.02)
+            # the standard stable law at alpha = 2 is Normal(0, 2)
+            ks = ks_against_cdf(scaled, norm(scale=np.sqrt(2.0)).cdf, threshold=0.02)
             records.append(self._ks_record("walk-stats/terminal-ks-normal", ks, reps, n=n))
         else:
             from .limit import stable_standard
             rng = derive_stream(cfg.master_seed, 0, "walk-stats-stable-ref")
             ref = stable_standard(cfg.alpha, cfg.rho, reps, rng)
-            scaled = sn / normalizer(self.spec, n)
             ks = ks_two_sample(scaled, ref, threshold=0.04)
             records.append(self._ks_record("walk-stats/terminal-ks-stable", ks, reps, n=n))
         return records
@@ -528,7 +527,7 @@ class Runner:
         k2 = int(np.floor(n_band * t2))
         diffs = _cat(_map_blocks(_band_block, cfg.replicas["band"], cfg, "band",
                                  self.model, k1, k2))
-        c_n = normalizer(self.spec, n_band)
+        c_n = self.model.normalizer(n_band)
         fracs = [float(np.mean(diffs <= e * c_n)) for e in cfg.band_eps]
         decreasing = all(b <= a for a, b in zip(fracs, fracs[1:]))
         records.append(self._record(

@@ -6,41 +6,18 @@ minimum, the running maximum, and the first index at which the minimum
 is attained. That index over n steps, divided by n, tends to the
 generalized arcsine law Beta(rho, 1 - rho), whose CDF ``arcsine_cdf``
 evaluates in closed form as a regularized incomplete beta function.
+The normalizing sequence C_n of the walk belongs to the environment
+model (``EnvironmentModel.normalizer``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
-from .env import EnvironmentModel, check_stable_params
+from .env import EnvironmentModel
 
-__all__ = [
-    "StableSpec",
-    "simulate_walk_matrix",
-    "arcsine_cdf",
-    "normalizer",
-]
-
-
-@dataclass(frozen=True)
-class StableSpec:
-    """Normalizing-sequence spec: C_n = scale * n^{1/alpha}.
-
-    The slowly varying part is constant for the shipped step families, so
-    it is folded into ``scale``.
-    """
-
-    alpha: float
-    rho: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        check_stable_params(self.alpha, self.rho)
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+__all__ = ["simulate_walk_matrix", "arcsine_cdf"]
 
 
 def simulate_walk_matrix(model: EnvironmentModel, n: int, reps: int,
@@ -68,11 +45,4 @@ def arcsine_cdf(rho: float, x) -> float:
         raise ValueError("x must lie in [0,1]")
     out = special.betainc(rho, 1.0 - rho, xs)
     return float(out) if xs.ndim == 0 else out
-
-
-def normalizer(spec: StableSpec, n: int) -> float:
-    """C_n = scale * n^{1/alpha}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return spec.scale * n ** (1.0 / spec.alpha)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -73,11 +74,16 @@ def test_config_field_level_messages():
         RunConfig(rate_params=[1.0, -2.0, 3.0])
 
 
-def test_config_stable_spec_scale():
-    cfg = RunConfig()
-    assert cfg.spec().scale == pytest.approx(1.0 / 2.0 ** 0.5)
-    cfg2 = RunConfig(stable_scale=0.7)
-    assert cfg2.spec().scale == 0.7
+def test_config_stable_spec_scale(tmp_path, capsys):
+    # the scale of C_n comes from the family, sigma/sqrt(2) for normal steps;
+    # no config field overrides it or the Lévy grid width
+    model = RunConfig().model()
+    assert model.stable_scale() == pytest.approx(1.0 / 2.0 ** 0.5)
+    assert model.normalizer(400) == pytest.approx(20.0 / 2.0 ** 0.5)
+    for name in ("stable_scale", "grid_delta"):
+        argv = ["validate-env", "--config", write_config(tmp_path, **{name: 0.7})]
+        assert main(argv) == 2
+        assert f"config error: unknown config fields: {name}" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -195,6 +201,26 @@ def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
 def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, name):
     # a number field of the wrong type is a configuration error: not a
     # TypeError traceback, and not a float accepted where an integer is due
+    argv = ["validate-env", "--config", write_config(tmp_path, **fields)]
+    assert main(argv) == 2
+    assert f"config error: {name}: need " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"x_param": "a"}, "x_param"),
+    ({"rho": "x"}, "rho"),
+    ({"eps": None}, "eps"),
+    ({"x_param": math.inf}, "x_param"),
+    ({"eps": math.inf}, "eps"),
+    ({"replicas": [1, 2]}, "replicas"),
+    ({"replicas": "abc"}, "replicas"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"rate_params": [True]}, "rate_params"),
+])
+def test_cli_malformed_scalar_field_exit_code(tmp_path, capsys, fields, name):
+    # a model number that is not a finite real, a name that is not a string,
+    # replicas that are not an object and a bool rate are configuration
+    # errors: not a traceback, and not a run on an infinite or bool value
     argv = ["validate-env", "--config", write_config(tmp_path, **fields)]
     assert main(argv) == 2
     assert f"config error: {name}: need " in capsys.readouterr().err

@@ -8,11 +8,18 @@ and ``ladder_tables.txt``) with the digests below. They were recorded
 with numpy 2.4.6 and scipy 1.17.1; other versions may draw different
 streams. A change that reorders draws, renames a stream or alters a
 record fails here. Re-record the digests only in a change that means to
-alter report bytes, and say so in CHANGES.md.
+alter report bytes, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the current digests of both families in the layout of ``GOLDEN``,
+ready to paste over it.
 """
 
 import hashlib
 import os
+import pathlib
+import tempfile
 
 import pytest
 
@@ -39,7 +46,7 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "f2cc591a1029c47a037d7b38b132941e85375bf214a4c6befeb613f2b9bd2810",
+        "report.json": "63cbfd185511152c933e0617f77bb328191b3e0e3f6bd6c0b6840e704ab402af",
         "theorem1_onedim_ecdf.csv": "82b5121701d1aff211071d61ef4456e5542fc64ff6c432abafeb38ec503ee4e4",
         "theorem1_twodim_probes.csv": "fbedea8e0f5f173c1bb893c1acfa8d52aa53a3b0f49165520fdbf0fd0ac9e005",
     },
@@ -61,9 +68,9 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "733812481cfa89086831f7093f3cad746ab9a595d68ba9ba7b08d1947448cf21",
+        "report.json": "8a49c1ce2e6d28a94ae53fc779a565edadf560fc08743b21bdae1235fab863b8",
         "theorem1_onedim_ecdf.csv": "62210e9cd2af8e946182b5d8391d4dd42a04e8879d3a8ff5371dd7501cf2ae72",
-        "theorem1_twodim_probes.csv": "5fe30060c9653277479fe86d1c30985c93ed757ea31ec3463116f20c5a59ed05",
+        "theorem1_twodim_probes.csv": "311ee61e3de9b399f4920add33c89d8d140ebaf4de26aef365068f0efa5624ea",
     },
 }
 
@@ -73,12 +80,28 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_battery_bytes_match_recorded_digests(tmp_path, family):
+def battery_digests(tmp_path, family) -> dict:
+    """SHA-256 of every file the tiny battery writes for one family."""
     cfg = RunConfig.from_dict(tiny_config(tmp_path, **FAMILIES[family]))
     run("all", cfg)
-    written = {
+    return {
         name: hashlib.sha256(open(os.path.join(cfg.out_dir, name), "rb").read()).hexdigest()
         for name in sorted(os.listdir(cfg.out_dir))
     }
-    assert written == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_battery_bytes_match_recorded_digests(tmp_path, family):
+    assert battery_digests(tmp_path, family) == GOLDEN[family]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for family in sorted(FAMILIES):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = battery_digests(pathlib.Path(tmp), family)
+        print(f'    "{family}": {{')
+        for name, digest in digests.items():
+            print(f'        "{name}": "{digest}",')
+        print("    },")
+    print("}")

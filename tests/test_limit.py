@@ -10,7 +10,6 @@ from bpire_lab.limit import (
     TwoSidedBatch,
     _glued_tails,
     estimate_level_change_prob,
-    levy_levels,
     sample_gamma_batch,
     sample_two_sided_batch,
     series_terms,
@@ -21,6 +20,7 @@ from bpire_lab.env import EnvironmentModel, check_stable_params
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
 from bpire_lab.streams import derive_stream
+from bpire_lab.walk import arcsine_cdf
 
 
 # -- stable variates ---------------------------------------------------------
@@ -76,42 +76,6 @@ def test_skewed_stable_matches_reference(rng):
     qs = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
     expect = np.array([levy_stable.ppf(p, alpha, beta) for p in qs])
     assert np.allclose(np.quantile(x, qs), expect, atol=0.06)
-
-
-# -- Lévy paths and levels ---------------------------------------------------
-
-def test_levy_path_basics(rng):
-    # the level after one cell is min(0, W(delta)), W(delta) ~ Normal(0, 2 delta)
-    delta = 1.0 / 4000
-    lev = levy_levels(2.0, 0.5, delta, [0, 1], 20_000, rng)
-    assert np.all(lev[:, 0] == 0.0)
-    assert np.mean(lev[:, 1] ** 2) == pytest.approx(delta, rel=0.1)
-
-
-def test_levy_grid_validation(rng):
-    with pytest.raises(ValueError):
-        levy_levels(2.0, 0.5, 0.1, [], 10, rng)
-    with pytest.raises(ValueError):
-        levy_levels(2.0, 0.5, 0.1, [-1, 2], 10, rng)
-    with pytest.raises(ValueError):
-        levy_levels(2.0, 0.5, 0.1, [3, 2], 10, rng)
-    with pytest.raises(ValueError):
-        levy_levels(2.0, 0.5, 0.0, [1, 2], 10, rng)
-
-
-def test_level_examples(monkeypatch):
-    # fixed unit increments: the level is the running infimum with W(0) = 0
-    for inc, expect in (([1.0, 1.0], [0.0, 0.0, 0.0]),
-                        ([-1.0, 0.5], [0.0, -1.0, -1.0])):
-        monkeypatch.setattr(limit, "stable_standard",
-                            lambda *args, inc=inc: np.array([inc]))
-        assert levy_levels(2.0, 0.5, 1.0, [0, 1, 2], 1, None)[0].tolist() == expect
-
-
-def test_level_monotone(rng):
-    lev = levy_levels(1.5, 0.5, 2.0 / 800, np.arange(801), 10, rng)
-    assert np.all(np.diff(lev, axis=1) <= 0.0)
-    assert np.all(lev[:, 0] == 0.0)
 
 
 # -- two-sided environments --------------------------------------------------
@@ -324,3 +288,54 @@ def test_level_change_grid_index_matches_fdd(monkeypatch):
     monkeypatch.setattr(limit, "stable_standard", fake_stable)
     estimate_level_change_prob(2.0, 0.5, 0.05, 0.07, 0.01, 4, None)
     assert widths == [7]
+
+
+def test_levy_grid_validation(rng):
+    with pytest.raises(ValueError):
+        estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, 0.0, 10, rng)
+    with pytest.raises(ValueError):
+        estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, -0.1, 10, rng)
+    with pytest.raises(ValueError):
+        estimate_level_change_prob(2.0, 0.5, 2.0, 1.0, 0.1, 10, rng)
+    with pytest.raises(ValueError):
+        estimate_level_change_prob(2.0, 0.5, -1.0, 2.0, 0.1, 10, rng)
+
+
+def test_level_examples(monkeypatch):
+    # fixed unit increments over two cells, t = (1, 2): the level is the
+    # running infimum with W(0) = 0 and must strictly drop in the second cell
+    for inc, expect in (([1.0, 1.0], 0.0), ([1.0, -0.5], 0.0), ([-1.0, 0.5], 0.0),
+                        ([-1.0, 0.0], 0.0), ([1.0, -2.0], 1.0), ([-1.0, -0.5], 1.0)):
+        monkeypatch.setattr(limit, "stable_standard",
+                            lambda *args, inc=inc: np.array([inc]))
+        assert estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, 1.0, 1, None) == expect
+
+
+def test_level_change_blocks_match_one_block(monkeypatch):
+    # Gaussian increments come off the stream in row order, so blocks of
+    # 300 rows (16 full and a last one of 200) count what one block counts
+    def estimate(cells):
+        monkeypatch.setattr(limit, "_BLOCK_CELLS", cells)
+        return estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, 0.01, 5000,
+                                          derive_stream(5, 0, "levy-blocks"))
+    assert estimate(300 * 200) == estimate(5000 * 200)
+
+
+def test_level_change_scale_invariance():
+    # the event depends on the times only through their grid indices
+    p = estimate_level_change_prob(1.5, 0.5, 1.0, 2.0, 0.01, 2000, derive_stream(6, 0, "s"))
+    q = estimate_level_change_prob(1.5, 0.5, 0.5, 1.0, 0.005, 2000, derive_stream(6, 0, "s"))
+    assert p == q
+
+
+def test_level_change_one_cell_is_zero(rng):
+    # both times end in grid cell 1000: the level cannot drop between them
+    assert estimate_level_change_prob(2.0, 0.5, 1.0, 1.0004, 1.0004e-3, 50, rng) == 0.0
+
+
+def test_stable_level_change_matches_arcsine(rng):
+    # the argmin of a strictly stable path on [0, t2] follows the arcsine
+    # law, so the level drops on (t1, t2] with probability 1 - F(t1/t2)
+    t1, t2 = 1.0, 2.0
+    p = estimate_level_change_prob(1.5, 0.5, t1, t2, 2e-3, 20_000, rng)
+    assert abs(p - (1.0 - arcsine_cdf(0.5, t1 / t2))) <= 0.02

@@ -10,7 +10,7 @@ from bpire_lab.limit import stable_standard
 from bpire_lab.runner import _recentered_block
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
 from bpire_lab.streams import derive_stream
-from bpire_lab.walk import StableSpec, arcsine_cdf, normalizer, simulate_walk_matrix
+from bpire_lab.walk import arcsine_cdf, simulate_walk_matrix
 
 
 class _FixedSteps:
@@ -61,10 +61,9 @@ def test_pareto_family_stable_limit(rng):
     # S_n / (c n^{1/a}) must match the standard stable law the package
     # itself samples; the scale constant is the analytic tail constant
     model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
-    spec = StableSpec(alpha=1.3, rho=0.5, scale=model.stable_scale())
     reps, n = 4000, 512
     s = simulate_walk_matrix(model, n, reps, rng)
-    scaled = s[:, -1] / normalizer(spec, n)
+    scaled = s[:, -1] / model.normalizer(n)
     ref = stable_standard(1.3, 0.5, reps, rng)
     assert ks_two_sample(scaled, ref).statistic <= 0.05
 
@@ -147,24 +146,20 @@ def test_argmin_fraction_follows_arcsine(std_model, rng):
 
 
 def test_normalizer_examples():
-    assert normalizer(StableSpec(alpha=2.0, rho=0.5, scale=1.0), 100) == pytest.approx(10.0)
-    assert normalizer(StableSpec(alpha=1.0, rho=0.5, scale=2.0), 7) == pytest.approx(14.0)
-    assert normalizer(StableSpec(alpha=0.5, rho=0.5, scale=1.0), 4) == pytest.approx(16.0)
+    # C_n = c n^{1/alpha}, c the family's analytic scale
+    assert EnvironmentModel(x_param=2.0 ** 0.5).normalizer(100) == pytest.approx(10.0)
+    cauchy = EnvironmentModel(x_family="pareto", x_param=1.0, alpha=1.0)
+    assert cauchy.normalizer(7) == pytest.approx(7.0 * math.pi / 2.0)
+    half = EnvironmentModel(x_family="pareto", x_param=0.5, alpha=0.5)
+    assert half.normalizer(4) == pytest.approx(16.0 * half.stable_scale())
+    with pytest.raises(ValueError):
+        cauchy.normalizer(0)
 
 
 def test_normalizer_increasing():
-    spec = StableSpec(alpha=1.3, rho=0.5, scale=0.8)
-    values = [normalizer(spec, n) for n in range(1, 50)]
+    model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
+    values = [model.normalizer(n) for n in range(1, 50)]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_stable_spec_validation():
-    with pytest.raises(ValueError):
-        StableSpec(alpha=2.5, rho=0.5)
-    with pytest.raises(ValueError):
-        StableSpec(alpha=1.5, rho=1.0)
-    with pytest.raises(ValueError):
-        StableSpec(alpha=1.5, rho=0.5, scale=0.0)
 
 
 def test_centered_at_min_example():
