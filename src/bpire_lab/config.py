@@ -19,10 +19,8 @@ class ConfigError(ValueError):
 
 
 DEFAULT_REPLICAS = {
-    "walk_stats": 20_000,
-    "arcsine": 20_000,
+    "walk_stats": 20_000,  # the free walks of walk-stats, arcsine and lemma1
     "measure_change": 10_000,
-    "lemma1": 10_000,
     "lemma5": 10_000,
     "lemma7": 10_000,
     "martingale": 100_000,
@@ -133,14 +131,19 @@ class RunConfig:
         ts = list(self.t_values)
         if len(ts) < 2 or ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
             problems.append(f"t_values: need strictly increasing positives, got {ts}")
-        if not self.band_eps or any(e <= 0 for e in self.band_eps):
-            problems.append(f"band_eps: need positive values, got {self.band_eps}")
+        eps = self.band_eps
+        # the band fractions must fall as eps does, and the last one is gated
+        if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
+            problems.append(f"band_eps: need strictly decreasing positives, got {eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
-        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i
-        if not all(1 <= abs(i) <= self.trunc_i for i in self.lemma_offsets):
-            problems.append(f"lemma_offsets: need integers i with 1 <= |i| <= trunc_i = "
-                            f"{self.trunc_i}, got {self.lemma_offsets}")
+        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i,
+        # and names one record
+        offsets = self.lemma_offsets
+        if len(set(offsets)) < len(offsets) or not all(
+                1 <= abs(i) <= self.trunc_i for i in offsets):
+            problems.append(f"lemma_offsets: need distinct integers i with 1 <= |i| <= "
+                            f"trunc_i = {self.trunc_i}, got {offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():

@@ -3,7 +3,9 @@
 Each subcommand draws from named streams derived from the master seed,
 splits replica work into fixed-size blocks, and reduces block results in
 block order, so report content is a pure function of the configuration
-regardless of the worker count.
+regardless of the worker count. Two samples are drawn once per run and
+shared: the free walks (walk-stats, arcsine, lemma1) and the gamma
+sample (gamma-dist, theorem1-onedim, theorem1-twodim).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bpire import (
+    _BLOCK_CELLS,
     _window_cohorts,
     cohort_log_values,
     compute_normalizers,
@@ -89,26 +92,27 @@ def _sigma_distance(mean: float, se: float, target: float) -> float:
     return 0.0 if mean == target else float("inf")
 
 
-def _terminal_block(count, rng, model, n):
-    return simulate_walk_matrix(model, n, count, rng)[:, -1]
+def _walk_groups(model, n, count, rng):
+    """``count`` free walks S_0..S_n in row groups of about ``_BLOCK_CELLS``
+    cells, drawn row-major so the draws match one ``count``-row matrix."""
+    rows = max(1, _BLOCK_CELLS // (n + 1))
+    for lo in range(0, count, rows):
+        yield simulate_walk_matrix(model, n, min(rows, count - lo), rng)
 
 
-def _argmin_frac_block(count, rng, model, n):
-    s = simulate_walk_matrix(model, n, count, rng)
-    return np.argmin(s, axis=1) / n
-
-
-def _recentered_block(count, rng, model, n, offsets):
-    s = simulate_walk_matrix(model, n, count, rng)
-    tau = np.argmin(s, axis=1)
-    rows = np.arange(count)
-    smin = s[rows, tau]
-    out = {}
-    for i in offsets:
-        k = tau + i
-        valid = (k >= 0) & (k <= n)
-        out[i] = s[rows[valid], k[valid]] - smin[valid]
-    return out
+def _free_walk_block(count, rng, model, n, offsets):
+    """S_n, the first argmin tau over n, and per offset i the recentered
+    value S_{tau+i} - S_tau of the rows where tau + i lies in [0, n]."""
+    parts = []
+    for s in _walk_groups(model, n, count, rng):
+        tau = np.argmin(s, axis=1)
+        # a copy, so that the part does not keep the group's matrix alive
+        part = {"terminal": s[:, -1].copy(), "argmin_frac": tau / n}
+        for i in offsets:
+            rows = np.flatnonzero((tau + i >= 0) & (tau + i <= n))
+            part[i] = s[rows, tau[rows] + i] - s[rows, tau[rows]]
+        parts.append(part)
+    return {key: _cat(parts, key) for key in parts[0]}
 
 
 def _cond_series_block(count, rng, model, n, side):
@@ -141,10 +145,8 @@ def _ratio_block(count, rng, model, n, i):
 
 def _band_block(count, rng, model, k1, k2):
     """|min over [0,k1] - min over [k1,k2]| of the free walk."""
-    s = simulate_walk_matrix(model, k2, count, rng)
-    l1 = s[:, : k1 + 1].min(axis=1)
-    l12 = s[:, k1: k2 + 1].min(axis=1)
-    return np.abs(l1 - l12)
+    return np.concatenate([np.abs(s[:, : k1 + 1].min(axis=1) - s[:, k1: k2 + 1].min(axis=1))
+                           for s in _walk_groups(model, k2, count, rng)])
 
 
 def _ynorm_block(count, rng, model, n, ts):
@@ -183,7 +185,7 @@ class Runner:
         self.cfg = cfg
         self.model = cfg.model()
         self._tables = None
-        self._gamma_cache: dict = {}
+        self._samples: dict = {}  # free walks and gamma samples, by key
 
     # -- shared resources ---------------------------------------------------
 
@@ -195,17 +197,24 @@ class Runner:
                 self.model, rng, budget=self.cfg.ladder_budget)
         return self._tables
 
+    def _shared_sample(self, key, fn, total, stream_name, *args) -> dict:
+        """The block results of ``fn`` joined per key, drawn once per run."""
+        if key not in self._samples:
+            parts = _map_blocks(fn, total, self.cfg, stream_name, *args)
+            self._samples[key] = {k: _cat(parts, k) for k in parts[0]}
+        return self._samples[key]
+
+    def free_walks(self) -> dict:
+        """The ``replicas.walk_stats`` free walks of ``n_walk`` steps that
+        walk-stats, arcsine and lemma1 read."""
+        cfg = self.cfg
+        return self._shared_sample(
+            "free-walks", _free_walk_block, cfg.replicas["walk_stats"], "walk-stats",
+            self.model, cfg.n_walk, tuple(cfg.lemma_offsets))
+
     def gamma_sample(self, I: int, J: int, reps: int) -> dict:
-        key = (I, J, reps)
-        if key not in self._gamma_cache:
-            parts = _map_blocks(
-                _gamma_block, reps, self.cfg, f"gamma/{I}/{J}",
-                self.model, I, J, self.tables,
-            )
-            self._gamma_cache[key] = {
-                k: _cat(parts, k) for k in ("sigma1", "sigma2", "gamma")
-            }
-        return self._gamma_cache[key]
+        return self._shared_sample((I, J, reps), _gamma_block, reps, f"gamma/{I}/{J}",
+                                   self.model, I, J, self.tables)
 
     def _record(self, name, statistic, threshold, verdict, replicas, **inputs):
         return TestRecord(
@@ -262,8 +271,7 @@ class Runner:
         cfg = self.cfg
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
-        sn = _cat(_map_blocks(_terminal_block, reps, cfg, "walk-stats",
-                              self.model, n))
+        sn = self.free_walks()["terminal"]
         frac = float(np.mean(sn > 0))
         records = [self._record(
             "walk-stats/sign-fraction", abs(frac - cfg.rho), 0.03,
@@ -286,9 +294,8 @@ class Runner:
     def run_arcsine(self):
         cfg = self.cfg
         n = cfg.n_walk
-        reps = cfg.replicas["arcsine"]
-        vals = _cat(_map_blocks(_argmin_frac_block, reps, cfg, "arcsine",
-                                self.model, n))
+        reps = cfg.replicas["walk_stats"]
+        vals = self.free_walks()["argmin_frac"]
         ks = ks_against_cdf(vals, lambda x: arcsine_cdf(cfg.rho, x), threshold=0.03)
         xs = np.sort(vals)[:: max(1, reps // 2048)]
         write_csv(self.cfg.out_dir, "arcsine_ecdf.csv", {
@@ -329,15 +336,13 @@ class Runner:
     def run_lemma1(self):
         cfg = self.cfg
         n = cfg.n_walk
-        reps = cfg.replicas["lemma1"]
-        pre_parts = _map_blocks(_recentered_block, reps, cfg, "lemma1-pre",
-                                self.model, n, tuple(cfg.lemma_offsets))
+        reps = cfg.replicas["walk_stats"]
         env = sample_two_sided_batch(
             self.model, cfg.trunc_i, reps,
             derive_stream(cfg.master_seed, 0, "lemma1-limit"), self.tables)
         records = []
         for i in cfg.lemma_offsets:
-            pre = _cat(pre_parts, i)
+            pre = self.free_walks()[i]
             records.append(self._versus_limit(
                 f"lemma1/offset{i:+d}", pre, env.s_star(i), reps,
                 f"lemma1_offset{i:+d}.csv",

@@ -6,9 +6,12 @@ The tracer patches module globals of the package, so the check runs in a
 subprocess with ``src/`` and ``perfbench/`` on the path.
 """
 
+import json
 import os
 import subprocess
 import sys
+
+from bpire_lab.config import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -94,3 +97,19 @@ def test_benchmark_harness_binds_to_package(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "bound"
+
+
+def test_workload_configs_build():
+    # every workload config of the benchmark is a valid RunConfig that
+    # keeps each field and replica count it names
+    with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    assert workloads
+    for spec in workloads.values():
+        named = spec["config"]
+        cfg = RunConfig.from_dict(named).to_dict()
+        for key, value in named.items():
+            if key == "replicas":
+                assert {k: cfg[key][k] for k in value} == value
+            else:
+                assert cfg[key] == value

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from bpire_lab import runner
 from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
 from bpire_lab.report import TestRecord as Record
@@ -14,9 +15,8 @@ from bpire_lab.runner import run
 def tiny_config(tmp_path, **overrides):
     data = {
         "replicas": {key: 200 for key in (
-            "walk_stats", "arcsine", "measure_change", "lemma1", "lemma5",
-            "lemma7", "martingale", "gamma", "onedim", "twodim",
-            "level_change", "band")},
+            "walk_stats", "measure_change", "lemma5", "lemma7", "martingale",
+            "gamma", "onedim", "twodim", "level_change", "band")},
         "horizons": [20, 40],
         "n_walk": 64,
         "trunc_i": 4,
@@ -40,7 +40,8 @@ def test_config_defaults_and_roundtrip():
     cfg = RunConfig()
     again = RunConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
-    assert cfg.replicas["arcsine"] == 20_000
+    assert cfg.replicas["walk_stats"] == 20_000
+    assert len(cfg.replicas) == 10
     assert cfg.delta() == pytest.approx(2e-3)
 
 
@@ -54,8 +55,8 @@ def test_config_field_level_messages():
         RunConfig(alpha=3.0)
     with pytest.raises(ConfigError, match="t_values"):
         RunConfig(t_values=[2.0, 1.0])
-    with pytest.raises(ConfigError, match="replicas.arcsine"):
-        RunConfig(replicas={"arcsine": 1})
+    with pytest.raises(ConfigError, match="replicas.walk_stats"):
+        RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
         RunConfig(workers=0)
     with pytest.raises(ConfigError, match="horizons: must be increasing"):
@@ -64,6 +65,14 @@ def test_config_field_level_messages():
         RunConfig(band_eps=[])
     with pytest.raises(ConfigError, match="band_eps"):
         RunConfig(band_eps=[0.1, 0.0])
+    # the gated last fraction must belong to the smallest eps
+    with pytest.raises(ConfigError, match="band_eps: need strictly decreasing"):
+        RunConfig(band_eps=[0.05, 0.1, 0.2])
+    with pytest.raises(ConfigError, match="band_eps: need strictly decreasing"):
+        RunConfig(band_eps=[0.1, 0.1])
+    # each offset writes one record
+    with pytest.raises(ConfigError, match="lemma_offsets: need distinct"):
+        RunConfig(lemma_offsets=[1, 1])
     with pytest.raises(ConfigError, match="rate_params"):
         RunConfig(rate_params=[])
     with pytest.raises(ConfigError, match="rate_params"):
@@ -84,6 +93,11 @@ def test_config_stable_spec_scale(tmp_path, capsys):
         argv = ["validate-env", "--config", write_config(tmp_path, **{name: 0.7})]
         assert main(argv) == 2
         assert f"config error: unknown config fields: {name}" in capsys.readouterr().err
+    # arcsine and lemma1 read the walk-stats walks and have no count of their own
+    for key in ("arcsine", "lemma1"):
+        argv = ["validate-env", "--config", write_config(tmp_path, replicas={key: 200})]
+        assert main(argv) == 2
+        assert f"config error: replicas.{key}: unknown test name" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -97,6 +111,23 @@ def test_reports_are_deterministic(tmp_path):
     text_b = open(os.path.join(cfg_b.out_dir, "report.json")).read()
 
     assert text_a == text_b  # byte-identical report for identical config
+
+
+def test_free_walks_are_drawn_once(tmp_path, monkeypatch):
+    # walk-stats, arcsine and lemma1 read one sample of the free walk
+    drawn = []
+    draw = runner.simulate_walk_matrix
+
+    def counting(model, n, reps, rng):
+        drawn.append(reps)
+        return draw(model, n, reps, rng)
+
+    monkeypatch.setattr(runner, "simulate_walk_matrix", counting)
+    cfg = RunConfig.from_dict(tiny_config(tmp_path))
+    bench = runner.Runner(cfg)
+    for name in ("walk-stats", "arcsine", "lemma1"):
+        bench.dispatch(name)
+    assert sum(drawn) == cfg.replicas["walk_stats"]
 
 
 def test_worker_count_invariance(tmp_path):

@@ -29,14 +29,14 @@ from test_cli import tiny_config
 
 GOLDEN = {
     "normal": {
-        "arcsine_ecdf.csv": "43ca3f145f24aa47e802b22f07150b74b7e55790c5d63fd5e0e9bd91e5ded925",
+        "arcsine_ecdf.csv": "b8e7b6e479dd7c33a7a9f6cf2a16bf70880d127569fb60da3eeb20337ade2c81",
         "band_fractions.csv": "6cdc1f059aad7e67aad53e258047393f4aad1bfc9b855a711ca1aafcddd94873",
         "gamma_ecdf.csv": "37d409e5ca52bcd152fec7bc45b247399f08e4d3c27ee5b0e116011113762969",
         "ladder_tables.txt": "532d89b96598565a2d4195df72e8c735193d9303af03fe3a07d014b880407f83",
-        "lemma1_offset+1.csv": "73f192195b056b237f3e5933be33e81a198b9d23d3f848cdfd09e6402d8cb2f9",
-        "lemma1_offset+2.csv": "85027d0c0ffe64a19c240b1ebca58167ed52aecf805ed0803b5c6b0ed8883ab6",
-        "lemma1_offset-1.csv": "908819e2c19a89fff653c07eee787631986c0e89fc22ddfa5fad95ca49c83026",
-        "lemma1_offset-2.csv": "f79932c6cc9fdfe86188cd27f71faf1970738a4cd99ba3b840d1d2d4375586bd",
+        "lemma1_offset+1.csv": "1f36272fe252964af3db39438032bb89f125838d9ed0959c51a43aa47b69462a",
+        "lemma1_offset+2.csv": "f2d3e43de6e527a0a0eecc2f724a4e31afaffc05002453cd214c4731151bcd5f",
+        "lemma1_offset-1.csv": "7449015c489c0583febce4557d315ba867048086927241c359243e06903c32a8",
+        "lemma1_offset-2.csv": "80f6679b726ed64f5c685c7528714d6646c8feacfbf181c2dd839d994a8afa3c",
         "lemma5_negative.csv": "de581f7cd6b86577a89547592e0c5cfa8180c478b46507dfadd46b1114e25e8e",
         "lemma5_positive.csv": "f849603d2b917e04e20cfa3ae2c66990a41671bc84dac9a8fc9d59ca2e90b8a1",
         "lemma7_a_after.csv": "956bb2cd2eea85ce49659d77acc21b2ad4ab970120d5caf21567d88bb0054657",
@@ -46,19 +46,19 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "63cbfd185511152c933e0617f77bb328191b3e0e3f6bd6c0b6840e704ab402af",
+        "report.json": "9e2a476afdaff56ab9edf722c431c5d77af6605b781ba64172b68f564bd3a92d",
         "theorem1_onedim_ecdf.csv": "82b5121701d1aff211071d61ef4456e5542fc64ff6c432abafeb38ec503ee4e4",
         "theorem1_twodim_probes.csv": "fbedea8e0f5f173c1bb893c1acfa8d52aa53a3b0f49165520fdbf0fd0ac9e005",
     },
     "pareto": {
-        "arcsine_ecdf.csv": "d987916480cee007bf85af6b4d58263d5d3b037a51243b66aa901ee547513ec7",
+        "arcsine_ecdf.csv": "ab510803a84ab841a87af19080ee5540e2bfaed78af0dcd462de72ad00b271d5",
         "band_fractions.csv": "b276f179e87ac714f673926ffefa1cd137b8bd77f7ce712bee491eb259255b89",
         "gamma_ecdf.csv": "13bfead41ac012f2aa2b6d5d3d60ded1b7af65d490ad2414b32200400eb4b143",
         "ladder_tables.txt": "18da00913593e3a605f105dc67efb8f2cd8b882947d30dbcc652ce345d787f5b",
-        "lemma1_offset+1.csv": "f62562229771b0e6740e37929a02eb32ffb78f9287d284c5e03291a1390d3bca",
-        "lemma1_offset+2.csv": "59cda2d255a4c45c21c03212099181111b0157e9061828f200963744f7c1c602",
-        "lemma1_offset-1.csv": "c9b313bf0c0c4e44d2011b5575f62c802fd9db6368d9af5f1017075eef430ffe",
-        "lemma1_offset-2.csv": "f8a48433f3586e9f82844a88fcd9687ca4a5623684580a24cf98e2837b6b2437",
+        "lemma1_offset+1.csv": "6c30eeffa81939bd92c5341bf7dd955d7297c3dc9ac4c37db11b93f4a188d5a3",
+        "lemma1_offset+2.csv": "9c00ec79263ffd25d744e018d48a7a9110caad38cfdfdf2f5743daee635de427",
+        "lemma1_offset-1.csv": "ed6df938514638c9319242503622aee65bc1643fd4b1a94b8e5d76794f8c647f",
+        "lemma1_offset-2.csv": "321f09d3a8e806997063d3f7ea56c6f724ee179b2070292089482d70b1a2e67a",
         "lemma5_negative.csv": "c33afef6357e5862724729f3c43737410c68b698860fcf0f5fceca1d24ea432a",
         "lemma5_positive.csv": "4c993e1f4ab9cd38a617f0d8f3f691c561f5ad2d1d3e11db6f47444fa59f83f8",
         "lemma7_a_after.csv": "3ee029a29426b5a1dcbd182eacd74cfd5062198916a2c45251d2a51c75a8c2af",
@@ -68,7 +68,7 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "8a49c1ce2e6d28a94ae53fc779a565edadf560fc08743b21bdae1235fab863b8",
+        "report.json": "723daaa2de7f90403ac9bc97e6a09b1f765f0bcbcae1afd25c70f9d4742a954b",
         "theorem1_onedim_ecdf.csv": "62210e9cd2af8e946182b5d8391d4dd42a04e8879d3a8ff5371dd7501cf2ae72",
         "theorem1_twodim_probes.csv": "311ee61e3de9b399f4920add33c89d8d140ebaf4de26aef365068f0efa5624ea",
     },

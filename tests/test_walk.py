@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from bpire_lab import runner
 from bpire_lab.env import EnvironmentModel
 from bpire_lab.limit import stable_standard
-from bpire_lab.runner import _recentered_block
+from bpire_lab.runner import _free_walk_block
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
 from bpire_lab.streams import derive_stream
 from bpire_lab.walk import arcsine_cdf, simulate_walk_matrix
@@ -76,7 +77,7 @@ def test_summarize_examples():
     assert s[[0, 1], tau].tolist() == [-2.0, -1.0]
     assert s[0, 1:].max() == -1.0
     # the recentered walk reads from that first argmin
-    assert _recentered_block(2, None, paths, 3, (1,))[1].tolist() == [1.0, 0.0]
+    assert _free_walk_block(2, None, paths, 3, (1,))[1].tolist() == [1.0, 0.0]
     s3 = simulate_walk_matrix(_FixedSteps([0.0, 2.0, 3.0]), 2, 1, None)
     assert (s3[0].min(), np.argmin(s3[0]), s3[0, 1:].max()) == (0.0, 0, 3.0)
 
@@ -163,12 +164,31 @@ def test_normalizer_increasing():
 
 
 def test_centered_at_min_example():
-    out = _recentered_block(1, None, _FixedSteps([0.0, -1.0, -2.0, -1.0]), 3, (-1, 0, 1))
+    out = _free_walk_block(1, None, _FixedSteps([0.0, -1.0, -2.0, -1.0]), 3, (-1, 0, 1))
     assert [out[i].tolist() for i in (-1, 0, 1)] == [[1.0], [0.0], [1.0]]
 
 
 def test_centered_at_min_properties(std_model, rng):
     offsets = tuple(range(-40, 41))
-    out = _recentered_block(20, rng, std_model, 40, offsets)
+    out = _free_walk_block(20, rng, std_model, 40, offsets)
     assert out[0].tolist() == [0.0] * 20
     assert all(np.all(out[i] >= 0.0) for i in offsets)
+
+
+@pytest.mark.parametrize("model", [
+    EnvironmentModel(),
+    EnvironmentModel(x_family="pareto", x_param=1.5, alpha=1.5),
+], ids=["normal", "pareto"])
+def test_walk_groups_match_one_group(monkeypatch, model):
+    # walks come off the stream row-major, so groups of 7 rows (5 full and
+    # a last one of 5) give the band and free-walk blocks one group's values
+    def blocks():
+        band = runner._band_block(40, derive_stream(3, 0, "g"), model, 10, 20)
+        walks = _free_walk_block(40, derive_stream(4, 0, "g"), model, 20, (-2, 1))
+        return band, walks
+    band, walks = blocks()
+    monkeypatch.setattr(runner, "_BLOCK_CELLS", 7 * 21)
+    grouped_band, grouped_walks = blocks()
+    assert np.array_equal(grouped_band, band)
+    assert list(grouped_walks) == list(walks) == ["terminal", "argmin_frac", -2, 1]
+    assert all(np.array_equal(grouped_walks[k], walks[k]) for k in walks)
