@@ -128,9 +128,14 @@ class RunConfig:
             problems.append(f"n_walk: too small, got {self.n_walk}")
         if self.n_small < 1:
             problems.append(f"n_small: must be >= 1, got {self.n_small}")
+        # theorem1-twodim reads Y at generations floor(N t) of these two times,
+        # N = horizons[-1], and delta() scales with the last
         ts = list(self.t_values)
-        if len(ts) < 2 or ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
-            problems.append(f"t_values: need strictly increasing positives, got {ts}")
+        if len(ts) != 2 or ts[0] <= 0 or ts[1] <= ts[0]:
+            problems.append(f"t_values: need exactly two strictly increasing positives, got {ts}")
+        elif self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
+            problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
+                            f"with horizons[-1] = {self.horizons[-1]}")
         eps = self.band_eps
         # the band fractions must fall as eps does, and the last one is gated
         if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):

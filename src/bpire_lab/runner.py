@@ -3,9 +3,10 @@
 Each subcommand draws from named streams derived from the master seed,
 splits replica work into fixed-size blocks, and reduces block results in
 block order, so report content is a pure function of the configuration
-regardless of the worker count. Two samples are drawn once per run and
-shared: the free walks (walk-stats, arcsine, lemma1) and the gamma
-sample (gamma-dist, theorem1-onedim, theorem1-twodim).
+regardless of the worker count. Three samples are drawn once per run and
+shared: the free walks (walk-stats, arcsine, lemma1), the gamma sample
+(gamma-dist, theorem1-onedim, theorem1-twodim) and the pre-limit process
+Y of theorem 1 (theorem1-onedim, theorem1-twodim).
 """
 
 from __future__ import annotations
@@ -92,12 +93,18 @@ def _sigma_distance(mean: float, se: float, target: float) -> float:
     return 0.0 if mean == target else float("inf")
 
 
+def _row_groups(n, count):
+    """Row counts that split ``count`` paths S_0..S_n, in order, into groups
+    of about ``_BLOCK_CELLS`` cells."""
+    rows = max(1, _BLOCK_CELLS // (n + 1))
+    return [min(rows, count - lo) for lo in range(0, count, rows)]
+
+
 def _walk_groups(model, n, count, rng):
     """``count`` free walks S_0..S_n in row groups of about ``_BLOCK_CELLS``
     cells, drawn row-major so the draws match one ``count``-row matrix."""
-    rows = max(1, _BLOCK_CELLS // (n + 1))
-    for lo in range(0, count, rows):
-        yield simulate_walk_matrix(model, n, min(rows, count - lo), rng)
+    for rows in _row_groups(n, count):
+        yield simulate_walk_matrix(model, n, rows, rng)
 
 
 def _free_walk_block(count, rng, model, n, offsets):
@@ -127,20 +134,24 @@ def _cond_series_block(count, rng, model, n, side):
 
 
 def _ratio_block(count, rng, model, n, i):
-    """Pre-limit normalizer ratios recentered at the walk argmin."""
-    s, b_log = compute_normalizers(model.draw_x(rng, (count, n)),
-                                   model.draw_rate(rng, (count, n)))
-    tau = np.argmin(s, axis=1)
-    valid = (tau - i >= 0) & (tau + i <= n)
-    rows = np.arange(count)[valid]
-    t = tau[valid]
-    bn = b_log[rows, n]
-    return {
-        "tail_after": 1.0 - np.exp(b_log[rows, t + i] - bn),
-        "head_before": np.exp(b_log[rows, t - i] - bn),
-        "a_after": np.exp(-s[rows, t + i] - bn),
-        "a_before": np.exp(-s[rows, t - i] - bn),
-    }
+    """Pre-limit normalizer ratios recentered at the walk argmin, drawn in
+    row groups of about ``_BLOCK_CELLS`` cells: each group's steps, then
+    its rates."""
+    parts = []
+    for group in _row_groups(n, count):
+        s, b_log = compute_normalizers(model.draw_x(rng, (group, n)),
+                                       model.draw_rate(rng, (group, n)))
+        tau = np.argmin(s, axis=1)
+        rows = np.flatnonzero((tau - i >= 0) & (tau + i <= n))
+        t = tau[rows]
+        bn = b_log[rows, n]
+        parts.append({
+            "tail_after": 1.0 - np.exp(b_log[rows, t + i] - bn),
+            "head_before": np.exp(b_log[rows, t - i] - bn),
+            "a_after": np.exp(-s[rows, t + i] - bn),
+            "a_before": np.exp(-s[rows, t - i] - bn),
+        })
+    return {key: _cat(parts, key) for key in parts[0]}
 
 
 def _band_block(count, rng, model, k1, k2):
@@ -149,8 +160,17 @@ def _band_block(count, rng, model, k1, k2):
                            for s in _walk_groups(model, k2, count, rng)])
 
 
-def _ynorm_block(count, rng, model, n, ts):
-    return simulate_normalized_at(model, n, ts, count, rng)
+def _ynorm_block(count, rng, model, gens):
+    """Y at each of the generations ``gens``, keyed by generation, from one
+    pass (n = 1, so each t is its generation exactly)."""
+    y = simulate_normalized_at(model, 1, gens, count, rng)
+    return dict(zip(gens, y.T))
+
+
+def _twodim_gens(cfg):
+    """The generations floor(N t), t in ``t_values``, at which
+    theorem1-twodim reads Y, N = ``horizons[-1]``."""
+    return [int(np.floor(cfg.horizons[-1] * t)) for t in cfg.t_values]
 
 
 def _gamma_block(count, rng, model, I, J, tables):
@@ -185,7 +205,7 @@ class Runner:
         self.cfg = cfg
         self.model = cfg.model()
         self._tables = None
-        self._samples: dict = {}  # free walks and gamma samples, by key
+        self._samples: dict = {}  # free walks, gamma and theorem-1 samples, by key
 
     # -- shared resources ---------------------------------------------------
 
@@ -215,6 +235,15 @@ class Runner:
     def gamma_sample(self, I: int, J: int, reps: int) -> dict:
         return self._shared_sample((I, J, reps), _gamma_block, reps, f"gamma/{I}/{J}",
                                    self.model, I, J, self.tables)
+
+    def theorem1_sample(self, reps: int) -> dict:
+        """``reps`` paths of Y by generation, at every horizon and at
+        floor(N t) for t in ``t_values``, N = ``horizons[-1]``: the onedim
+        horizons and the twodim times of theorem 1 read one pass."""
+        cfg = self.cfg
+        gens = {*cfg.horizons, *_twodim_gens(cfg)}
+        return self._shared_sample(("theorem1", reps), _ynorm_block, reps, "theorem1",
+                                   self.model, tuple(sorted(gens)))
 
     def _record(self, name, statistic, threshold, verdict, replicas, **inputs):
         return TestRecord(
@@ -475,12 +504,12 @@ class Runner:
         reps = cfg.replicas["onedim"]
         gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j,
                                   cfg.replicas["gamma"])["gamma"]
+        sample = self.theorem1_sample(reps)
         stats = []
         records = []
         csv_cols = {}
         for n in cfg.horizons:
-            y = _cat([p[:, 0] for p in _map_blocks(
-                _ynorm_block, reps, cfg, f"onedim-{n}", self.model, n, (1.0,))])
+            y = sample[n]
             # only the longest horizon is gated
             ks = ks_two_sample(y, gamma, threshold=0.08 if n == cfg.horizons[-1] else None)
             stats.append(ks.statistic)
@@ -514,10 +543,9 @@ class Runner:
             abs(p_hat - p_exact) <= 0.03, cfg.replicas["level_change"],
             estimate=p_hat, analytic=p_exact, t1=t1, t2=t2)]
 
-        yparts = _map_blocks(_ynorm_block, reps, cfg, "twodim-y",
-                             self.model, n, (t1, t2))
-        y = np.concatenate(yparts, axis=0)
-        jt = joint_two_time_test(y[:, 0], y[:, 1], gamma, p_hat, threshold=0.05)
+        sample = self.theorem1_sample(reps)
+        y1, y2 = (sample[k] for k in _twodim_gens(cfg))
+        jt = joint_two_time_test(y1, y2, gamma, p_hat, threshold=0.05)
         records.append(self._record(
             "theorem1-twodim/joint-mixture", jt.max_discrepancy, jt.threshold,
             jt.passed, reps, n=n, level_change_prob=p_hat))

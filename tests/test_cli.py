@@ -55,6 +55,12 @@ def test_config_field_level_messages():
         RunConfig(alpha=3.0)
     with pytest.raises(ConfigError, match="t_values"):
         RunConfig(t_values=[2.0, 1.0])
+    # theorem1-twodim reads two times, and a third would widen the Lévy grid
+    with pytest.raises(ConfigError, match="t_values: need exactly two"):
+        RunConfig(t_values=[1.0, 2.0, 10.0])
+    # generation floor(20 * 0.01) = 0 holds Y = 0 on every path
+    with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) >= 1"):
+        RunConfig(horizons=[20], t_values=[0.01, 2.0])
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
@@ -128,6 +134,28 @@ def test_free_walks_are_drawn_once(tmp_path, monkeypatch):
     for name in ("walk-stats", "arcsine", "lemma1"):
         bench.dispatch(name)
     assert sum(drawn) == cfg.replicas["walk_stats"]
+
+
+def test_theorem1_sample_drawn_once(tmp_path, monkeypatch):
+    # theorem1-onedim and theorem1-twodim read one pass of Y, at the horizons
+    # and at floor(N t) for the two times, N the last horizon
+    passes = []
+    simulate = runner.simulate_normalized_at
+
+    def counting(model, n, ts, reps, rng):
+        passes.append((n, tuple(ts), reps))
+        return simulate(model, n, ts, reps, rng)
+
+    monkeypatch.setattr(runner, "simulate_normalized_at", counting)
+    cfg = RunConfig.from_dict(tiny_config(tmp_path, horizons=[15, 22]))
+    bench = runner.Runner(cfg)
+    for name in ("theorem1-onedim", "theorem1-twodim"):
+        bench.dispatch(name)
+    assert sum(reps for _, _, reps in passes) == cfg.replicas["twodim"]
+    # n = 1 asks for each generation exactly; a time h/N could floor below h
+    t1, t2 = cfg.t_values
+    assert [(n, set(ts)) for n, ts, _ in passes] == [
+        (1, {15, 22, math.floor(22 * t1), math.floor(22 * t2)})]
 
 
 def test_worker_count_invariance(tmp_path):

@@ -46,9 +46,9 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "9e2a476afdaff56ab9edf722c431c5d77af6605b781ba64172b68f564bd3a92d",
-        "theorem1_onedim_ecdf.csv": "82b5121701d1aff211071d61ef4456e5542fc64ff6c432abafeb38ec503ee4e4",
-        "theorem1_twodim_probes.csv": "fbedea8e0f5f173c1bb893c1acfa8d52aa53a3b0f49165520fdbf0fd0ac9e005",
+        "report.json": "a46a78e50d0faf414221531705155cc29a2a832c2f8ecbc68dc7e3835c7e1819",
+        "theorem1_onedim_ecdf.csv": "0806cc5dd809577c0ffe39b8ecae7eecd1249bcba165447419da732e74851cc3",
+        "theorem1_twodim_probes.csv": "fd1ac2925839e346d42e2c8868a5e3a59b3a5b33bb915f0f833cee199bd5b5aa",
     },
     "pareto": {
         "arcsine_ecdf.csv": "ab510803a84ab841a87af19080ee5540e2bfaed78af0dcd462de72ad00b271d5",
@@ -68,9 +68,9 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "723daaa2de7f90403ac9bc97e6a09b1f765f0bcbcae1afd25c70f9d4742a954b",
-        "theorem1_onedim_ecdf.csv": "62210e9cd2af8e946182b5d8391d4dd42a04e8879d3a8ff5371dd7501cf2ae72",
-        "theorem1_twodim_probes.csv": "311ee61e3de9b399f4920add33c89d8d140ebaf4de26aef365068f0efa5624ea",
+        "report.json": "7d3e0c1739666169623fe155ff63366380a7b684f7208172cb526bd856253695",
+        "theorem1_onedim_ecdf.csv": "089fd296c5149f5be1ca73b7eb17dc0f140e6433039eb03b4d06c3e4243c5b95",
+        "theorem1_twodim_probes.csv": "d0fd283ffd43a35ec2e155dfd250afcaf7a585ab2b9aa1155bfba0e55d375472",
     },
 }
 

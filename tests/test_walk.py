@@ -181,14 +181,20 @@ def test_centered_at_min_properties(std_model, rng):
 ], ids=["normal", "pareto"])
 def test_walk_groups_match_one_group(monkeypatch, model):
     # walks come off the stream row-major, so groups of 7 rows (5 full and
-    # a last one of 5) give the band and free-walk blocks one group's values
+    # a last one of 5) give the band, free-walk and ratio blocks one group's
+    # values; constant rates draw nothing, so the ratio steps stay row-major
     def blocks():
         band = runner._band_block(40, derive_stream(3, 0, "g"), model, 10, 20)
         walks = _free_walk_block(40, derive_stream(4, 0, "g"), model, 20, (-2, 1))
-        return band, walks
-    band, walks = blocks()
+        ratios = runner._ratio_block(40, derive_stream(5, 0, "g"), model, 20, 1)
+        return band, walks, ratios
+    band, walks, ratios = blocks()
     monkeypatch.setattr(runner, "_BLOCK_CELLS", 7 * 21)
-    grouped_band, grouped_walks = blocks()
+    grouped_band, grouped_walks, grouped_ratios = blocks()
     assert np.array_equal(grouped_band, band)
     assert list(grouped_walks) == list(walks) == ["terminal", "argmin_frac", -2, 1]
     assert all(np.array_equal(grouped_walks[k], walks[k]) for k in walks)
+    assert list(grouped_ratios) == list(ratios) == [
+        "tail_after", "head_before", "a_after", "a_before"]
+    assert len(ratios["a_after"]) > 20  # rows whose argmin lies inside [1, 19]
+    assert all(np.array_equal(grouped_ratios[k], ratios[k]) for k in ratios)
