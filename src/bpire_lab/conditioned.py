@@ -96,9 +96,11 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     doubles a proposal's draws. Each chunk holds the expected number of
     proposals that yield the paths still needed, so few accepted paths are
     drawn and dropped; a chunk that falls short is followed by a smaller
-    one.
+    one. Accepted rows are copied straight into the returned matrix, so
+    the paths are held once, not once per chunk and again when joined.
     """
-    accepted = [np.zeros((0, n + 1))]
+    out = np.empty((reps, n + 1))
+    out[:, 0] = 0.0
     got = 0
     attempts = 0
     budget = REJECTION_CAP * reps
@@ -129,13 +131,16 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
                 break
         take = min(len(rows), reps - got)
         if take:
+            # an accepted proposal survived every sweep, so the kept
+            # segments fill columns 1..n
             done = rows[:take]
-            accepted.append(np.concatenate(
-                [np.zeros((take, 1))] + [s[np.searchsorted(r, done)] for r, s in kept],
-                axis=1))
+            col = 1
+            for r, s in kept:
+                out[got:got + take, col:col + s.shape[1]] = s[np.searchsorted(r, done)]
+                col += s.shape[1]
         got += take
         attempts += m
-    return np.concatenate(accepted)
+    return out
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
