@@ -97,7 +97,7 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     proposals that yield the paths still needed, so few accepted paths are
     drawn and dropped; a chunk that falls short is followed by a smaller
     one. Accepted rows are copied straight into the returned matrix, so
-    the paths are held once, not once per chunk and again when joined.
+    the accepted paths are held once.
     """
     out = np.empty((reps, n + 1))
     out[:, 0] = 0.0
