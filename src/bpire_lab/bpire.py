@@ -264,6 +264,13 @@ _LINEAR_RANGE = 660.0
 _LINEAR_FLOOR = 2.0 ** -960
 
 
+def _row_groups(cells, count):
+    """(lo, hi) bounds that split ``count`` rows of ``cells`` cells each,
+    in order, into groups of about ``_BLOCK_CELLS`` cells."""
+    rows = max(1, _BLOCK_CELLS // max(cells, 1))
+    return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+
+
 def _cohort_lines(lam: np.ndarray, rng: np.random.Generator):
     """Surviving lines of independent Poisson(lambda) counts, one per cell
     of the (reps, cells) array ``lam``, returned for the occupied cells
@@ -385,9 +392,7 @@ def _window_cohorts(s_prev: np.ndarray, x, rates, rng: np.random.Generator):
     reps, w = x.shape
     s_k, suffix, b_win = np.empty(reps), np.empty(reps), np.empty(reps)
     z_lin, z_log = np.empty(reps), np.empty(reps)
-    step = max(1, _BLOCK_CELLS // (w + 1))
-    for lo in range(0, reps, step):
-        hi = min(lo + step, reps)
+    for lo, hi in _row_groups(w + 1, reps):
         # the walk from S_prev = 0: every sum but b_win and the suffix is
         # shift-invariant, and those two take S_prev back at the end
         s = np.empty((hi - lo, w + 1))

@@ -143,12 +143,12 @@ class RunConfig:
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
         # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i,
-        # and names one record
+        # and S_{tau+i} of the free walk S_0..S_{n_walk}, and names one record
         offsets = self.lemma_offsets
         if len(set(offsets)) < len(offsets) or not all(
-                1 <= abs(i) <= self.trunc_i for i in offsets):
-            problems.append(f"lemma_offsets: need distinct integers i with 1 <= |i| <= "
-                            f"trunc_i = {self.trunc_i}, got {offsets}")
+                1 <= abs(i) <= min(self.trunc_i, self.n_walk) for i in offsets):
+            problems.append(f"lemma_offsets: need distinct integers i with 1 <= |i| <= trunc_i = "
+                            f"{self.trunc_i} and |i| <= n_walk = {self.n_walk}, got {offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():

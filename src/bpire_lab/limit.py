@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import _BLOCK_CELLS, limit_log_values
+from .bpire import _row_groups, limit_log_values
 from .conditioned import resample_by_weight, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
@@ -222,10 +222,9 @@ def estimate_level_change_prob(alpha: float, rho: float, t1: float, t2: float,
     if delta <= 0 or not 0 < t1 <= t2:
         raise ValueError(f"need delta > 0 and 0 < t1 <= t2, got {delta}, {t1}, {t2}")
     k1, k2 = _grid_index((t1, t2), delta).tolist()
-    rows = max(1, _BLOCK_CELLS // max(k2, 1))
     drops = 0
-    for lo in range(0, reps, rows):
-        w = stable_standard(alpha, rho, (min(rows, reps - lo), k2), rng)
+    for lo, hi in _row_groups(k2, reps):
+        w = stable_standard(alpha, rho, (hi - lo, k2), rng)
         # W is left unscaled: scaling it by c > 0, here delta^{1/alpha},
         # does not change the event that the minimum drops
         np.cumsum(w, axis=1, out=w)

@@ -3,10 +3,14 @@
 Each subcommand draws from named streams derived from the master seed,
 splits replica work into fixed-size blocks, and reduces block results in
 block order, so report content is a pure function of the configuration
-regardless of the worker count. Three samples are drawn once per run and
+regardless of the worker count. Four samples are drawn once per run and
 shared: the free walks (walk-stats, arcsine, lemma1), the gamma sample
-(gamma-dist, theorem1-onedim, theorem1-twodim) and the pre-limit process
-Y of theorem 1 (theorem1-onedim, theorem1-twodim).
+(gamma-dist, theorem1-onedim, theorem1-twodim), the pre-limit process
+Y of theorem 1 (theorem1-onedim, theorem1-twodim) and the series sample
+of the glued limit environment (lemma5, lemma7). The series sample is
+drawn whole in the main process, not in blocks: the two-sided sampler
+resamples its rejection paths by tilt weight within the pool it is
+given, and splitting the pool concentrates the weight on fewer paths.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bpire import (
-    _BLOCK_CELLS,
+    _row_groups,
     _window_cohorts,
     cohort_log_values,
     compute_normalizers,
@@ -93,18 +97,11 @@ def _sigma_distance(mean: float, se: float, target: float) -> float:
     return 0.0 if mean == target else float("inf")
 
 
-def _row_groups(n, count):
-    """Row counts that split ``count`` paths S_0..S_n, in order, into groups
-    of about ``_BLOCK_CELLS`` cells."""
-    rows = max(1, _BLOCK_CELLS // (n + 1))
-    return [min(rows, count - lo) for lo in range(0, count, rows)]
-
-
 def _walk_groups(model, n, count, rng):
     """``count`` free walks S_0..S_n in row groups of about ``_BLOCK_CELLS``
     cells, drawn row-major so the draws match one ``count``-row matrix."""
-    for rows in _row_groups(n, count):
-        yield simulate_walk_matrix(model, n, rows, rng)
+    for lo, hi in _row_groups(n + 1, count):
+        yield simulate_walk_matrix(model, n, hi - lo, rng)
 
 
 def _free_walk_block(count, rng, model, n, offsets):
@@ -123,14 +120,15 @@ def _free_walk_block(count, rng, model, n, offsets):
 
 
 def _cond_series_block(count, rng, model, n, side):
-    """Pre-limit series of the conditioned walk (rejection, exact)."""
-    batch = sample_conditioned_batch(model, n, "rejection", count, rng, side)
+    """Pre-limit series of the conditioned walk (rejection, exact), summed
+    over the batch's own paths: exponentiated and scaled in place."""
+    s = sample_conditioned_batch(model, n, "rejection", count, rng, side).s
     mu = np.asarray(model.draw_rate(rng, (count, n)), dtype=float)
-    if side == "positive":
-        # sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}
-        return (mu * np.exp(-batch.s[:, :n])).sum(axis=1)
-    # sum_{i=1}^{n-1} mu_i e^{S_i}
-    return (mu[:, : n - 1] * np.exp(batch.s[:, 1:n])).sum(axis=1)
+    # positive: sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}; negative: sum_{i=1}^{n-1} mu_i e^{S_i}
+    terms = np.negative(s[:, :n], out=s[:, :n]) if side == "positive" else s[:, 1:n]
+    np.exp(terms, out=terms)
+    terms *= mu[:, : terms.shape[1]]
+    return terms.sum(axis=1)
 
 
 def _ratio_block(count, rng, model, n, i):
@@ -138,9 +136,9 @@ def _ratio_block(count, rng, model, n, i):
     row groups of about ``_BLOCK_CELLS`` cells: each group's steps, then
     its rates."""
     parts = []
-    for group in _row_groups(n, count):
-        s, b_log = compute_normalizers(model.draw_x(rng, (group, n)),
-                                       model.draw_rate(rng, (group, n)))
+    for lo, hi in _row_groups(n + 1, count):
+        s, b_log = compute_normalizers(model.draw_x(rng, (hi - lo, n)),
+                                       model.draw_rate(rng, (hi - lo, n)))
         tau = np.argmin(s, axis=1)
         rows = np.flatnonzero((tau - i >= 0) & (tau + i <= n))
         t = tau[rows]
@@ -205,7 +203,7 @@ class Runner:
         self.cfg = cfg
         self.model = cfg.model()
         self._tables = None
-        self._samples: dict = {}  # free walks, gamma and theorem-1 samples, by key
+        self._samples: dict = {}  # the four shared samples, by key
 
     # -- shared resources ---------------------------------------------------
 
@@ -244,6 +242,26 @@ class Runner:
         gens = {*cfg.horizons, *_twodim_gens(cfg)}
         return self._shared_sample(("theorem1", reps), _ynorm_block, reps, "theorem1",
                                    self.model, tuple(sorted(gens)))
+
+    def series_sample(self, reps: int) -> dict:
+        """Per-row reads of ``reps`` glued environments at half-width
+        ``series_trunc``: the halves of the series Sigma1 (lemma5) and the
+        numerators of the lemma-7 ratios at i = 1. One draw, whole and in
+        this process (see the module docstring); the environment itself is
+        dropped once these are read."""
+        key = ("series", reps)
+        if key not in self._samples:
+            cfg = self.cfg
+            env = sample_two_sided_batch(
+                self.model, cfg.series_trunc, reps,
+                derive_stream(cfg.master_seed, 0, "lemma5-limit"), self.tables)
+            pos, neg = series_terms(env, cfg.series_trunc)
+            self._samples[key] = {
+                "positive": pos.sum(axis=1), "negative": neg.sum(axis=1),
+                "tail_after": pos[:, 1:].sum(axis=1), "head_before": neg[:, 1:].sum(axis=1),
+                "a_after": np.exp(-env.s_star(1)), "a_before": np.exp(-env.s_star(-1)),
+            }
+        return self._samples[key]
 
     def _record(self, name, statistic, threshold, verdict, replicas, **inputs):
         return TestRecord(
@@ -387,16 +405,14 @@ class Runner:
         pre = {side: _cat(_map_blocks(_cond_series_block, reps, cfg,
                                       f"lemma5-pre-{side}", self.model, n, side))
                for side in ("positive", "negative")}
-        env = sample_two_sided_batch(
-            self.model, trunc, reps,
-            derive_stream(cfg.master_seed, 0, "lemma5-limit"), self.tables)
+        lim = self.series_sample(reps)
         return [
             self._versus_limit(
-                f"lemma5/eq-{side}", pre[side], terms.sum(axis=1), reps,
+                f"lemma5/eq-{side}", pre[side], lim[side], reps,
                 f"lemma5_{side}.csv",
                 self._prov("lemma5", side=side, n=n, replicas=reps),
                 n=n, series_trunc=trunc)
-            for side, terms in zip(pre, series_terms(env, trunc))
+            for side in pre
         ]
 
     def run_lemma7(self):
@@ -407,24 +423,15 @@ class Runner:
         trunc = cfg.series_trunc
         pre_parts = _map_blocks(_ratio_block, reps, cfg, "lemma7-pre",
                                 self.model, n, i)
-        env = sample_two_sided_batch(
-            self.model, trunc, reps,
-            derive_stream(cfg.master_seed, 0, "lemma7-limit"), self.tables)
-        pos_terms, neg_terms = series_terms(env, trunc)
-        sigma1 = pos_terms.sum(axis=1) + neg_terms.sum(axis=1)
-        limits = {
-            "tail_after": pos_terms[:, i:].sum(axis=1) / sigma1,
-            "head_before": neg_terms[:, i:].sum(axis=1) / sigma1,
-            "a_after": np.exp(-env.s_star(i)) / sigma1,
-            "a_before": np.exp(-env.s_star(-i)) / sigma1,
-        }
+        lim = self.series_sample(reps)
+        sigma1 = lim["positive"] + lim["negative"]
         return [
             self._versus_limit(
-                f"lemma7/{key}", _cat(pre_parts, key), lim, reps,
+                f"lemma7/{key}", _cat(pre_parts, key), lim[key] / sigma1, reps,
                 f"lemma7_{key}.csv",
                 self._prov("lemma7", ratio=key, n=n, replicas=reps),
                 n=n, offset=i, series_trunc=trunc)
-            for key, lim in limits.items()
+            for key in ("tail_after", "head_before", "a_after", "a_before")
         ]
 
     def _fixed_envs(self):

@@ -79,6 +79,9 @@ def test_config_field_level_messages():
     # each offset writes one record
     with pytest.raises(ConfigError, match="lemma_offsets: need distinct"):
         RunConfig(lemma_offsets=[1, 1])
+    # S_{tau+i} of a walk of n_walk steps exists only for |i| <= n_walk
+    with pytest.raises(ConfigError, match=r"lemma_offsets: .* \|i\| <= n_walk = 4"):
+        RunConfig(n_walk=4, trunc_i=8, lemma_offsets=[-6, 6])
     with pytest.raises(ConfigError, match="rate_params"):
         RunConfig(rate_params=[])
     with pytest.raises(ConfigError, match="rate_params"):
@@ -156,6 +159,28 @@ def test_theorem1_sample_drawn_once(tmp_path, monkeypatch):
     t1, t2 = cfg.t_values
     assert [(n, set(ts)) for n, ts, _ in passes] == [
         (1, {15, 22, math.floor(22 * t1), math.floor(22 * t2)})]
+
+
+def test_series_sample_drawn_once(tmp_path, monkeypatch):
+    # lemma5 and lemma7 read one draw of the glued limit environment at
+    # series_trunc, sized by replicas.lemma5; unequal counts need two draws
+    draws = []
+    sample = runner.sample_two_sided_batch
+
+    def counting(model, I, reps, rng, tables, pos_extra=0):
+        draws.append((I, reps))
+        return sample(model, I, reps, rng, tables, pos_extra)
+
+    monkeypatch.setattr(runner, "sample_two_sided_batch", counting)
+    replicas = tiny_config(tmp_path)["replicas"]
+    for lemma7, expect in ((200, [(8, 200)]), (300, [(8, 200), (8, 300)])):
+        draws.clear()
+        cfg = RunConfig.from_dict(tiny_config(
+            tmp_path, replicas={**replicas, "lemma7": lemma7}))
+        bench = runner.Runner(cfg)
+        for name in ("lemma5", "lemma7"):
+            bench.dispatch(name)
+        assert draws == expect
 
 
 def test_worker_count_invariance(tmp_path):

@@ -39,14 +39,14 @@ GOLDEN = {
         "lemma1_offset-2.csv": "80f6679b726ed64f5c685c7528714d6646c8feacfbf181c2dd839d994a8afa3c",
         "lemma5_negative.csv": "de581f7cd6b86577a89547592e0c5cfa8180c478b46507dfadd46b1114e25e8e",
         "lemma5_positive.csv": "f849603d2b917e04e20cfa3ae2c66990a41671bc84dac9a8fc9d59ca2e90b8a1",
-        "lemma7_a_after.csv": "956bb2cd2eea85ce49659d77acc21b2ad4ab970120d5caf21567d88bb0054657",
-        "lemma7_a_before.csv": "44d67a24356d91fbca00bec450fe19e86b5ed8fcf63b59ab8d683b86ccf8e5a7",
-        "lemma7_head_before.csv": "62933a43ea87359fb3ade0cdfd95cc5c61b876157ade3b8b5fe78cfcbb7b2baa",
-        "lemma7_tail_after.csv": "caf74a3e1ae31891d0da02070113808eda6c861a0d45378a3e3e11173be0cdf3",
+        "lemma7_a_after.csv": "5b7b2da5e7446f5f7ee1634c167555a2b2b1a66ef6f1de84d1e5b68f23554967",
+        "lemma7_a_before.csv": "12de03eb615f292bc44396a56d7a39e0a7a2b00c491b661e9fb697e64dc15ae4",
+        "lemma7_head_before.csv": "26d48d9951daa9f2513032f8882a00307fa5ffc3099de31e953764977aa82e3b",
+        "lemma7_tail_after.csv": "dca333fef239a3fc42e1c3063dc23c225d2bac36917c8394f333fe035374f5f9",
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "a46a78e50d0faf414221531705155cc29a2a832c2f8ecbc68dc7e3835c7e1819",
+        "report.json": "a9e567cd68bacdb480f4b0963eccb3a1f1d9c372445a1f80bfde1557acae1f5a",
         "theorem1_onedim_ecdf.csv": "0806cc5dd809577c0ffe39b8ecae7eecd1249bcba165447419da732e74851cc3",
         "theorem1_twodim_probes.csv": "fd1ac2925839e346d42e2c8868a5e3a59b3a5b33bb915f0f833cee199bd5b5aa",
     },
@@ -61,14 +61,14 @@ GOLDEN = {
         "lemma1_offset-2.csv": "321f09d3a8e806997063d3f7ea56c6f724ee179b2070292089482d70b1a2e67a",
         "lemma5_negative.csv": "c33afef6357e5862724729f3c43737410c68b698860fcf0f5fceca1d24ea432a",
         "lemma5_positive.csv": "4c993e1f4ab9cd38a617f0d8f3f691c561f5ad2d1d3e11db6f47444fa59f83f8",
-        "lemma7_a_after.csv": "3ee029a29426b5a1dcbd182eacd74cfd5062198916a2c45251d2a51c75a8c2af",
-        "lemma7_a_before.csv": "03d1c8c9bf15616cd995f9c5bb5b812850f6c1b8105ab2dd0b875b9bcc3abbfc",
-        "lemma7_head_before.csv": "7634be10890bcb2b1c44924322c5cabc4a18ac03c57e3704b4120117cd15a481",
-        "lemma7_tail_after.csv": "877c6fbdaca5d3f5f76ad037bbb1ef3f3bb4596bc2648c3fc2b8667992cc1cac",
+        "lemma7_a_after.csv": "fcaf54a522992d55392d23af31ad04bb9725e7fade13bf8fcb9b3f7c8b3a2629",
+        "lemma7_a_before.csv": "1f0ebe7857b4f1ceda10cf0ca0121b18fe1014cb18674f84777a68b02ec8cf2d",
+        "lemma7_head_before.csv": "4073d62908f9d9227ec0be3e9896cf01157fde7db22ced5526ffb7beea52cc21",
+        "lemma7_tail_after.csv": "ea1cac62ca670d1dc5d662fb44f956adcbac728909470ec5f77f8f1529cdea6d",
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "7d3e0c1739666169623fe155ff63366380a7b684f7208172cb526bd856253695",
+        "report.json": "face411f6e435beca30fb423cde982db981d906224746db69c79980fbbc9ab08",
         "theorem1_onedim_ecdf.csv": "089fd296c5149f5be1ca73b7eb17dc0f140e6433039eb03b4d06c3e4243c5b95",
         "theorem1_twodim_probes.csv": "d0fd283ffd43a35ec2e155dfd250afcaf7a585ab2b9aa1155bfba0e55d375472",
     },

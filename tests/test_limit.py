@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import cauchy, kstest, levy_stable, norm
 
+import bpire_lab.bpire as bpire
 import bpire_lab.limit as limit
 from bpire_lab.limit import (
     GammaBatch,
@@ -315,7 +316,7 @@ def test_level_change_blocks_match_one_block(monkeypatch):
     # Gaussian increments come off the stream in row order, so blocks of
     # 300 rows (16 full and a last one of 200) count what one block counts
     def estimate(cells):
-        monkeypatch.setattr(limit, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(bpire, "_BLOCK_CELLS", cells)
         return estimate_level_change_prob(2.0, 0.5, 1.0, 2.0, 0.01, 5000,
                                           derive_stream(5, 0, "levy-blocks"))
     assert estimate(300 * 200) == estimate(5000 * 200)

@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from bpire_lab import runner
+from bpire_lab import bpire, runner
+from bpire_lab.conditioned import sample_conditioned_batch
 from bpire_lab.env import EnvironmentModel
 from bpire_lab.limit import stable_standard
 from bpire_lab.runner import _free_walk_block
@@ -189,7 +190,7 @@ def test_walk_groups_match_one_group(monkeypatch, model):
         ratios = runner._ratio_block(40, derive_stream(5, 0, "g"), model, 20, 1)
         return band, walks, ratios
     band, walks, ratios = blocks()
-    monkeypatch.setattr(runner, "_BLOCK_CELLS", 7 * 21)
+    monkeypatch.setattr(bpire, "_BLOCK_CELLS", 7 * 21)
     grouped_band, grouped_walks, grouped_ratios = blocks()
     assert np.array_equal(grouped_band, band)
     assert list(grouped_walks) == list(walks) == ["terminal", "argmin_frac", -2, 1]
@@ -198,3 +199,24 @@ def test_walk_groups_match_one_group(monkeypatch, model):
         "tail_after", "head_before", "a_after", "a_before"]
     assert len(ratios["a_after"]) > 20  # rows whose argmin lies inside [1, 19]
     assert all(np.array_equal(grouped_ratios[k], ratios[k]) for k in ratios)
+
+
+@pytest.mark.parametrize("model", [
+    EnvironmentModel(),
+    EnvironmentModel(x_family="pareto", x_param=1.5, alpha=1.5),
+    EnvironmentModel(rate_family="lognormal", rate_params=(0.0, 0.5)),
+], ids=["normal", "pareto", "lognormal"])
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_cond_series_block_matches_direct_sum(model, side):
+    # the block sums in place over the batch's paths; the same draws summed
+    # from fresh arrays give the same bits
+    n = 30
+    got = runner._cond_series_block(50, derive_stream(6, 0, "c"), model, n, side)
+    rng = derive_stream(6, 0, "c")
+    s = sample_conditioned_batch(model, n, "rejection", 50, rng, side).s
+    mu = np.asarray(model.draw_rate(rng, (50, n)), dtype=float)
+    if side == "positive":
+        want = (mu * np.exp(-s[:, :n])).sum(axis=1)
+    else:
+        want = (mu[:, : n - 1] * np.exp(s[:, 1:n])).sum(axis=1)
+    assert np.array_equal(got, want)
