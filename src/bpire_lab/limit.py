@@ -94,7 +94,8 @@ class TwoSidedBatch:
     is mu*_{i+1}, for i = -origin..width - origin - 1 (``mu`` stops one
     column short of ``s``). S*_i for i >= 0 is the nonnegative walk; for
     i < 0 it is minus the negative walk read backward, S*_i = -S^-_{-i},
-    with mu*_{i+1} = mu^-_{-i}.
+    with mu*_{i+1} = mu^-_{-i}. Under constant rates ``mu`` is a read-only
+    broadcast view of the rate.
     """
 
     s: np.ndarray
@@ -126,7 +127,8 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
     # side's batch is dropped before the next draw, so memory holds one
     # copy of the environment. The draw order fixes the bytes: the
     # positive side's paths and their resample, the same for the negative
-    # side, then the positive and the negative rates.
+    # side, then the positive and the negative rates. Constant rates draw
+    # nothing and are one read-only view of the value.
     s = np.empty((reps, I + hp + 1))
     pos = sample_conditioned_batch(model, hp, "rejection", reps, rng, "positive", tables)
     s[:, I:] = resample_by_weight(pos.s, pos.tilt_weights, reps, rng)
@@ -134,6 +136,9 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
     neg = sample_conditioned_batch(model, I, "rejection", reps, rng, "negative", tables)
     s[:, I - 1::-1] = -resample_by_weight(neg.s, neg.tilt_weights, reps, rng)[:, 1:]
     del neg
+    if model.rate_family == "constant":
+        return TwoSidedBatch(s=s, mu=np.broadcast_to(float(model.draw_rate(rng)), (reps, I + hp)),
+                             origin=I)
     mu = np.empty((reps, I + hp))
     mu[:, I:] = model.draw_rate(rng, (reps, hp))
     mu[:, I - 1::-1] = model.draw_rate(rng, (reps, I))

@@ -11,6 +11,15 @@ of the glued limit environment (lemma5, lemma7). The series sample is
 drawn whole in the main process, not in blocks: the two-sided sampler
 resamples its rejection paths by tilt weight within the pool it is
 given, and splitting the pool concentrates the weight on fewer paths.
+
+With more than one worker, the runner opens one process pool the first
+time a check needs it and shuts it down before ``dispatch`` returns, so
+no worker outlives its check (pending blocks are cancelled when the check
+raises). A check submits all of its blocks first and gathers them after
+its own main-process draws (the series sample, the lemma-1 limit
+environment, the Lévy level, the stable reference of walk-stats), so
+these draws overlap the workers. With one worker the blocks run in this
+process when gathered.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .limit import (
     sample_gamma_batch,
     sample_two_sided_batch,
     series_terms,
+    stable_standard,
 )
 from .report import VERSION, Report, TestRecord, write_csv
 from .stats import ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
@@ -66,20 +76,6 @@ def _run_block(task):
     fn, master_seed, stream_name, block_index, count, args = task
     rng = derive_block_stream(master_seed, block_index, stream_name)
     return fn(count, rng, *args)
-
-
-def _map_blocks(fn, total, cfg: RunConfig, stream_name: str, *args):
-    """Run ``fn(count, rng, *args)`` over fixed replica blocks, in order."""
-    edges = list(range(0, total, _WORK_BLOCK)) + [total]
-    tasks = [
-        (fn, cfg.master_seed, stream_name, bi, hi - lo, args)
-        for bi, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
-        if hi > lo
-    ]
-    if cfg.workers <= 1:
-        return [_run_block(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_run_block, tasks))
 
 
 def _cat(parts, key=None):
@@ -203,7 +199,10 @@ class Runner:
         self.cfg = cfg
         self.model = cfg.model()
         self._tables = None
-        self._samples: dict = {}  # the four shared samples, by key
+        # the four shared samples by key: joined dicts, or the gathers of
+        # submitted blocks until their first read
+        self._samples: dict = {}
+        self._pool = None  # the current check's process pool
 
     # -- shared resources ---------------------------------------------------
 
@@ -215,14 +214,34 @@ class Runner:
                 self.model, rng, budget=self.cfg.ladder_budget)
         return self._tables
 
-    def _shared_sample(self, key, fn, total, stream_name, *args) -> dict:
-        """The block results of ``fn`` joined per key, drawn once per run."""
-        if key not in self._samples:
-            parts = _map_blocks(fn, total, self.cfg, stream_name, *args)
-            self._samples[key] = {k: _cat(parts, k) for k in parts[0]}
-        return self._samples[key]
+    def _blocks(self, fn, total, stream_name, *args):
+        """Submit ``fn(count, rng, *args)`` over fixed replica blocks; returns
+        a callable giving the block results in block order."""
+        cfg = self.cfg
+        tasks = [(fn, cfg.master_seed, stream_name, bi, min(_WORK_BLOCK, total - lo), args)
+                 for bi, lo in enumerate(range(0, total, _WORK_BLOCK))]
+        if cfg.workers <= 1:
+            return lambda: [_run_block(t) for t in tasks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=cfg.workers)
+        futures = [self._pool.submit(_run_block, t) for t in tasks]
+        return lambda: [f.result() for f in futures]
 
-    def free_walks(self) -> dict:
+    def _shared_sample(self, key, fn, total, stream_name, *args):
+        """A callable giving the block results of ``fn`` joined per key. The
+        blocks are submitted at the first request and joined at the first
+        call, once per run."""
+        if key not in self._samples:
+            self._samples[key] = self._blocks(fn, total, stream_name, *args)
+
+        def joined() -> dict:
+            if callable(self._samples[key]):
+                parts = self._samples[key]()
+                self._samples[key] = {k: _cat(parts, k) for k in parts[0]}
+            return self._samples[key]
+        return joined
+
+    def free_walks(self):
         """The ``replicas.walk_stats`` free walks of ``n_walk`` steps that
         walk-stats, arcsine and lemma1 read."""
         cfg = self.cfg
@@ -230,11 +249,11 @@ class Runner:
             "free-walks", _free_walk_block, cfg.replicas["walk_stats"], "walk-stats",
             self.model, cfg.n_walk, tuple(cfg.lemma_offsets))
 
-    def gamma_sample(self, I: int, J: int, reps: int) -> dict:
+    def gamma_sample(self, I: int, J: int, reps: int):
         return self._shared_sample((I, J, reps), _gamma_block, reps, f"gamma/{I}/{J}",
                                    self.model, I, J, self.tables)
 
-    def theorem1_sample(self, reps: int) -> dict:
+    def theorem1_sample(self, reps: int):
         """``reps`` paths of Y by generation, at every horizon and at
         floor(N t) for t in ``t_values``, N = ``horizons[-1]``: the onedim
         horizons and the twodim times of theorem 1 read one pass."""
@@ -298,7 +317,10 @@ class Runner:
 
     def _versus_limit(self, name, pre, lim, replicas, csv_name, prov, **inputs):
         """Pre-limit sample against its limit law: KS record (gate 0.06)
-        plus a CSV of the two ECDFs."""
+        plus a CSV of the two ECDFs; an empty pre-limit sample (lemma1: no
+        walk reaches S_{tau+i}) gives a failed record and no CSV."""
+        if not len(pre):
+            return self._record(name, None, 0.06, False, replicas, **inputs)
         ks = ks_two_sample(pre, lim, threshold=0.06)
         self._ecdf_csv(csv_name, {"pre_limit": (pre, None), "limit": (lim, None)}, prov)
         return self._ks_record(name, ks, replicas, **inputs)
@@ -318,7 +340,11 @@ class Runner:
         cfg = self.cfg
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
-        sn = self.free_walks()["terminal"]
+        walks = self.free_walks()
+        if cfg.x_family != "normal":
+            ref = stable_standard(cfg.alpha, cfg.rho, reps,
+                                  derive_stream(cfg.master_seed, 0, "walk-stats-stable-ref"))
+        sn = walks()["terminal"]
         frac = float(np.mean(sn > 0))
         records = [self._record(
             "walk-stats/sign-fraction", abs(frac - cfg.rho), 0.03,
@@ -331,9 +357,6 @@ class Runner:
             ks = ks_against_cdf(scaled, norm(scale=np.sqrt(2.0)).cdf, threshold=0.02)
             records.append(self._ks_record("walk-stats/terminal-ks-normal", ks, reps, n=n))
         else:
-            from .limit import stable_standard
-            rng = derive_stream(cfg.master_seed, 0, "walk-stats-stable-ref")
-            ref = stable_standard(cfg.alpha, cfg.rho, reps, rng)
             ks = ks_two_sample(scaled, ref, threshold=0.04)
             records.append(self._ks_record("walk-stats/terminal-ks-stable", ks, reps, n=n))
         return records
@@ -342,7 +365,7 @@ class Runner:
         cfg = self.cfg
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
-        vals = self.free_walks()["argmin_frac"]
+        vals = self.free_walks()()["argmin_frac"]
         ks = ks_against_cdf(vals, lambda x: arcsine_cdf(cfg.rho, x), threshold=0.03)
         xs = np.sort(vals)[:: max(1, reps // 2048)]
         write_csv(self.cfg.out_dir, "arcsine_ecdf.csv", {
@@ -384,12 +407,13 @@ class Runner:
         cfg = self.cfg
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
+        walks = self.free_walks()
         env = sample_two_sided_batch(
             self.model, cfg.trunc_i, reps,
             derive_stream(cfg.master_seed, 0, "lemma1-limit"), self.tables)
         records = []
         for i in cfg.lemma_offsets:
-            pre = self.free_walks()[i]
+            pre = walks()[i]
             records.append(self._versus_limit(
                 f"lemma1/offset{i:+d}", pre, env.s_star(i), reps,
                 f"lemma1_offset{i:+d}.csv",
@@ -402,17 +426,17 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["lemma5"]
         trunc = cfg.series_trunc
-        pre = {side: _cat(_map_blocks(_cond_series_block, reps, cfg,
-                                      f"lemma5-pre-{side}", self.model, n, side))
+        pre = {side: self._blocks(_cond_series_block, reps, f"lemma5-pre-{side}",
+                                  self.model, n, side)
                for side in ("positive", "negative")}
         lim = self.series_sample(reps)
         return [
             self._versus_limit(
-                f"lemma5/eq-{side}", pre[side], lim[side], reps,
+                f"lemma5/eq-{side}", _cat(gather()), lim[side], reps,
                 f"lemma5_{side}.csv",
                 self._prov("lemma5", side=side, n=n, replicas=reps),
                 n=n, series_trunc=trunc)
-            for side in pre
+            for side, gather in pre.items()
         ]
 
     def run_lemma7(self):
@@ -421,10 +445,10 @@ class Runner:
         reps = cfg.replicas["lemma7"]
         i = 1
         trunc = cfg.series_trunc
-        pre_parts = _map_blocks(_ratio_block, reps, cfg, "lemma7-pre",
-                                self.model, n, i)
+        pre = self._blocks(_ratio_block, reps, "lemma7-pre", self.model, n, i)
         lim = self.series_sample(reps)
         sigma1 = lim["positive"] + lim["negative"]
+        pre_parts = pre()
         return [
             self._versus_limit(
                 f"lemma7/{key}", _cat(pre_parts, key), lim[key] / sigma1, reps,
@@ -450,20 +474,22 @@ class Runner:
         reps = cfg.replicas["martingale"]
         depths = (1, 5, 20)
         ks = (1, 3, 10)
-        records = []
-        rows = []
+        submitted = []
         for label, env in self._fixed_envs().items():
             s, b_log = compute_normalizers(env.x, env.mu)
             # the first cohort's law over d steps: ln A = -S_d, ln B = b_log[d]
             # of the same steps with unit rates
             _, unit_b_log = compute_normalizers(env.x, np.ones(len(env)))
             at = list(depths)
-            values = np.concatenate(_map_blocks(
-                _cohort_value_block, reps, cfg, f"martingale-cohort-{label}",
-                float(env.mu[0]), -s[at], unit_b_log[at]), axis=1)
-            z = np.concatenate(_map_blocks(
-                _population_at_block, reps, cfg, f"martingale-mean-{label}",
-                env, ks), axis=1)
+            submitted.append((label, env, s, b_log, self._blocks(
+                _cohort_value_block, reps, f"martingale-cohort-{label}",
+                float(env.mu[0]), -s[at], unit_b_log[at]), self._blocks(
+                _population_at_block, reps, f"martingale-mean-{label}", env, ks)))
+        records = []
+        rows = []
+        for label, env, s, b_log, values, z in submitted:
+            values = np.concatenate(values(), axis=1)
+            z = np.concatenate(z(), axis=1)
             # (check, generation, name tag, Monte Carlo sample, exact mean)
             cases = [
                 ("martingale", d, f"depth{d}", values[j], float(env.mu[0]))
@@ -491,6 +517,7 @@ class Runner:
         reps = cfg.replicas["gamma"]
         base = self.gamma_sample(cfg.trunc_i, cfg.trunc_j, reps)
         doubled = self.gamma_sample(2 * cfg.trunc_i, 2 * cfg.trunc_j, reps)
+        base, doubled = base(), doubled()
         ks = ks_two_sample(base["gamma"], doubled["gamma"], threshold=0.05)
         min_sigma1 = float(min(base["sigma1"].min(), doubled["sigma1"].min()))
         records = [
@@ -509,9 +536,9 @@ class Runner:
     def run_theorem1_onedim(self):
         cfg = self.cfg
         reps = cfg.replicas["onedim"]
-        gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j,
-                                  cfg.replicas["gamma"])["gamma"]
+        gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j, cfg.replicas["gamma"])
         sample = self.theorem1_sample(reps)
+        gamma, sample = gamma()["gamma"], sample()
         stats = []
         records = []
         csv_cols = {}
@@ -537,8 +564,13 @@ class Runner:
         reps = cfg.replicas["twodim"]
         t1, t2 = float(cfg.t_values[0]), float(cfg.t_values[1])
         n = int(cfg.horizons[-1])
-        gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j,
-                                  cfg.replicas["gamma"])["gamma"]
+        # near-tie band of the two-segment minima under the walk scaling
+        n_band = cfg.n_walk
+        k1 = int(np.floor(n_band * t1))
+        k2 = int(np.floor(n_band * t2))
+        gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j, cfg.replicas["gamma"])
+        sample = self.theorem1_sample(reps)
+        band = self._blocks(_band_block, cfg.replicas["band"], "band", self.model, k1, k2)
 
         p_hat = estimate_level_change_prob(
             cfg.alpha, cfg.rho, t1, t2, cfg.delta(),
@@ -550,9 +582,8 @@ class Runner:
             abs(p_hat - p_exact) <= 0.03, cfg.replicas["level_change"],
             estimate=p_hat, analytic=p_exact, t1=t1, t2=t2)]
 
-        sample = self.theorem1_sample(reps)
-        y1, y2 = (sample[k] for k in _twodim_gens(cfg))
-        jt = joint_two_time_test(y1, y2, gamma, p_hat, threshold=0.05)
+        y1, y2 = (sample()[k] for k in _twodim_gens(cfg))
+        jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_hat, threshold=0.05)
         records.append(self._record(
             "theorem1-twodim/joint-mixture", jt.max_discrepancy, jt.threshold,
             jt.passed, reps, n=n, level_change_prob=p_hat))
@@ -561,12 +592,7 @@ class Runner:
             "predicted": jt.predicted, "observed": jt.observed,
         }, self._prov("theorem1-twodim", n=n, replicas=reps))
 
-        # near-tie band of the two-segment minima under the walk scaling
-        n_band = cfg.n_walk
-        k1 = int(np.floor(n_band * t1))
-        k2 = int(np.floor(n_band * t2))
-        diffs = _cat(_map_blocks(_band_block, cfg.replicas["band"], cfg, "band",
-                                 self.model, k1, k2))
+        diffs = _cat(band())
         c_n = self.model.normalizer(n_band)
         fracs = [float(np.mean(diffs <= e * c_n)) for e in cfg.band_eps]
         decreasing = all(b <= a for a, b in zip(fracs, fracs[1:]))
@@ -590,7 +616,16 @@ class Runner:
     def dispatch(self, subcommand: str):
         if subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
-        return getattr(self, "run_" + subcommand.replace("-", "_"))()
+        try:
+            return getattr(self, "run_" + subcommand.replace("-", "_"))()
+        finally:
+            # no worker outlives its check, so its CPU time and memory are
+            # reaped with it; a raising check cancels its pending blocks
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
+            # a sample submitted but never joined is drawn again when asked
+            self._samples = {k: v for k, v in self._samples.items() if not callable(v)}
 
 
 def run(subcommand: str, cfg: RunConfig) -> Report:

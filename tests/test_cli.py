@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -193,6 +194,80 @@ def test_worker_count_invariance(tmp_path):
     text1 = open(os.path.join(cfg1.out_dir, "report.json")).read()
     text2 = open(os.path.join(cfg2.out_dir, "report.json")).read()
     assert text1 == text2  # byte-identical regardless of worker count
+
+
+def test_worker_count_invariance_all(tmp_path):
+    # every check, and every file it writes, is the same on one worker and
+    # on a pool of two
+    base = tiny_config(tmp_path)
+    base.pop("out_dir")
+    outs = []
+    for workers in (1, 2):
+        cfg = RunConfig.from_dict({**base, "workers": workers,
+                                   "out_dir": str(tmp_path / f"w{workers}")})
+        run("all", cfg)
+        outs.append(cfg.out_dir)
+    names = sorted(os.listdir(outs[0]))
+    assert "report.json" in names and sum(n.endswith(".csv") for n in names) >= 10
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        with open(os.path.join(outs[0], name), "rb") as a, \
+                open(os.path.join(outs[1], name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_dispatch_leaves_no_workers(tmp_path, monkeypatch):
+    # martingale submits its six block calls to one pool, which is shut
+    # down before dispatch returns
+    made = []
+
+    class Counting(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Counting)
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path, workers=2)))
+    assert len(bench.dispatch("martingale")) == 18
+    assert made == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+    bench.dispatch("validate-env")  # no block work: no pool
+    assert len(made) == 1
+
+
+def _raising_walks(model, n, reps, rng):
+    raise RuntimeError("block failed")
+
+
+def test_raising_block_leaves_no_workers(tmp_path, monkeypatch):
+    # a block that raises in a worker fails its check, and the pool is still
+    # shut down; the unjoined sample is drawn again when next asked for
+    monkeypatch.setattr(runner, "simulate_walk_matrix", _raising_walks)
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path, workers=2)))
+    with pytest.raises(RuntimeError, match="block failed"):
+        bench.dispatch("walk-stats")
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert len(bench.dispatch("arcsine")) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_lemma1_offset_without_rows_fails(tmp_path, capsys):
+    # offset +64 needs the argmin of a 64-step walk at 0; none of the ten
+    # walks at seed 1 has it, so the offset fails without a KS or a CSV
+    fields = {"n_walk": 64, "trunc_i": 64, "lemma_offsets": [64, 1],
+              "replicas": {"walk_stats": 10}}
+    path = write_config(tmp_path, **fields)
+    assert main(["lemma1", "--config", path, "--seed", "1"]) == 1
+    out = tmp_path / "out"
+    records = json.loads((out / "report.json").read_text())["records"]
+    empty, kept = records
+    assert empty["name"] == "lemma1/offset+64" and empty["verdict"] is False
+    assert empty["statistic"] is None and empty["inputs"]["kept"] == 0
+    assert kept["name"] == "lemma1/offset+1" and kept["inputs"]["kept"] > 0
+    assert not (out / "lemma1_offset+64.csv").exists()
+    assert (out / "lemma1_offset+1.csv").exists()
+    assert "FAIL lemma1/offset+64 threshold=0.06" in capsys.readouterr().out
 
 
 def test_csv_provenance_headers(tmp_path):

@@ -253,6 +253,32 @@ def test_series_terms_match_star_sequence(std_model, std_tables, rng):
         assert np.allclose(neg[:, j], _mu_star(env, i + 1) * np.exp(-env.s_star(i)))
 
 
+def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch):
+    # constant rates draw nothing: mu is one broadcast view of the rate, and
+    # the readers give the same numbers as from a materialized matrix
+    env = sample_two_sided_batch(std_model, 4, 50, derive_stream(3, 0, "mu"), std_tables,
+                                 pos_extra=3)
+    assert not env.mu.flags.writeable and env.mu.shape == (50, 4 + 7)
+    full = TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
+    assert full.mu.flags.writeable
+    for got, want in zip(series_terms(env, 4), series_terms(full, 4)):
+        assert np.array_equal(got, want)
+
+    sample = limit.sample_two_sided_batch
+
+    def materialized(*args, **kwargs):
+        env = sample(*args, **kwargs)
+        return TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
+
+    view = sample_gamma_batch(std_model, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
+                              tables=std_tables)
+    monkeypatch.setattr(limit, "sample_two_sided_batch", materialized)
+    full = sample_gamma_batch(std_model, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
+                              tables=std_tables)
+    for key in ("sigma1", "sigma2", "gamma"):
+        assert np.array_equal(getattr(view, key), getattr(full, key))
+
+
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
     batch = sample_gamma_batch(std_model, 4, 4, reps=50, rng=rng, tables=std_tables)
     path = write_csv(str(tmp_path), "gamma.csv", {

@@ -1,11 +1,22 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_cli import tiny_config
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "verdict_sweep.py"
+WORKLOADS = TOOL.parent.parent / "perfbench" / "workloads.json"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("verdict_sweep", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_verdict_sweep_maps_failed_verdicts_to_seeds(tmp_path):
@@ -21,3 +32,25 @@ def test_verdict_sweep_maps_failed_verdicts_to_seeds(tmp_path):
     assert out.stdout.count("\n") == 1
     # the runs write to a temporary directory, not to the config's out_dir
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["pareto-2w", "limit-law"])
+def test_verdict_sweep_reads_benchmark_workload(name):
+    # --workload takes the workload's config and checks as the benchmark
+    # has them, without running a check
+    tool = _tool()
+    spec = json.loads(WORKLOADS.read_text())["workloads"][name]
+    args = tool.argparse.Namespace(workload=name, config=None, checks=None, seeds=[0])
+    assert tool.resolve(args) == (spec["config"], spec["checks"])
+    args.checks = ["lemma5"]
+    assert tool.resolve(args) == (spec["config"], ["lemma5"])
+
+
+def test_verdict_sweep_needs_checks_or_workload(tmp_path):
+    out = subprocess.run([sys.executable, str(TOOL), "--seeds", "0"],
+                         capture_output=True, text=True)
+    assert out.returncode != 0 and "--checks is required" in out.stderr
+    out = subprocess.run([sys.executable, str(TOOL), "--workload", "pareto-2w",
+                          "--config", str(tmp_path / "c.json"), "--seeds", "0"],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and "not allowed with argument" in out.stderr

@@ -9,8 +9,13 @@ directory that is removed afterwards.
 Usage (from the root of a checkout):
 
     python3 tools/verdict_sweep.py [--config CONFIG.json] --checks CHECK ... --seeds S ...
+    python3 tools/verdict_sweep.py --workload NAME --seeds S ...
 
-Without ``--config`` the package defaults are used. Prints one JSON line
+Without ``--config`` the package defaults are used. ``--workload`` reads
+the config and the checks of a benchmark workload from
+``perfbench/workloads.json``, so ``--workload pareto-2w --seeds 0 1 2 3
+4 5 6 7 8 9`` gives the failed verdicts of that workload's BENCH seeds
+(``--checks`` overrides its checks). Prints one JSON line
 that maps each failed verdict to the seeds at which it failed, e.g.
 ``{"lemma5/eq-negative": [2]}``; ``{}`` when nothing failed.
 """
@@ -29,6 +34,22 @@ from bpire_lab.config import RunConfig  # noqa: E402
 from bpire_lab.runner import Runner  # noqa: E402
 
 BASE_SEED = 20260809
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+
+
+def resolve(args) -> tuple:
+    """The config dict and the checks that the arguments name."""
+    data, checks = {}, args.checks
+    if args.workload:
+        with open(WORKLOADS, encoding="utf-8") as fh:
+            spec = json.load(fh)["workloads"][args.workload]
+        data, checks = spec["config"], checks or spec["checks"]
+    elif args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not checks:
+        raise SystemExit("verdict_sweep: --checks is required without --workload")
+    return data, checks
 
 
 def sweep(data: dict, checks, seeds) -> dict:
@@ -47,15 +68,14 @@ def sweep(data: dict, checks, seeds) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", help="a RunConfig JSON file (default: package defaults)")
-    parser.add_argument("--checks", nargs="+", required=True)
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="a RunConfig JSON file (default: package defaults)")
+    source.add_argument("--workload", help="a workload of perfbench/workloads.json")
+    parser.add_argument("--checks", nargs="+")
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     args = parser.parse_args(argv)
-    data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    print(json.dumps(sweep(data, args.checks, args.seeds), sort_keys=True))
+    data, checks = resolve(args)
+    print(json.dumps(sweep(data, checks, args.seeds), sort_keys=True))
     return 0
 
 
