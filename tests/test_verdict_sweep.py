@@ -49,7 +49,7 @@ def test_verdict_sweep_reads_benchmark_workload(name):
 def test_verdict_sweep_needs_checks_or_workload(tmp_path):
     out = subprocess.run([sys.executable, str(TOOL), "--seeds", "0"],
                          capture_output=True, text=True)
-    assert out.returncode != 0 and "--checks is required" in out.stderr
+    assert out.returncode == 2 and "--checks is required" in out.stderr
     out = subprocess.run([sys.executable, str(TOOL), "--workload", "pareto-2w",
                           "--config", str(tmp_path / "c.json"), "--seeds", "0"],
                          capture_output=True, text=True)

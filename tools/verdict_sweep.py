@@ -47,8 +47,6 @@ def resolve(args) -> tuple:
     elif args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    if not checks:
-        raise SystemExit("verdict_sweep: --checks is required without --workload")
     return data, checks
 
 
@@ -74,6 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("--checks", nargs="+")
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     args = parser.parse_args(argv)
+    if not (args.checks or args.workload):
+        parser.error("--checks is required without --workload")
     data, checks = resolve(args)
     print(json.dumps(sweep(data, checks, args.seeds), sort_keys=True))
     return 0
