@@ -437,8 +437,7 @@ def simulate_normalized_at(model, n: int, ts, reps: int,
             w = min(k - prev, _MAX_WINDOW)
             # the draw order fixes the bytes: the steps, then the rates, one call each
             s_k, suffix, new_lin, new_log, b_win = _window_cohorts(
-                s_prev, model.draw_x(rng, (reps, w)),
-                np.asarray(model.draw_rate(rng, (reps, w)), dtype=float), rng)
+                s_prev, model.draw_x(rng, (reps, w)), model.draw_rate(rng, (reps, w)), rng)
             b_log = np.logaddexp(b_log, b_win)
             if prev > 0:
                 c_lin, c_log = _carried_counts(z_lin, z_log, s_prev - s_k, s_prev + suffix, rng)

@@ -5,28 +5,26 @@ side: the plain conditional law given {min_{0<=i<=n} S_i >= 0}, and the
 renewal-reweighted law whose density against the conditional one is
 proportional to v(S_n). The first is what a finite-n conditioning event
 produces; the second is the harmonic-transform measure that the limiting
-environment obeys, and it is consistent across horizons. Every batch
-returned here carries both faces: equal-weight paths plus a weight
-vector converting one face into the other by self-normalized importance
-weighting.
+environment obeys, and it is consistent across horizons. A batch is a
+pair (paths, weights): equal-weight paths drawn from the method's native
+face, and a weight vector converting them into the other face by
+self-normalized importance weighting.
 
 Methods:
 
 * ``rejection`` -- resimulate free walks until the conditioning event
-  holds; paths are exact draws from the conditional law, and
-  ``tilt_weights`` (proportional to v(S_n), resp. u(-S_n)) give the
-  reweighted law.
+  holds; paths are exact draws from the conditional law, and the weights
+  (proportional to v(S_n), resp. u(-S_n)) give the reweighted law.
 * ``h-transform`` -- sequential importance sampling whose running weight
   after step k is proportional to v(S_k) on surviving paths, with
   systematic resampling; particles are equal-weight draws from the
-  reweighted law, and ``cond_weights`` (proportional to 1/v(S_n))
-  recover the conditional law.
+  reweighted law, and the weights (proportional to 1/v(S_n)) recover the
+  conditional law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .env import EnvironmentModel
 from .ladder import LadderTables
 
 __all__ = [
-    "ConditionedSample",
     "RejectionExhausted",
     "sample_conditioned_batch",
     "resample_by_weight",
@@ -45,27 +42,6 @@ REJECTION_CAP = 1_000_000  # free-path attempts allowed per accepted path
 
 class RejectionExhausted(RuntimeError):
     """Raised when rejection sampling exceeds its attempt budget."""
-
-
-@dataclass
-class ConditionedSample:
-    """A batch of conditioned paths with both measure faces.
-
-    ``s`` holds the paths (rows are S_0..S_n). The path rows are
-    equal-weight draws from the method's native law: the conditional law
-    for ``rejection``, the renewal-reweighted law for ``h-transform``.
-    ``cond_weights`` and ``tilt_weights`` are normalized importance
-    weights producing the conditional and reweighted faces respectively;
-    the native face has uniform weights.
-    """
-
-    s: np.ndarray
-    cond_weights: np.ndarray
-    tilt_weights: np.ndarray | None
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.s[:, -1]
 
 
 def _harmonic(tables: LadderTables, side: str):
@@ -173,11 +149,13 @@ def _h_flow(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator
 
 def sample_conditioned_batch(model: EnvironmentModel, n: int, method: str,
                              reps: int, rng: np.random.Generator, side: str,
-                             tables: LadderTables | None = None) -> ConditionedSample:
+                             tables: LadderTables | None = None):
     """Draw ``reps`` conditioned paths at horizon ``n``.
 
-    ``tables`` may be omitted for rejection, in which case the sample
-    carries no reweighted face.
+    Returns (paths, weights): rows S_0..S_n, equal-weight draws from the
+    method's native face, and normalized weights giving the other face
+    (see the module docstring). ``tables`` may be omitted for rejection,
+    in which case the weights are None.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -185,20 +163,17 @@ def sample_conditioned_batch(model: EnvironmentModel, n: int, method: str,
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
     if method == "rejection":
         s = _rejection(model, n, reps, rng, side)
-        cond = np.full(reps, 1.0 / reps)
-        tilt = None
-        if tables is not None:
-            w = _harmonic(tables, side)(s[:, -1])
-            tilt = w / w.sum()
-        return ConditionedSample(s=s, cond_weights=cond, tilt_weights=tilt)
-    if method == "h-transform":
+        if tables is None:
+            return s, None
+        w = _harmonic(tables, side)(s[:, -1])
+    elif method == "h-transform":
         if tables is None:
             raise ValueError("h-transform sampling requires ladder tables")
         s = _h_flow(model, n, reps, rng, side, tables)
         w = 1.0 / _harmonic(tables, side)(s[:, -1])
-        return ConditionedSample(s=s, cond_weights=w / w.sum(),
-                                 tilt_weights=np.full(reps, 1.0 / reps))
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return s, w / w.sum()
 
 
 def resample_by_weight(values: np.ndarray, weights: np.ndarray, reps: int,

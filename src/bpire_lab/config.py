@@ -129,13 +129,18 @@ class RunConfig:
         if self.n_small < 1:
             problems.append(f"n_small: must be >= 1, got {self.n_small}")
         # theorem1-twodim reads Y at generations floor(N t) of these two times,
-        # N = horizons[-1], and delta() scales with the last
+        # N = horizons[-1], splits its band walk at floor(n_walk t), and
+        # delta() scales with the last
         ts = list(self.t_values)
         if len(ts) != 2 or ts[0] <= 0 or ts[1] <= ts[0]:
             problems.append(f"t_values: need exactly two strictly increasing positives, got {ts}")
-        elif self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
-            problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
-                            f"with horizons[-1] = {self.horizons[-1]}")
+        else:
+            if self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
+                problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
+                                f"with horizons[-1] = {self.horizons[-1]}")
+            if math.floor(self.n_walk * ts[0]) < 1:
+                problems.append(f"t_values: need floor(n_walk * t1) >= 1, got t1 = {ts[0]} "
+                                f"with n_walk = {self.n_walk}")
         eps = self.band_eps
         # the band fractions must fall as eps does, and the last one is gated
         if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):

@@ -1,7 +1,7 @@
 """Parametric i.i.d. random-environment families.
 
 One environment step is a pair (offspring law, immigration law), carried
-in array form as the pair (x, mu) of ``EnvSteps``. The offspring law is
+in array form as a pair of arrays (x, mu) of one shape. The offspring law is
 fractional-linear (geometric on {0,1,...} with success parameter q), so
 its log conditional mean is x = ln((1-q)/q) and sums of offspring can be
 drawn as single negative-binomial variates. Immigration is Poisson, so
@@ -26,15 +26,13 @@ the slowly varying part constant for both shipped families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EnvironmentModel",
-    "EnvSteps",
     "ValidationCheck",
-    "ValidationReport",
     "InvalidModelError",
     "check_stable_params",
     "validate_model",
@@ -66,17 +64,6 @@ def check_stable_params(alpha: float, rho: float) -> None:
         raise ValueError(
             f"alpha={alpha} requires rho in [{1 - 1/alpha:.4f}, {1/alpha:.4f}]"
         )
-
-
-@dataclass(frozen=True)
-class EnvSteps:
-    """A batch of realized steps in array form (the sampler workhorse)."""
-
-    x: np.ndarray
-    mu: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -125,10 +112,11 @@ class EnvironmentModel:
             return x
         raise InvalidModelError(f"unknown x family {self.x_family!r}")
 
-    def draw_rate(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def draw_rate(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Rates of shape ``size``; constant rates draw nothing and are one
+        read-only view of the value."""
         if self.rate_family == "constant":
-            value = self.rate_params[0]
-            return np.full(size, value) if size is not None else value
+            return np.broadcast_to(float(self.rate_params[0]), size)
         if self.rate_family == "lognormal":
             m, s = self.rate_params
             return np.exp(rng.normal(m, s, size))
@@ -167,16 +155,7 @@ class ValidationCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def validate_model(model: EnvironmentModel, strict: bool = False) -> ValidationReport:
+def validate_model(model: EnvironmentModel, strict: bool = False) -> list:
     """Check a model against the structural hypotheses.
 
     Confirms finite positive offspring/immigration means by construction,
@@ -185,8 +164,8 @@ def validate_model(model: EnvironmentModel, strict: bool = False) -> ValidationR
     two-sided), and the moment condition E(ln^+ mu)^{alpha+eps} < inf,
     which holds analytically for constant and lognormal rates.
 
-    With ``strict=True`` raises :class:`InvalidModelError` on any failing
-    check instead of returning the report.
+    Returns the list of :class:`ValidationCheck`. With ``strict=True``
+    raises :class:`InvalidModelError` on any failing check instead.
     """
     checks: list[ValidationCheck] = []
 
@@ -227,8 +206,7 @@ def validate_model(model: EnvironmentModel, strict: bool = False) -> ValidationR
         add("moment condition", ok,
             "ln^+ of a lognormal rate is a truncated normal: all moments finite")
 
-    report = ValidationReport(checks=checks)
-    if strict and not report.ok:
-        failed = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
+    failed = "; ".join(f"{c.name}: {c.detail}" for c in checks if not c.passed)
+    if strict and failed:
         raise InvalidModelError(failed)
-    return report
+    return checks

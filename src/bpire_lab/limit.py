@@ -29,7 +29,6 @@ from .ladder import LadderTables
 
 __all__ = [
     "TwoSidedBatch",
-    "GammaBatch",
     "stable_standard",
     "sample_two_sided_batch",
     "series_terms",
@@ -130,15 +129,12 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
     # side, then the positive and the negative rates. Constant rates draw
     # nothing and are one read-only view of the value.
     s = np.empty((reps, I + hp + 1))
-    pos = sample_conditioned_batch(model, hp, "rejection", reps, rng, "positive", tables)
-    s[:, I:] = resample_by_weight(pos.s, pos.tilt_weights, reps, rng)
-    del pos
-    neg = sample_conditioned_batch(model, I, "rejection", reps, rng, "negative", tables)
-    s[:, I - 1::-1] = -resample_by_weight(neg.s, neg.tilt_weights, reps, rng)[:, 1:]
-    del neg
+    s[:, I:] = resample_by_weight(*sample_conditioned_batch(
+        model, hp, "rejection", reps, rng, "positive", tables), reps, rng)
+    s[:, I - 1::-1] = -resample_by_weight(*sample_conditioned_batch(
+        model, I, "rejection", reps, rng, "negative", tables), reps, rng)[:, 1:]
     if model.rate_family == "constant":
-        return TwoSidedBatch(s=s, mu=np.broadcast_to(float(model.draw_rate(rng)), (reps, I + hp)),
-                             origin=I)
+        return TwoSidedBatch(s=s, mu=model.draw_rate(rng, (reps, I + hp)), origin=I)
     mu = np.empty((reps, I + hp))
     mu[:, I:] = model.draw_rate(rng, (reps, hp))
     mu[:, I - 1::-1] = model.draw_rate(rng, (reps, I))
@@ -177,16 +173,10 @@ def _glued_tails(env: TwoSidedBatch, I: int, J: int):
     return s[:, :2 * I], env.mu[:, o - I:o + I], t_log[:, :2 * I]
 
 
-@dataclass
-class GammaBatch:
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    gamma: np.ndarray
-
-
 def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
-                       rng: np.random.Generator, tables: LadderTables) -> GammaBatch:
-    """Draw ``reps`` truncated (Sigma1, Sigma2, gamma) realizations.
+                       rng: np.random.Generator, tables: LadderTables) -> dict:
+    """Draw ``reps`` truncated (Sigma1, Sigma2, gamma) realizations, keyed
+    ``sigma1``, ``sigma2`` and ``gamma``.
 
     Sigma1 sums t_i = mu*_{i+1} e^{-S*_i} and Sigma2 sums zeta*_i e^{-S*_i}
     over i in [-I, I-1]. Each zeta*_i is the martingale limit of cohort
@@ -202,7 +192,7 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
     s_i, mu, t_log = _glued_tails(env, I, J)
     # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
     sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)
-    return GammaBatch(sigma1=sigma1, sigma2=sigma2, gamma=sigma2 / sigma1)
+    return {"sigma1": sigma1, "sigma2": sigma2, "gamma": sigma2 / sigma1}
 
 
 def _grid_index(ts, delta: float) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Experiment orchestration: the verification subcommands.
 
 Each subcommand draws from named streams derived from the master seed,
-splits replica work into fixed-size blocks, and reduces block results in
-block order, so report content is a pure function of the configuration
-regardless of the worker count. Four samples are drawn once per run and
+splits replica work into fixed-size blocks, and joins block results in
+block order (``_join``: per key for dicts, along the last axis for
+arrays), so report content is a pure function of the configuration
+regardless of the worker count. Every gate lives here: the samplers and
+statistics return plain values, and each record's verdict is decided
+where the record is made. Four samples are drawn once per run and
 shared: the free walks (walk-stats, arcsine, lemma1), the gamma sample
 (gamma-dist, theorem1-onedim, theorem1-twodim), the pre-limit process
 Y of theorem 1 (theorem1-onedim, theorem1-twodim) and the series sample
@@ -37,7 +40,7 @@ from .bpire import (
 )
 from .conditioned import sample_conditioned_batch
 from .config import RunConfig
-from .env import EnvSteps, validate_model
+from .env import validate_model
 from .ladder import estimate_ladder_tables, save_ladder_tables
 from .limit import (
     estimate_level_change_prob,
@@ -78,10 +81,12 @@ def _run_block(task):
     return fn(count, rng, *args)
 
 
-def _cat(parts, key=None):
-    if key is None:
-        return np.concatenate(parts)
-    return np.concatenate([p[key] for p in parts])
+def _join(parts):
+    """Block or row-group results joined in order: per key for dicts,
+    along the last axis for arrays."""
+    if isinstance(parts[0], dict):
+        return {key: _join([p[key] for p in parts]) for key in parts[0]}
+    return np.concatenate(parts, axis=-1)
 
 
 def _sigma_distance(mean: float, se: float, target: float) -> float:
@@ -112,14 +117,14 @@ def _free_walk_block(count, rng, model, n, offsets):
             rows = np.flatnonzero((tau + i >= 0) & (tau + i <= n))
             part[i] = s[rows, tau[rows] + i] - s[rows, tau[rows]]
         parts.append(part)
-    return {key: _cat(parts, key) for key in parts[0]}
+    return _join(parts)
 
 
 def _cond_series_block(count, rng, model, n, side):
     """Pre-limit series of the conditioned walk (rejection, exact), summed
     over the batch's own paths: exponentiated and scaled in place."""
-    s = sample_conditioned_batch(model, n, "rejection", count, rng, side).s
-    mu = np.asarray(model.draw_rate(rng, (count, n)), dtype=float)
+    s = sample_conditioned_batch(model, n, "rejection", count, rng, side)[0]
+    mu = model.draw_rate(rng, (count, n))
     # positive: sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}; negative: sum_{i=1}^{n-1} mu_i e^{S_i}
     terms = np.negative(s[:, :n], out=s[:, :n]) if side == "positive" else s[:, 1:n]
     np.exp(terms, out=terms)
@@ -145,13 +150,13 @@ def _ratio_block(count, rng, model, n, i):
             "a_after": np.exp(-s[rows, t + i] - bn),
             "a_before": np.exp(-s[rows, t - i] - bn),
         })
-    return {key: _cat(parts, key) for key in parts[0]}
+    return _join(parts)
 
 
 def _band_block(count, rng, model, k1, k2):
     """|min over [0,k1] - min over [k1,k2]| of the free walk."""
-    return np.concatenate([np.abs(s[:, : k1 + 1].min(axis=1) - s[:, k1: k2 + 1].min(axis=1))
-                           for s in _walk_groups(model, k2, count, rng)])
+    return _join([np.abs(s[:, : k1 + 1].min(axis=1) - s[:, k1: k2 + 1].min(axis=1))
+                  for s in _walk_groups(model, k2, count, rng)])
 
 
 def _ynorm_block(count, rng, model, gens):
@@ -168,8 +173,7 @@ def _twodim_gens(cfg):
 
 
 def _gamma_block(count, rng, model, I, J, tables):
-    g = sample_gamma_batch(model, I, J, reps=count, rng=rng, tables=tables)
-    return {"sigma1": g.sigma1, "sigma2": g.sigma2, "gamma": g.gamma}
+    return sample_gamma_batch(model, I, J, reps=count, rng=rng, tables=tables)
 
 
 def _cohort_value_block(count, rng, mu, a_log, b_log):
@@ -179,12 +183,13 @@ def _cohort_value_block(count, rng, mu, a_log, b_log):
     return np.exp(cohort_log_values(mu, a_log[:, None], b_log[:, None], rng))
 
 
-def _population_at_block(count, rng, env, ks):
-    """Population sizes Z_k from Z_0 = 0 under a fixed environment, one
-    row per k, each drawn as the sum of its immigrant cohorts."""
+def _population_at_block(count, rng, x, mu, ks):
+    """Population sizes Z_k from Z_0 = 0 under the fixed environment
+    (``x``, ``mu``), one row per k, each drawn as the sum of its immigrant
+    cohorts."""
     return np.array([
-        _window_cohorts(np.zeros(count), np.broadcast_to(env.x[:k], (count, k)),
-                        np.broadcast_to(env.mu[:k], (count, k)), rng)[2]
+        _window_cohorts(np.zeros(count), np.broadcast_to(x[:k], (count, k)),
+                        np.broadcast_to(mu[:k], (count, k)), rng)[2]
         for k in ks
     ])
 
@@ -216,28 +221,27 @@ class Runner:
 
     def _blocks(self, fn, total, stream_name, *args):
         """Submit ``fn(count, rng, *args)`` over fixed replica blocks; returns
-        a callable giving the block results in block order."""
+        a callable giving the block results joined in block order."""
         cfg = self.cfg
         tasks = [(fn, cfg.master_seed, stream_name, bi, min(_WORK_BLOCK, total - lo), args)
                  for bi, lo in enumerate(range(0, total, _WORK_BLOCK))]
         if cfg.workers <= 1:
-            return lambda: [_run_block(t) for t in tasks]
+            return lambda: _join([_run_block(t) for t in tasks])
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=cfg.workers)
         futures = [self._pool.submit(_run_block, t) for t in tasks]
-        return lambda: [f.result() for f in futures]
+        return lambda: _join([f.result() for f in futures])
 
     def _shared_sample(self, key, fn, total, stream_name, *args):
-        """A callable giving the block results of ``fn`` joined per key. The
-        blocks are submitted at the first request and joined at the first
-        call, once per run."""
+        """A callable giving the joined block results of ``fn``. The blocks
+        are submitted at the first request and joined at the first call,
+        once per run."""
         if key not in self._samples:
             self._samples[key] = self._blocks(fn, total, stream_name, *args)
 
         def joined() -> dict:
             if callable(self._samples[key]):
-                parts = self._samples[key]()
-                self._samples[key] = {k: _cat(parts, k) for k in parts[0]}
+                self._samples[key] = self._samples[key]()
             return self._samples[key]
         return joined
 
@@ -293,10 +297,11 @@ class Runner:
             inputs=inputs,
         )
 
-    def _ks_record(self, name, ks, replicas, **inputs):
-        """A KS statistic gated by its own threshold (none: report only)."""
-        verdict = None if ks.threshold is None else ks.passed
-        return self._record(name, ks.statistic, ks.threshold, verdict, replicas, **inputs)
+    def _ks_record(self, name, ks, threshold, replicas, **inputs):
+        """A KS statistic against its gate: it passes at or below
+        ``threshold``, and with no gate it is only reported."""
+        verdict = None if threshold is None else ks.statistic <= threshold
+        return self._record(name, ks.statistic, threshold, verdict, replicas, **inputs)
 
     def _prov(self, subcommand: str, **extra) -> dict:
         prov = {"subcommand": subcommand, "version": VERSION,
@@ -321,16 +326,15 @@ class Runner:
         walk reaches S_{tau+i}) gives a failed record and no CSV."""
         if not len(pre):
             return self._record(name, None, 0.06, False, replicas, **inputs)
-        ks = ks_two_sample(pre, lim, threshold=0.06)
+        ks = ks_two_sample(pre, lim)
         self._ecdf_csv(csv_name, {"pre_limit": (pre, None), "limit": (lim, None)}, prov)
-        return self._ks_record(name, ks, replicas, **inputs)
+        return self._ks_record(name, ks, 0.06, replicas, **inputs)
 
     # -- subcommands ----------------------------------------------------------
 
     def run_validate_env(self):
-        report = validate_model(self.model)
         records = []
-        for c in report.checks:
+        for c in validate_model(self.model):
             rec = self._record(f"validate-env/{c.name}", None, None, c.passed, 0)
             rec.detail = c.detail
             records.append(rec)
@@ -354,11 +358,11 @@ class Runner:
         if cfg.x_family == "normal":
             from scipy.stats import norm
             # the standard stable law at alpha = 2 is Normal(0, 2)
-            ks = ks_against_cdf(scaled, norm(scale=np.sqrt(2.0)).cdf, threshold=0.02)
-            records.append(self._ks_record("walk-stats/terminal-ks-normal", ks, reps, n=n))
+            ks = ks_against_cdf(scaled, norm(scale=np.sqrt(2.0)).cdf)
+            records.append(self._ks_record("walk-stats/terminal-ks-normal", ks, 0.02, reps, n=n))
         else:
-            ks = ks_two_sample(scaled, ref, threshold=0.04)
-            records.append(self._ks_record("walk-stats/terminal-ks-stable", ks, reps, n=n))
+            ks = ks_two_sample(scaled, ref)
+            records.append(self._ks_record("walk-stats/terminal-ks-stable", ks, 0.04, reps, n=n))
         return records
 
     def run_arcsine(self):
@@ -366,14 +370,14 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         vals = self.free_walks()()["argmin_frac"]
-        ks = ks_against_cdf(vals, lambda x: arcsine_cdf(cfg.rho, x), threshold=0.03)
+        ks = ks_against_cdf(vals, lambda x: arcsine_cdf(cfg.rho, x))
         xs = np.sort(vals)[:: max(1, reps // 2048)]
         write_csv(self.cfg.out_dir, "arcsine_ecdf.csv", {
             "x": xs,
             "empirical": ecdf(vals).evaluate(xs),
             "model": arcsine_cdf(cfg.rho, xs),
         }, self._prov("arcsine", n=n, replicas=reps))
-        return [self._ks_record("arcsine/ks", ks, reps, n=n)]
+        return [self._ks_record("arcsine/ks", ks, 0.03, reps, n=n)]
 
     def run_measure_change(self):
         cfg = self.cfg
@@ -381,25 +385,26 @@ class Runner:
         reps = cfg.replicas["measure_change"]
         records = []
         for side in ("positive", "negative"):
-            rej = sample_conditioned_batch(
+            # rejection paths come with tilt weights, h-transform paths
+            # with conditional weights: each gives the other's face
+            rej, tilt = sample_conditioned_batch(
                 self.model, n, "rejection", reps,
                 derive_stream(cfg.master_seed, 0, f"mc-rejection-{side}"),
                 side, self.tables)
-            hfl = sample_conditioned_batch(
+            hfl, cond = sample_conditioned_batch(
                 self.model, n, "h-transform", reps,
                 derive_stream(cfg.master_seed, 0, f"mc-htransform-{side}"),
                 side, self.tables)
-            ks_cond = ks_two_sample(rej.terminal, hfl.terminal,
-                                    None, hfl.cond_weights, threshold=0.05)
-            ks_tilt = ks_two_sample(rej.terminal, hfl.terminal,
-                                    rej.tilt_weights, None, threshold=0.05)
+            rej, hfl = rej[:, -1], hfl[:, -1]
             records.append(self._ks_record(
-                f"measure-change/{side}/conditional-face", ks_cond, reps, n=n))
+                f"measure-change/{side}/conditional-face",
+                ks_two_sample(rej, hfl, None, cond), 0.05, reps, n=n))
             records.append(self._ks_record(
-                f"measure-change/{side}/reweighted-face", ks_tilt, reps, n=n))
+                f"measure-change/{side}/reweighted-face",
+                ks_two_sample(rej, hfl, tilt, None), 0.05, reps, n=n))
             self._ecdf_csv(f"measure_change_{side}.csv", {
-                "rejection": (rej.terminal, None),
-                "htransform": (hfl.terminal, hfl.cond_weights),
+                "rejection": (rej, None),
+                "htransform": (hfl, cond),
             }, self._prov("measure-change", side=side, n=n, replicas=reps))
         return records
 
@@ -432,7 +437,7 @@ class Runner:
         lim = self.series_sample(reps)
         return [
             self._versus_limit(
-                f"lemma5/eq-{side}", _cat(gather()), lim[side], reps,
+                f"lemma5/eq-{side}", gather(), lim[side], reps,
                 f"lemma5_{side}.csv",
                 self._prov("lemma5", side=side, n=n, replicas=reps),
                 n=n, series_trunc=trunc)
@@ -448,10 +453,10 @@ class Runner:
         pre = self._blocks(_ratio_block, reps, "lemma7-pre", self.model, n, i)
         lim = self.series_sample(reps)
         sigma1 = lim["positive"] + lim["negative"]
-        pre_parts = pre()
+        pre = pre()
         return [
             self._versus_limit(
-                f"lemma7/{key}", _cat(pre_parts, key), lim[key] / sigma1, reps,
+                f"lemma7/{key}", pre[key], lim[key] / sigma1, reps,
                 f"lemma7_{key}.csv",
                 self._prov("lemma7", ratio=key, n=n, replicas=reps),
                 n=n, offset=i, series_trunc=trunc)
@@ -459,14 +464,13 @@ class Runner:
         ]
 
     def _fixed_envs(self):
+        """The martingale check's fixed environments, as (x, mu) pairs."""
         rng = derive_stream(self.cfg.master_seed, 0, "martingale-env")
         drawn_x = self.model.draw_x(rng, 20)
-        drawn_mu = np.asarray(self.model.draw_rate(rng, 20), dtype=float)
         return {
-            "flat-critical": EnvSteps(x=np.zeros(20), mu=np.full(20, 2.0)),
-            "alternating": EnvSteps(x=0.3 * (-1.0) ** np.arange(20),
-                                    mu=np.full(20, 1.5)),
-            "drawn": EnvSteps(x=drawn_x, mu=drawn_mu),
+            "flat-critical": (np.zeros(20), np.full(20, 2.0)),
+            "alternating": (0.3 * (-1.0) ** np.arange(20), np.full(20, 1.5)),
+            "drawn": (drawn_x, self.model.draw_rate(rng, 20)),
         }
 
     def run_martingale(self):
@@ -475,24 +479,23 @@ class Runner:
         depths = (1, 5, 20)
         ks = (1, 3, 10)
         submitted = []
-        for label, env in self._fixed_envs().items():
-            s, b_log = compute_normalizers(env.x, env.mu)
+        for label, (x, mu) in self._fixed_envs().items():
+            s, b_log = compute_normalizers(x, mu)
             # the first cohort's law over d steps: ln A = -S_d, ln B = b_log[d]
             # of the same steps with unit rates
-            _, unit_b_log = compute_normalizers(env.x, np.ones(len(env)))
+            _, unit_b_log = compute_normalizers(x, np.ones(len(x)))
             at = list(depths)
-            submitted.append((label, env, s, b_log, self._blocks(
+            submitted.append((label, mu, s, b_log, self._blocks(
                 _cohort_value_block, reps, f"martingale-cohort-{label}",
-                float(env.mu[0]), -s[at], unit_b_log[at]), self._blocks(
-                _population_at_block, reps, f"martingale-mean-{label}", env, ks)))
+                float(mu[0]), -s[at], unit_b_log[at]), self._blocks(
+                _population_at_block, reps, f"martingale-mean-{label}", x, mu, ks)))
         records = []
         rows = []
-        for label, env, s, b_log, values, z in submitted:
-            values = np.concatenate(values(), axis=1)
-            z = np.concatenate(z(), axis=1)
+        for label, mu, s, b_log, values, z in submitted:
+            values, z = values(), z()
             # (check, generation, name tag, Monte Carlo sample, exact mean)
             cases = [
-                ("martingale", d, f"depth{d}", values[j], float(env.mu[0]))
+                ("martingale", d, f"depth{d}", values[j], float(mu[0]))
                 for j, d in enumerate(depths)
             ] + [
                 ("conditional-mean", k, f"k{k}", z[j],
@@ -518,10 +521,10 @@ class Runner:
         base = self.gamma_sample(cfg.trunc_i, cfg.trunc_j, reps)
         doubled = self.gamma_sample(2 * cfg.trunc_i, 2 * cfg.trunc_j, reps)
         base, doubled = base(), doubled()
-        ks = ks_two_sample(base["gamma"], doubled["gamma"], threshold=0.05)
+        ks = ks_two_sample(base["gamma"], doubled["gamma"])
         min_sigma1 = float(min(base["sigma1"].min(), doubled["sigma1"].min()))
         records = [
-            self._ks_record("gamma-dist/truncation-stability", ks, reps,
+            self._ks_record("gamma-dist/truncation-stability", ks, 0.05, reps,
                             trunc_i=cfg.trunc_i, trunc_j=cfg.trunc_j),
             self._record("gamma-dist/sigma1-positive", min_sigma1, None,
                          min_sigma1 > 0.0, reps),
@@ -544,10 +547,11 @@ class Runner:
         csv_cols = {}
         for n in cfg.horizons:
             y = sample[n]
-            # only the longest horizon is gated
-            ks = ks_two_sample(y, gamma, threshold=0.08 if n == cfg.horizons[-1] else None)
+            ks = ks_two_sample(y, gamma)
             stats.append(ks.statistic)
-            records.append(self._ks_record(f"theorem1-onedim/ks-n{n}", ks, reps, n=n))
+            # only the longest horizon is gated
+            records.append(self._ks_record(f"theorem1-onedim/ks-n{n}", ks,
+                                           0.08 if n == cfg.horizons[-1] else None, reps, n=n))
             csv_cols[f"y_n{n}"] = (y, None)
         monotone = all(b <= a + 0.01 for a, b in zip(stats, stats[1:]))
         records.append(self._record(
@@ -583,16 +587,16 @@ class Runner:
             estimate=p_hat, analytic=p_exact, t1=t1, t2=t2)]
 
         y1, y2 = (sample()[k] for k in _twodim_gens(cfg))
-        jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_hat, threshold=0.05)
+        jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_hat)
         records.append(self._record(
-            "theorem1-twodim/joint-mixture", jt.max_discrepancy, jt.threshold,
-            jt.passed, reps, n=n, level_change_prob=p_hat))
+            "theorem1-twodim/joint-mixture", jt.max_discrepancy, 0.05,
+            jt.max_discrepancy <= 0.05, reps, n=n, level_change_prob=p_hat))
         write_csv(cfg.out_dir, "theorem1_twodim_probes.csv", {
             "x1": jt.probes[:, 0], "x2": jt.probes[:, 1],
             "predicted": jt.predicted, "observed": jt.observed,
         }, self._prov("theorem1-twodim", n=n, replicas=reps))
 
-        diffs = _cat(band())
+        diffs = band()
         c_n = self.model.normalizer(n_band)
         fracs = [float(np.mean(diffs <= e * c_n)) for e in cfg.band_eps]
         decreasing = all(b <= a for a, b in zip(fracs, fracs[1:]))

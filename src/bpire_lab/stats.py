@@ -2,7 +2,9 @@
 
 Everything here works on plain arrays. Weighted variants exist because
 the harmonic-transform samplers hand back importance-weighted batches;
-with weights omitted every function reduces to its textbook form.
+with weights omitted every function reduces to its textbook form. The
+functions measure and do not judge: a result carries its statistic, and
+the runner holds every gate.
 """
 
 from __future__ import annotations
@@ -70,17 +72,9 @@ class KsResult:
     statistic: float
     n_a: int
     n_b: int
-    threshold: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        if self.threshold is None:
-            raise ValueError("no threshold configured")
-        return self.statistic <= self.threshold
 
 
-def ks_two_sample(a, b, weights_a=None, weights_b=None,
-                  threshold: float | None = None) -> KsResult:
+def ks_two_sample(a, b, weights_a=None, weights_b=None) -> KsResult:
     """Exact two-sample sup-distance via a merged evaluation scan.
 
     The supremum of the difference of two right-continuous step functions
@@ -91,10 +85,10 @@ def ks_two_sample(a, b, weights_a=None, weights_b=None,
     fb = ecdf(b, weights_b)
     pooled = np.concatenate([fa.values, fb.values])
     d = float(np.abs(fa.evaluate(pooled) - fb.evaluate(pooled)).max())
-    return KsResult(statistic=d, n_a=fa.n, n_b=fb.n, threshold=threshold)
+    return KsResult(statistic=d, n_a=fa.n, n_b=fb.n)
 
 
-def ks_against_cdf(sample, cdf, threshold: float | None = None) -> KsResult:
+def ks_against_cdf(sample, cdf) -> KsResult:
     """One-sample sup-distance against a distribution function.
 
     Both one-sided gaps are measured at the order statistics, which is
@@ -108,7 +102,7 @@ def ks_against_cdf(sample, cdf, threshold: float | None = None) -> KsResult:
     hi = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
     d = float(max(hi.max(), lo.max()))
-    return KsResult(statistic=d, n_a=n, n_b=0, threshold=threshold)
+    return KsResult(statistic=d, n_a=n, n_b=0)
 
 
 @dataclass
@@ -125,17 +119,9 @@ class JointTestReport:
     predicted: np.ndarray
     observed: np.ndarray
     max_discrepancy: float
-    threshold: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        if self.threshold is None:
-            raise ValueError("no threshold configured")
-        return self.max_discrepancy <= self.threshold
 
 
-def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
-                        threshold: float | None = None) -> JointTestReport:
+def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float) -> JointTestReport:
     """Compare an observed two-coordinate sample with the mixture law.
 
     The probes are the 5x5 grid of reference-marginal quantiles at
@@ -161,5 +147,4 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float,
         predicted=predicted,
         observed=observed,
         max_discrepancy=float(np.abs(predicted - observed).max()),
-        threshold=threshold,
     )

@@ -15,25 +15,26 @@ from bpire_lab.bpire import (
     simulate_normalized_at,
 )
 from bpire_lab.conditioned import sample_conditioned_batch
-from bpire_lab.env import EnvironmentModel, EnvSteps
+from bpire_lab.env import EnvironmentModel
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
 from lockstep import lockstep
 
 
 def flat_env(n, x=0.0, mu=2.0):
-    return EnvSteps(x=np.full(n, float(x)), mu=np.full(n, float(mu)))
+    """Fixed steps (x, mu) of ``n`` equal generations."""
+    return np.full(n, float(x)), np.full(n, float(mu))
 
 
 def drawn_env(model, n, rng):
-    return EnvSteps(x=model.draw_x(rng, n), mu=np.asarray(model.draw_rate(rng, n), dtype=float))
+    return model.draw_x(rng, n), model.draw_rate(rng, n)
 
 
 def trajectory(env, n, reps, rng, exact_only=False):
-    """(z, z_log, eta) of the lockstep oracle on fixed steps: one row per
-    replica, Z_0..Z_n and the immigrants joining generations 1..n."""
+    """(z, z_log, eta) of the lockstep oracle on fixed steps (x, mu): one
+    row per replica, Z_0..Z_n and the immigrants joining generations 1..n."""
     z, z_log, eta = (np.array(a).T for a in zip(*lockstep(
-        zip(env.x, env.mu), n, reps, rng, exact_only=exact_only)))
+        zip(*env), n, reps, rng, exact_only=exact_only)))
     return (np.column_stack([np.zeros(reps), z]),
             np.column_stack([np.full(reps, -np.inf), z_log]), eta)
 
@@ -46,7 +47,7 @@ def cohort_log_sizes(mu, x, reps, rng):
 
 
 def test_no_immigration_means_no_population(rng):
-    env = EnvSteps(x=np.zeros(10), mu=np.zeros(10))
+    env = (np.zeros(10), np.zeros(10))
     z, _, eta = trajectory(env, 10, 50, rng)
     assert np.all(z == 0.0)
     assert np.all(eta == 0)
@@ -65,18 +66,18 @@ def test_first_generation_is_offspring_of_immigrants(rng):
 
 def normalizers(env):
     """(a, b): a_k = e^{-S_k} and b_k of ``compute_normalizers``."""
-    s, b_log = compute_normalizers(env.x, env.mu)
+    s, b_log = compute_normalizers(*env)
     return np.exp(-s), np.exp(b_log)
 
 
 def test_normalizer_examples():
-    env = EnvSteps(x=np.array([math.log(2.0)]), mu=np.array([3.0]))
+    env = (np.array([math.log(2.0)]), np.array([3.0]))
     a, b = normalizers(env)
     assert a[0] == 1.0 and b[0] == 0.0
     assert a[1] == pytest.approx(0.5)
     assert b[1] == pytest.approx(3.0)
 
-    env2 = EnvSteps(x=np.zeros(2), mu=np.ones(2))
+    env2 = (np.zeros(2), np.ones(2))
     a2, b2 = normalizers(env2)
     assert b2[2] == pytest.approx(2.0)
     assert a2[2] == pytest.approx(1.0)
@@ -117,10 +118,10 @@ def test_decomposition_identity(rng):
     # Z_n is the sum of independent immigrant cohorts: the population
     # step and the cohort kernel agree in law on a fixed environment
     n, reps = 6, 6000
-    env = EnvSteps(x=np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0]),
-                   mu=np.array([1.0, 2.0, 0.5, 1.5, 1.0, 2.5]))
-    merged = trajectory(env, n, reps, rng)[0][:, n]
-    cohorts = sum(np.rint(np.exp(cohort_log_sizes(env.mu[i], env.x[i:n], reps, rng)[-1]))
+    x = np.array([0.3, -0.4, 0.1, 0.2, -0.2, 0.0])
+    mu = np.array([1.0, 2.0, 0.5, 1.5, 1.0, 2.5])
+    merged = trajectory((x, mu), n, reps, rng)[0][:, n]
+    cohorts = sum(np.rint(np.exp(cohort_log_sizes(mu[i], x[i:n], reps, rng)[-1]))
                   for i in range(n))
     assert ks_two_sample(merged, cohorts).statistic <= 0.05
 
@@ -490,10 +491,9 @@ def test_cohort_law_stabilizes_under_conditioning(std_model, std_tables, rng):
     reps = 4000
 
     def cohort_values(n):
-        batch = sample_conditioned_batch(std_model, n, "rejection", reps, rng,
-                                         "positive")
-        z_log = cohort_log_sizes(2.0, np.diff(batch.s, axis=1).T, reps, rng)[-1]
-        return np.exp(z_log - batch.s[:, -1])
+        s, _ = sample_conditioned_batch(std_model, n, "rejection", reps, rng, "positive")
+        z_log = cohort_log_sizes(2.0, np.diff(s, axis=1).T, reps, rng)[-1]
+        return np.exp(z_log - s[:, -1])
 
     ks = ks_two_sample(cohort_values(128), cohort_values(256))
     assert ks.statistic <= 0.05
@@ -531,7 +531,7 @@ def test_trajectory_csv_export(std_model, rng, tmp_path):
     n = 8
     steps = drawn_env(std_model, n, rng)
     z = trajectory(steps, n, 1, rng)[0]
-    s, b_log = compute_normalizers(steps.x, steps.mu)
+    s, b_log = compute_normalizers(*steps)
     path = write_csv(str(tmp_path), "traj.csv", {
         "k": np.arange(n + 1), "z": z[0], "s": s, "a": np.exp(-s), "b": np.exp(b_log),
     }, {"horizon": n})

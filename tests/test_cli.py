@@ -11,6 +11,7 @@ from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
 from bpire_lab.report import TestRecord as Record
 from bpire_lab.runner import run
+from bpire_lab.stats import ks_two_sample
 
 
 def tiny_config(tmp_path, **overrides):
@@ -62,6 +63,9 @@ def test_config_field_level_messages():
     # generation floor(20 * 0.01) = 0 holds Y = 0 on every path
     with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) >= 1"):
         RunConfig(horizons=[20], t_values=[0.01, 2.0])
+    # the band walk of floor(4 * 0.02) = 0 steps would end theorem1-twodim in a traceback
+    with pytest.raises(ConfigError, match=r"t_values: need floor\(n_walk \* t1\) >= 1"):
+        RunConfig(n_walk=4, t_values=[0.01, 0.02])
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
@@ -291,6 +295,21 @@ def test_report_writes_bools_as_json_booleans():
     assert inputs == {"decreasing": True, "flags": [False, 2], "k": 3}
     assert inputs["decreasing"] is True and inputs["flags"][0] is False
     assert type(inputs["flags"][1]) is int and type(inputs["k"]) is int
+
+
+def test_ks_record_gate(tmp_path):
+    # the runner holds every gate: a KS statistic equal to its gate passes,
+    # one above it fails, and with no gate it is only reported
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path)))
+    half = ks_two_sample([1, 2], [1, 3])
+    assert half.statistic == 0.5
+    for gate in (0.5, 0.6):
+        rec = bench._ks_record("x", half, gate, 2, n=4)
+        assert rec.verdict is True and rec.threshold == gate and rec.statistic == 0.5
+    rec = bench._ks_record("x", ks_two_sample([0, 1], [2, 3]), 0.6, 2)
+    assert rec.verdict is False and rec.statistic == 1.0
+    rec = bench._ks_record("x", half, None, 2, n=4)
+    assert rec.verdict is None and rec.threshold is None and rec.inputs == {"n": 4}
 
 
 def test_cli_unknown_subcommand(tmp_path, capsys):

@@ -56,58 +56,56 @@ def _replay_sweeps(draws, n, side):
 
 @pytest.mark.parametrize("method", ["rejection", "h-transform"])
 def test_positive_paths_stay_nonnegative(std_model, std_tables, rng, method):
-    batch = sample_conditioned_batch(std_model, 12, method, 500, rng,
-                                     "positive", std_tables)
-    assert batch.s.shape == (500, 13)
-    assert np.all(batch.s[:, 0] == 0.0)
-    assert batch.s[:, 1:].min() >= 0.0
+    s, _ = sample_conditioned_batch(std_model, 12, method, 500, rng, "positive", std_tables)
+    assert s.shape == (500, 13)
+    assert np.all(s[:, 0] == 0.0)
+    assert s[:, 1:].min() >= 0.0
 
 
 @pytest.mark.parametrize("method", ["rejection", "h-transform"])
 def test_negative_paths_stay_negative(std_model, std_tables, rng, method):
-    batch = sample_conditioned_batch(std_model, 12, method, 500, rng,
-                                     "negative", std_tables)
-    assert batch.s[:, 1:].max() < 0.0
+    s, _ = sample_conditioned_batch(std_model, 12, method, 500, rng, "negative", std_tables)
+    assert s[:, 1:].max() < 0.0
 
 
 def test_single_path_wrappers(std_model, std_tables, rng):
     # one conditioned path is one row of a batch
     p = sample_conditioned_batch(std_model, 8, "rejection", 1, rng,
-                                 "positive", std_tables).s[0]
+                                 "positive", std_tables)[0][0]
     assert p[1:].min() >= 0.0
     q = sample_conditioned_batch(std_model, 8, "h-transform", 256, rng,
-                                 "negative", std_tables).s[0]
+                                 "negative", std_tables)[0][0]
     assert q[1:].max() < 0.0
 
 
 def test_methods_agree_on_conditional_face(std_model, std_tables, rng):
     reps = 6000
-    rej = sample_conditioned_batch(std_model, 5, "rejection", reps, rng,
-                                   "positive", std_tables)
-    hfl = sample_conditioned_batch(std_model, 5, "h-transform", reps, rng,
-                                   "positive", std_tables)
-    ks = ks_two_sample(rej.terminal, hfl.terminal, None, hfl.cond_weights)
+    rej, _ = sample_conditioned_batch(std_model, 5, "rejection", reps, rng,
+                                      "positive", std_tables)
+    hfl, cond = sample_conditioned_batch(std_model, 5, "h-transform", reps, rng,
+                                         "positive", std_tables)
+    ks = ks_two_sample(rej[:, -1], hfl[:, -1], None, cond)
     assert ks.statistic <= 0.05
 
 
 def test_methods_agree_on_reweighted_face(std_model, std_tables, rng):
     reps = 6000
-    rej = sample_conditioned_batch(std_model, 5, "rejection", reps, rng,
-                                   "positive", std_tables)
-    hfl = sample_conditioned_batch(std_model, 5, "h-transform", reps, rng,
-                                   "positive", std_tables)
-    ks = ks_two_sample(rej.terminal, hfl.terminal, rej.tilt_weights, None)
+    rej, tilt = sample_conditioned_batch(std_model, 5, "rejection", reps, rng,
+                                         "positive", std_tables)
+    hfl, _ = sample_conditioned_batch(std_model, 5, "h-transform", reps, rng,
+                                      "positive", std_tables)
+    ks = ks_two_sample(rej[:, -1], hfl[:, -1], tilt, None)
     assert ks.statistic <= 0.05
 
 
 def test_faces_differ_at_small_horizons(std_model, std_tables, rng):
     # the renewal tilt is a genuine change of measure: the conditional
     # and reweighted laws of S_5 are far apart
-    rej = sample_conditioned_batch(std_model, 5, "rejection", 6000, rng,
-                                   "positive", std_tables)
-    hfl = sample_conditioned_batch(std_model, 5, "h-transform", 6000, rng,
-                                   "positive", std_tables)
-    ks = ks_two_sample(rej.terminal, hfl.terminal)
+    rej, _ = sample_conditioned_batch(std_model, 5, "rejection", 6000, rng,
+                                      "positive", std_tables)
+    hfl, _ = sample_conditioned_batch(std_model, 5, "h-transform", 6000, rng,
+                                      "positive", std_tables)
+    ks = ks_two_sample(rej[:, -1], hfl[:, -1])
     assert ks.statistic > 0.1
 
 
@@ -116,14 +114,13 @@ def test_conditional_expectation_consistency(std_model, std_tables, rng):
     # methods within combined Monte Carlo error
     reps = 20_000
     phi = lambda s: np.exp(-s)  # noqa: E731
-    rej = sample_conditioned_batch(std_model, 6, "rejection", reps, rng,
-                                   "positive", std_tables)
-    hfl = sample_conditioned_batch(std_model, 6, "h-transform", reps, rng,
-                                   "positive", std_tables)
-    est_rej = phi(rej.terminal).mean()
-    se_rej = phi(rej.terminal).std(ddof=1) / np.sqrt(reps)
-    w = hfl.cond_weights
-    vals = phi(hfl.terminal)
+    rej, _ = sample_conditioned_batch(std_model, 6, "rejection", reps, rng,
+                                      "positive", std_tables)
+    hfl, w = sample_conditioned_batch(std_model, 6, "h-transform", reps, rng,
+                                      "positive", std_tables)
+    est_rej = phi(rej[:, -1]).mean()
+    se_rej = phi(rej[:, -1]).std(ddof=1) / np.sqrt(reps)
+    vals = phi(hfl[:, -1])
     est_h = np.sum(w * vals)
     # delta-method standard error for the self-normalized estimator
     se_h = np.sqrt(np.sum((w * (vals - est_h)) ** 2))
@@ -134,24 +131,24 @@ def test_single_step_law_reweighted_face(std_model, std_tables, rng):
     # at horizon 1 the reweighted law has density proportional to
     # phi(s) v(s) on s >= 0; check against a quadrature oracle
     reps = 20_000
-    hfl = sample_conditioned_batch(std_model, 1, "h-transform", reps, rng,
-                                   "positive", std_tables)
+    hfl, _ = sample_conditioned_batch(std_model, 1, "h-transform", reps, rng,
+                                      "positive", std_tables)
     grid = np.linspace(0.0, 6.0, 2001)
     dens = norm.pdf(grid) * std_tables.v_at(grid)
     cdf_vals = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0
                                                 * np.diff(grid))])
     cdf_vals /= cdf_vals[-1]
     oracle = lambda x: np.interp(x, grid, cdf_vals)  # noqa: E731
-    ks = ks_against_cdf(hfl.terminal, oracle)
+    ks = ks_against_cdf(hfl[:, -1], oracle)
     assert ks.statistic <= 0.03
 
 
 def test_single_step_law_conditional_face(std_model, rng):
     # at horizon 1 the conditional law is the half-normal
-    rej = sample_conditioned_batch(std_model, 1, "rejection", 20_000, rng,
-                                   "positive")
+    rej, _ = sample_conditioned_batch(std_model, 1, "rejection", 20_000, rng,
+                                      "positive")
     oracle = lambda x: np.clip(2.0 * norm.cdf(x) - 1.0, 0.0, 1.0)  # noqa: E731
-    ks = ks_against_cdf(rej.terminal, oracle)
+    ks = ks_against_cdf(rej[:, -1], oracle)
     assert ks.statistic <= 0.02
 
 
@@ -173,8 +170,8 @@ def test_rejection_cost_per_accepted_path(rng, family, side, n):
     # needed would count against the paths returned.
     reps = 10_000 if n == 5 else 400
     model = _RecordingModel(**FAMILIES[family])
-    batch = sample_conditioned_batch(model, n, "rejection", reps, rng, side)
-    assert batch.s.shape == (reps, n + 1)
+    s, _ = sample_conditioned_batch(model, n, "rejection", reps, rng, side)
+    assert s.shape == (reps, n + 1)
     proposals, accepted = _replay_sweeps(model.draws, n, side)
     assert accepted >= reps
     assert sum(d.size for d in model.draws) <= 3 * n * accepted
@@ -203,13 +200,27 @@ def test_rejection_matches_full_path_filter(rng, family, side):
     # last sweep is cut short
     n, reps = 300, 2000
     model = EnvironmentModel(**FAMILIES[family])
-    rej = sample_conditioned_batch(model, n, "rejection", reps, rng, side).s[:, 1:]
+    rej = sample_conditioned_batch(model, n, "rejection", reps, rng, side)[0][:, 1:]
     ref = _filtered_paths(model, n, reps, rng, side)
     extremum = np.min if side == "positive" else np.max
     crit = 1.95 * math.sqrt(2.0 / reps)  # two-sample KS at the 0.1% level
     for a, b in ((rej[:, -1], ref[:, -1]), (rej[:, 149], ref[:, 149]),
                  (extremum(rej, axis=1), extremum(ref, axis=1))):
         assert ks_two_sample(a, b).statistic <= crit
+
+
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_sample_weights_contract(std_model, std_tables, rng, side):
+    # a batch is (paths, weights): rejection without tables has no other
+    # face, and with tables either method's weights are a positive
+    # normalized vector over its paths
+    s, w = sample_conditioned_batch(std_model, 6, "rejection", 40, rng, side)
+    assert s.shape == (40, 7) and w is None
+    for method in ("rejection", "h-transform"):
+        s, w = sample_conditioned_batch(std_model, 6, method, 40, rng, side, std_tables)
+        assert s.shape == (40, 7) and w.shape == (40,)
+        assert np.all(w > 0.0)
+        assert w.sum() == pytest.approx(1.0)
 
 
 def test_requires_tables_for_h_transform(std_model, rng):

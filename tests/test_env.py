@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from bpire_lab.env import (
     EnvironmentModel,
-    EnvSteps,
     InvalidModelError,
     validate_model,
 )
@@ -19,7 +18,8 @@ def geometric_q(x):
 
 
 def drawn_env(model, n, rng):
-    return EnvSteps(x=model.draw_x(rng, n), mu=np.asarray(model.draw_rate(rng, n), dtype=float))
+    """``n`` drawn steps (x, mu)."""
+    return model.draw_x(rng, n), model.draw_rate(rng, n)
 
 
 def test_offspring_law_mean():
@@ -51,8 +51,8 @@ def test_coupling_inverts_log_two():
 
 
 def test_log_mean_examples():
-    steps = EnvSteps(x=np.array([0.0, math.log(2.0), -math.log(2.0)]), mu=np.ones(3))
-    q = geometric_q(steps.x)
+    x = np.array([0.0, math.log(2.0), -math.log(2.0)])
+    q = geometric_q(x)
     assert q == pytest.approx([0.5, 1 / 3, 2 / 3])
     log_mean = np.log((1.0 - q) / q)
     assert log_mean[0] == 0.0
@@ -63,7 +63,7 @@ def test_log_mean_examples():
 def test_immigration_mean_examples(rng):
     # Poisson immigration: the step's mu is the immigration mean
     for lam in (2.0, 1.0):
-        assert np.all(drawn_env(EnvironmentModel(rate_params=(lam,)), 10, rng).mu == lam)
+        assert np.all(drawn_env(EnvironmentModel(rate_params=(lam,)), 10, rng)[1] == lam)
 
 
 def test_drawn_x_sample_mean_near_zero(std_model, rng):
@@ -79,10 +79,10 @@ def test_lognormal_rate_sample_mean(rng):
 
 
 def test_draw_step_consistency(std_model, rng):
-    step = drawn_env(std_model, 1, rng)
-    assert step.mu[0] == std_model.rate_params[0]  # constant rate
-    assert geometric_q(step.x)[0] == pytest.approx(1.0 / (1.0 + math.exp(step.x[0])))
-    assert math.isfinite(step.x[0]) and step.mu[0] > 0
+    x, mu = drawn_env(std_model, 1, rng)
+    assert mu[0] == std_model.rate_params[0]  # constant rate
+    assert geometric_q(x)[0] == pytest.approx(1.0 / (1.0 + math.exp(x[0])))
+    assert math.isfinite(x[0]) and mu[0] > 0
 
 
 @given(x=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
@@ -152,41 +152,39 @@ def test_serial_independence(std_model, rng):
 
 
 def test_validate_normal_model_passes(std_model):
-    report = validate_model(std_model)
-    assert report.ok
-    names = {c.name for c in report.checks}
+    checks = validate_model(std_model)
+    assert all(c.passed for c in checks)
+    names = {c.name for c in checks}
     assert "moment condition" in names
     assert "rho matches symmetric family" in names
 
 
 def test_validate_rejects_one_sided_rho():
     model = EnvironmentModel(rho=0.0)
-    report = validate_model(model)
-    assert not report.ok
+    assert not all(c.passed for c in validate_model(model))
     with pytest.raises(InvalidModelError):
         validate_model(model, strict=True)
 
 
 def test_validate_rejects_alpha_mismatch():
     model = EnvironmentModel(x_family="normal", alpha=1.5)
-    assert not validate_model(model).ok
+    assert not all(c.passed for c in validate_model(model))
 
 
 def test_validate_constant_rate_moment():
     model = EnvironmentModel(rate_params=(3.0,))
-    report = validate_model(model)
-    assert all(c.passed for c in report.checks if c.name == "moment condition")
+    assert all(c.passed for c in validate_model(model) if c.name == "moment condition")
 
 
 def test_pareto_model_alpha_consistency():
     model = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.3)
-    assert validate_model(model).ok
+    assert all(c.passed for c in validate_model(model))
     bad = EnvironmentModel(x_family="pareto", x_param=1.3, alpha=1.1)
-    assert not validate_model(bad).ok
+    assert not all(c.passed for c in validate_model(bad))
 
 
 def test_draw_steps_batch(std_model, rng):
-    steps = drawn_env(std_model, 1000, rng)
-    assert len(steps) == 1000
-    assert np.all(steps.mu == 2.0)
-    assert np.allclose(geometric_q(steps.x), 1.0 / (1.0 + np.exp(steps.x)))
+    x, mu = drawn_env(std_model, 1000, rng)
+    assert len(x) == len(mu) == 1000
+    assert np.all(mu == 2.0)
+    assert np.allclose(geometric_q(x), 1.0 / (1.0 + np.exp(x)))

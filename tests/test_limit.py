@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy.stats import cauchy, kstest, levy_stable, norm
 
 import bpire_lab.bpire as bpire
 import bpire_lab.limit as limit
+from bpire_lab import runner
 from bpire_lab.limit import (
-    GammaBatch,
     TwoSidedBatch,
     _glued_tails,
     estimate_level_change_prob,
@@ -98,10 +99,9 @@ def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, 
 
     reps = 8000
     env = sample_two_sided_batch(std_model, 8, reps, rng, std_tables)
-    direct = sample_conditioned_batch(std_model, 1, "rejection", reps, rng,
-                                      "positive", std_tables)
-    direct_tilt = resample_by_weight(direct.terminal, direct.tilt_weights,
-                                     reps, rng)
+    direct, tilt = sample_conditioned_batch(std_model, 1, "rejection", reps, rng,
+                                            "positive", std_tables)
+    direct_tilt = resample_by_weight(direct[:, -1], tilt, reps, rng)
     ks = ks_two_sample(env.s_star(1), direct_tilt)
     assert ks.statistic <= 0.05
 
@@ -218,30 +218,31 @@ def test_zeta_limit_matches_deep_cohort(std_model, std_tables, rng):
 
 def test_gamma_sample_basics(std_model, std_tables, rng):
     g = sample_gamma_batch(std_model, 8, 8, reps=64, rng=rng, tables=std_tables)
-    assert isinstance(g, GammaBatch)
-    assert np.all(g.sigma1 > 0.0)
-    assert g.gamma == pytest.approx(g.sigma2 / g.sigma1)
+    assert set(g) == {"sigma1", "sigma2", "gamma"}
+    assert all(v.shape == (64,) for v in g.values())
+    assert np.all(g["sigma1"] > 0.0)
+    assert g["gamma"] == pytest.approx(g["sigma2"] / g["sigma1"])
 
 
 def test_gamma_batch_lower_bound(std_model, std_tables, rng):
     batch = sample_gamma_batch(std_model, 8, 8, reps=2000, rng=rng, tables=std_tables)
     # the i=0 term alone gives sigma1 >= mu*_1
-    assert np.all(batch.sigma1 > 0.0)
-    assert batch.gamma.min() >= 0.0
+    assert np.all(batch["sigma1"] > 0.0)
+    assert batch["gamma"].min() >= 0.0
 
 
 def test_gamma_zero_without_immigrants(std_tables, rng):
     tiny = EnvironmentModel(rate_params=(1e-9,))
     batch = sample_gamma_batch(tiny, 4, 4, reps=200, rng=rng, tables=std_tables)
-    assert np.all(batch.sigma2 == 0.0)
-    assert np.all(batch.gamma == 0.0)
-    assert np.all(batch.sigma1 > 0.0)
+    assert np.all(batch["sigma2"] == 0.0)
+    assert np.all(batch["gamma"] == 0.0)
+    assert np.all(batch["sigma1"] > 0.0)
 
 
 def test_gamma_truncation_stability(std_model, std_tables, rng):
     a = sample_gamma_batch(std_model, 16, 16, reps=4000, rng=rng, tables=std_tables)
     b = sample_gamma_batch(std_model, 32, 32, reps=4000, rng=rng, tables=std_tables)
-    assert ks_two_sample(a.gamma, b.gamma).statistic <= 0.05
+    assert ks_two_sample(a["gamma"], b["gamma"]).statistic <= 0.05
 
 
 def test_series_terms_match_star_sequence(std_model, std_tables, rng):
@@ -251,6 +252,14 @@ def test_series_terms_match_star_sequence(std_model, std_tables, rng):
         assert np.allclose(pos[:, j], _mu_star(env, j + 1) * np.exp(-env.s_star(j)))
         i = -(j + 1)
         assert np.allclose(neg[:, j], _mu_star(env, i + 1) * np.exp(-env.s_star(i)))
+
+
+@dataclass(frozen=True)
+class _MaterializedRates(EnvironmentModel):
+    """A model whose rates are a writeable matrix, as before the view."""
+
+    def draw_rate(self, rng, size):
+        return np.array(super().draw_rate(rng, size))
 
 
 def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch):
@@ -276,14 +285,27 @@ def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch)
     full = sample_gamma_batch(std_model, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
                               tables=std_tables)
     for key in ("sigma1", "sigma2", "gamma"):
-        assert np.array_equal(getattr(view, key), getattr(full, key))
+        assert np.array_equal(view[key], full[key])
+
+    # the pre-limit readers of the rates: the theorem-1 window sampler and
+    # the lemma-5 series block give the same numbers from a materialized
+    # rate matrix as from the view
+    assert not std_model.draw_rate(None, (3, 4)).flags.writeable
+    dense = _MaterializedRates(**{f.name: getattr(std_model, f.name) for f in fields(std_model)})
+    assert dense.draw_rate(None, (3, 4)).flags.writeable
+    monkeypatch.setattr(bpire, "_BLOCK_CELLS", 2 ** 8)  # several row groups
+    ys = [bpire.simulate_normalized_at(m, 30, (0.5, 1.0), 40, derive_stream(5, 0, "y"))
+          for m in (std_model, dense)]
+    assert np.array_equal(*ys)
+    for side in ("positive", "negative"):
+        sums = [runner._cond_series_block(30, derive_stream(6, 0, side), m, 16, side)
+                for m in (std_model, dense)]
+        assert np.array_equal(*sums)
 
 
 def test_gamma_csv_export(std_model, std_tables, rng, tmp_path):
     batch = sample_gamma_batch(std_model, 4, 4, reps=50, rng=rng, tables=std_tables)
-    path = write_csv(str(tmp_path), "gamma.csv", {
-        "sigma1": batch.sigma1, "sigma2": batch.sigma2, "gamma": batch.gamma,
-    }, {"trunc_i": 4, "trunc_j": 4, "method": "rejection"})
+    path = write_csv(str(tmp_path), "gamma.csv", batch, {"trunc_i": 4, "trunc_j": 4, "method": "rejection"})
     lines = open(path).read().splitlines()
     assert "# trunc_i = 4" in lines and "# method = rejection" in lines
     assert lines[3] == "sigma1,sigma2,gamma"

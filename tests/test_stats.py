@@ -94,15 +94,6 @@ def test_ks_weighted_uniform_equals_unweighted(rng):
     assert d0 == pytest.approx(d1, abs=1e-12)
 
 
-def test_ks_threshold_verdict():
-    res = ks_two_sample([1, 2], [1, 3], threshold=0.6)
-    assert res.passed
-    res = ks_two_sample([0, 1], [2, 3], threshold=0.6)
-    assert not res.passed
-    with pytest.raises(ValueError):
-        _ = ks_two_sample([1], [2]).passed
-
-
 def test_ks_against_cdf_point_mass_at_median():
     from scipy.stats import norm
 

@@ -213,7 +213,7 @@ def test_cond_series_block_matches_direct_sum(model, side):
     n = 30
     got = runner._cond_series_block(50, derive_stream(6, 0, "c"), model, n, side)
     rng = derive_stream(6, 0, "c")
-    s = sample_conditioned_batch(model, n, "rejection", 50, rng, side).s
+    s, _ = sample_conditioned_batch(model, n, "rejection", 50, rng, side)
     mu = np.asarray(model.draw_rate(rng, (50, n)), dtype=float)
     if side == "positive":
         want = (mu * np.exp(-s[:, :n])).sum(axis=1)
