@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -291,7 +291,7 @@ def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch)
     # the lemma-5 series block give the same numbers from a materialized
     # rate matrix as from the view
     assert not std_model.draw_rate(None, (3, 4)).flags.writeable
-    dense = _MaterializedRates(**{f.name: getattr(std_model, f.name) for f in fields(std_model)})
+    dense = _MaterializedRates(**vars(std_model))
     assert dense.draw_rate(None, (3, 4)).flags.writeable
     monkeypatch.setattr(bpire, "_BLOCK_CELLS", 2 ** 8)  # several row groups
     ys = [bpire.simulate_normalized_at(m, 30, (0.5, 1.0), 40, derive_stream(5, 0, "y"))
