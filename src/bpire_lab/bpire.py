@@ -271,6 +271,14 @@ def _row_groups(cells, count):
     return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
+def _join(parts):
+    """Block or row-group results joined in order: per key for dicts,
+    along the last axis for arrays."""
+    if isinstance(parts[0], dict):
+        return {key: _join([p[key] for p in parts]) for key in parts[0]}
+    return np.concatenate(parts, axis=-1)
+
+
 def _cohort_lines(lam: np.ndarray, rng: np.random.Generator):
     """Surviving lines of independent Poisson(lambda) counts, one per cell
     of the (reps, cells) array ``lam``, returned for the occupied cells

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .env import EnvironmentModel, InvalidModelError, validate_model
 
@@ -31,37 +32,34 @@ DEFAULT_REPLICAS = {
     "band": 10_000,
 }
 
-# fields that must hold integers, and lists that must hold integers or
-# finite reals; type(v) is int also turns away bools
-_INT_FIELDS = ("n_walk", "n_small", "trunc_i", "trunc_j", "series_trunc",
-               "ladder_budget", "workers", "master_seed")
-_LIST_FIELDS = {"horizons": (int,), "lemma_offsets": (int,),
-                "t_values": (int, float), "band_eps": (int, float),
-                "rate_params": (int, float)}
+# what each annotated kind asks of a value, alone and as list items; a
+# float field takes any finite real, and type(v) is int turns away bools
+_NEEDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          str: ("a string", "strings")}
+
+
+def _fits(kind, val) -> bool:
+    if kind is float:
+        return type(val) in (int, float) and math.isfinite(val)
+    return type(val) is kind
 
 
 def _type_problems(cfg) -> list:
-    ints = {name: getattr(cfg, name) for name in _INT_FIELDS}
+    """One message per field whose value does not fit its annotation:
+    a scalar kind, ``list[kind]`` or ``dict[str, kind]``."""
     problems = []
-    if isinstance(cfg.replicas, dict):
-        ints.update((f"replicas.{key}", val) for key, val in cfg.replicas.items())
-    else:
-        problems.append(f"replicas: need an object, got {cfg.replicas!r}")
-    problems += [f"{name}: need an integer, got {val!r}"
-                 for name, val in ints.items() if type(val) is not int]
-    for name in ("x_param", "alpha", "rho", "eps"):
-        val = getattr(cfg, name)
-        if not (type(val) in (int, float) and math.isfinite(val)):
-            problems.append(f"{name}: need a finite number, got {val!r}")
-    problems += [f"{name}: need a string, got {getattr(cfg, name)!r}"
-                 for name in ("x_family", "rate_family", "out_dir")
-                 if type(getattr(cfg, name)) is not str]
-    for name, kinds in _LIST_FIELDS.items():
-        vals = getattr(cfg, name)
-        if not (isinstance(vals, (list, tuple)) and all(
-                type(v) in kinds and math.isfinite(v) for v in vals)):
-            what = "integers" if kinds == (int,) else "finite numbers"
-            problems.append(f"{name}: need a list of {what}, got {vals!r}")
+    for name, hint in get_type_hints(RunConfig).items():
+        val, origin, args = getattr(cfg, name), get_origin(hint), get_args(hint)
+        if origin is dict and not isinstance(val, dict):
+            problems.append(f"{name}: need an object, got {val!r}")
+        elif origin is dict:
+            problems += [f"{name}.{key}: need {_NEEDS[args[1]][0]}, got {v!r}"
+                         for key, v in val.items() if not _fits(args[1], v)]
+        elif origin is list:
+            if not (isinstance(val, (list, tuple)) and all(_fits(args[0], v) for v in val)):
+                problems.append(f"{name}: need a list of {_NEEDS[args[0]][1]}, got {val!r}")
+        elif not _fits(hint, val):
+            problems.append(f"{name}: need {_NEEDS[hint][0]}, got {val!r}")
     return problems
 
 
@@ -73,24 +71,24 @@ class RunConfig:
     x_family: str = "normal"
     x_param: float = 1.0
     rate_family: str = "constant"
-    rate_params: list = field(default_factory=lambda: [2.0])
+    rate_params: list[float] = field(default_factory=lambda: [2.0])
     alpha: float = 2.0
     rho: float = 0.5
     eps: float = 1.0
 
     # horizons, times, truncations
-    horizons: list = field(default_factory=lambda: [200, 800, 3200])
+    horizons: list[int] = field(default_factory=lambda: [200, 800, 3200])
     n_walk: int = 2000
     n_small: int = 5
-    t_values: list = field(default_factory=lambda: [1.0, 2.0])
+    t_values: list[float] = field(default_factory=lambda: [1.0, 2.0])
     trunc_i: int = 64
     trunc_j: int = 64
     series_trunc: int = 512  # raw-series comparisons need a longer tail
-    lemma_offsets: list = field(default_factory=lambda: [-2, -1, 1, 2])
-    band_eps: list = field(default_factory=lambda: [0.2, 0.1, 0.05])
+    lemma_offsets: list[int] = field(default_factory=lambda: [-2, -1, 1, 2])
+    band_eps: list[float] = field(default_factory=lambda: [0.2, 0.1, 0.05])
 
     # sampling budgets
-    replicas: dict = field(default_factory=lambda: dict(DEFAULT_REPLICAS))
+    replicas: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_REPLICAS))
     ladder_budget: int = 200_000
 
     # execution
@@ -138,9 +136,14 @@ class RunConfig:
             if self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
                 problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
                                 f"with horizons[-1] = {self.horizons[-1]}")
-            if math.floor(self.n_walk * ts[0]) < 1:
+            k1, k2 = (math.floor(self.n_walk * t) for t in ts)
+            if k1 < 1:
                 problems.append(f"t_values: need floor(n_walk * t1) >= 1, got t1 = {ts[0]} "
                                 f"with n_walk = {self.n_walk}")
+            # the band compares the minima over [0, k1] and [k1, k2]
+            if k1 >= k2:
+                problems.append(f"t_values: need floor(n_walk * t1) < floor(n_walk * t2), got "
+                                f"{ts} with n_walk = {self.n_walk}")
         eps = self.band_eps
         # the band fractions must fall as eps does, and the last one is gated
         if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import _row_groups, limit_log_values
+from .bpire import _join, _row_groups, limit_log_values
 from .conditioned import resample_by_weight, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
@@ -31,7 +31,7 @@ __all__ = [
     "TwoSidedBatch",
     "stable_standard",
     "sample_two_sided_batch",
-    "series_terms",
+    "series_sums",
     "sample_gamma_batch",
     "estimate_level_change_prob",
 ]
@@ -141,18 +141,26 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
     return TwoSidedBatch(s=s, mu=mu, origin=I)
 
 
-def series_terms(env: TwoSidedBatch, I: int):
-    """Per-index terms mu*_{i+1} e^{-S*_i} of the first series.
+def series_sums(env: TwoSidedBatch, I: int) -> dict:
+    """Per-row partial sums of the first series' terms mu*_{i+1} e^{-S*_i},
+    i in [-I, I-1]: ``positive`` over i >= 0, ``negative`` over i < 0,
+    ``tail_after`` over i >= 1 and ``head_before`` over i <= -2.
 
-    Returns (pos, neg): ``pos[:, j]`` is the term at i = j and
-    ``neg[:, j]`` the term at i = -(j+1), for j = 0..I-1.
+    The terms are formed in row groups of about ``_BLOCK_CELLS`` cells, so
+    no (reps, 2I) buffer exists; a row's sums do not depend on its group.
     """
     o = env.origin
-    # one (reps, 2I) buffer: negate, exponentiate and scale in place
-    terms = np.negative(env.s[:, o - I:o + I])
-    np.exp(terms, out=terms)
-    terms *= env.mu[:, o - I:o + I]
-    return terms[:, I:], terms[:, I - 1::-1]
+    parts = []
+    for lo, hi in _row_groups(2 * I, len(env.s)):
+        # negate, exponentiate and scale in place
+        terms = np.negative(env.s[lo:hi, o - I:o + I])
+        np.exp(terms, out=terms)
+        terms *= env.mu[lo:hi, o - I:o + I]
+        pos, neg = terms[:, I:], terms[:, I - 1::-1]
+        parts.append({"positive": pos.sum(axis=1), "negative": neg.sum(axis=1),
+                      "tail_after": pos[:, 1:].sum(axis=1),
+                      "head_before": neg[:, 1:].sum(axis=1)})
+    return _join(parts)
 
 
 def _glued_tails(env: TwoSidedBatch, I: int, J: int):
@@ -187,8 +195,8 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
     if J < 1:
         raise ValueError("J must be >= 1")
     env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
-    pos, neg = series_terms(env, I)
-    sigma1 = pos.sum(axis=1) + neg.sum(axis=1)
+    sums = series_sums(env, I)
+    sigma1 = sums["positive"] + sums["negative"]
     s_i, mu, t_log = _glued_tails(env, I, J)
     # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
     sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)

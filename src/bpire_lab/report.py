@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,16 +47,7 @@ class TestRecord:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": _plain(self.statistic),
-            "threshold": _plain(self.threshold),
-            "verdict": self.verdict,
-            "seed": int(self.seed),
-            "replicas": int(self.replicas),
-            "inputs": _plain(self.inputs),
-            "detail": self.detail,
-        }
+        return _plain(asdict(self))
 
 
 @dataclass

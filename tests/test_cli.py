@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +68,10 @@ def test_config_field_level_messages():
     # the band walk of floor(4 * 0.02) = 0 steps would end theorem1-twodim in a traceback
     with pytest.raises(ConfigError, match=r"t_values: need floor\(n_walk \* t1\) >= 1"):
         RunConfig(n_walk=4, t_values=[0.01, 0.02])
+    # k1 = k2 = 1 would compare a minimum with the single point S_k1
+    with pytest.raises(ConfigError,
+                       match=r"t_values: need floor\(n_walk \* t1\) < floor\(n_walk \* t2\)"):
+        RunConfig(n_walk=4, t_values=[0.3, 0.4])
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
@@ -239,6 +245,33 @@ def test_dispatch_leaves_no_workers(tmp_path, monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("affinity", [True, False])
+def test_pool_is_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
+    # a pool forks all of its workers at the first submit, so a large
+    # ``workers`` asks for no more than the CPUs this process may run on:
+    # sched_getaffinity where there is one, cpu_count otherwise. The stub
+    # pool records its size and refuses, so no worker is started.
+    asked = []
+
+    class Refusing:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool here")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Refusing)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers, want in ((100_000, 3), (2, 2)):
+        bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path, workers=workers)))
+        with pytest.raises(RuntimeError, match="no pool here"):
+            bench.dispatch("martingale")
+        assert asked.pop() == want and asked == []
+    assert multiprocessing.active_children() == []
+
+
 def _raising_walks(model, n, reps, rng):
     raise RuntimeError("block failed")
 
@@ -297,19 +330,40 @@ def test_report_writes_bools_as_json_booleans():
     assert type(inputs["flags"][1]) is int and type(inputs["k"]) is int
 
 
-def test_ks_record_gate(tmp_path):
-    # the runner holds every gate: a KS statistic equal to its gate passes,
+def test_record_gate(tmp_path):
+    # the runner holds every gate: a statistic equal to its gate passes,
     # one above it fails, and with no gate it is only reported
     bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path)))
-    half = ks_two_sample([1, 2], [1, 3])
-    assert half.statistic == 0.5
+    half = ks_two_sample([1, 2], [1, 3]).statistic
+    assert half == 0.5
+    records = []
     for gate in (0.5, 0.6):
-        rec = bench._ks_record("x", half, gate, 2, n=4)
+        rec = bench._record("x", half, gate, 2, n=4)
         assert rec.verdict is True and rec.threshold == gate and rec.statistic == 0.5
-    rec = bench._ks_record("x", ks_two_sample([0, 1], [2, 3]), 0.6, 2)
+        records.append(rec)
+    rec = bench._record("x", ks_two_sample([0, 1], [2, 3]).statistic, 0.6, 2)
     assert rec.verdict is False and rec.statistic == 1.0
-    rec = bench._ks_record("x", half, None, 2, n=4)
+    records.append(rec)
+    rec = bench._record("x", half, None, 2, n=4)
     assert rec.verdict is None and rec.threshold is None and rec.inputs == {"n": 4}
+    records.append(rec)
+    # a gated record also fails when its other condition fails (band-fraction
+    # with rising fractions) or when it has no statistic (lemma1's empty sample)
+    rec = bench._record("x", np.float64(0.01), 0.05, 2, False, decreasing=False)
+    assert rec.verdict is False and rec.inputs == {"decreasing": False}
+    records.append(rec)
+    rec = bench._record("x", None, 0.06, 2, kept=0)
+    assert rec.verdict is False and rec.statistic is None and rec.threshold == 0.06
+    records.append(rec)
+    # with no gate the verdict is the one given, and the detail is kept
+    for passed in (True, False):
+        rec = bench._record("x", None, None, 0, passed, "why")
+        assert rec.verdict is passed and rec.detail == "why" and rec.threshold is None
+        records.append(rec)
+    records.append(bench._record("x", np.float64(0.01), np.float64(0.05), 2))
+    assert records[-1].verdict is True
+    assert all(r.verdict is None or type(r.verdict) is bool for r in records)
+    assert all(r.statistic is None or type(r.statistic) is float for r in records)
 
 
 def test_cli_unknown_subcommand(tmp_path, capsys):
@@ -394,6 +448,7 @@ def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, name):
     ({"replicas": "abc"}, "replicas"),
     ({"out_dir": 5}, "out_dir"),
     ({"rate_params": [True]}, "rate_params"),
+    ({"replicas": {"lemma5": 2.5}}, "replicas.lemma5"),
 ])
 def test_cli_malformed_scalar_field_exit_code(tmp_path, capsys, fields, name):
     # a model number that is not a finite real, a name that is not a string,
@@ -402,6 +457,15 @@ def test_cli_malformed_scalar_field_exit_code(tmp_path, capsys, fields, name):
     argv = ["validate-env", "--config", write_config(tmp_path, **fields)]
     assert main(argv) == 2
     assert f"config error: {name}: need " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wrong", [None, True])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_config_field_is_type_checked(name, wrong):
+    # None and a bool are of the wrong kind for every field: each one, and
+    # any field added later, is a configuration error naming the field
+    with pytest.raises(ConfigError, match=rf"(^|; ){re.escape(name)}: need "):
+        RunConfig(**{name: wrong})
 
 
 def test_config_accepts_lemma_offsets_at_trunc_i():

@@ -14,7 +14,7 @@ from bpire_lab.limit import (
     estimate_level_change_prob,
     sample_gamma_batch,
     sample_two_sided_batch,
-    series_terms,
+    series_sums,
     stable_standard,
 )
 from bpire_lab.bpire import cohort_log_values, limit_log_values
@@ -245,13 +245,18 @@ def test_gamma_truncation_stability(std_model, std_tables, rng):
     assert ks_two_sample(a["gamma"], b["gamma"]).statistic <= 0.05
 
 
-def test_series_terms_match_star_sequence(std_model, std_tables, rng):
+def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch):
     env = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
-    pos, neg = series_terms(env, 4)
-    for j in range(4):
-        assert np.allclose(pos[:, j], _mu_star(env, j + 1) * np.exp(-env.s_star(j)))
-        i = -(j + 1)
-        assert np.allclose(neg[:, j], _mu_star(env, i + 1) * np.exp(-env.s_star(i)))
+    terms = {i: _mu_star(env, i + 1) * np.exp(-env.s_star(i)) for i in range(-4, 4)}
+    sums = series_sums(env, 4)
+    assert np.allclose(sums["positive"], sum(terms[j] for j in range(4)))
+    assert np.allclose(sums["negative"], sum(terms[-(j + 1)] for j in range(4)))
+    assert np.allclose(sums["tail_after"], sum(terms[j] for j in range(1, 4)))
+    assert np.allclose(sums["head_before"], sum(terms[-(j + 1)] for j in range(1, 4)))
+    # a row's sums do not depend on the row group it is formed in
+    monkeypatch.setattr(bpire, "_BLOCK_CELLS", 3 * 8)
+    for key, val in series_sums(env, 4).items():
+        assert np.array_equal(val, sums[key]), key
 
 
 @dataclass(frozen=True)
@@ -270,8 +275,9 @@ def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch)
     assert not env.mu.flags.writeable and env.mu.shape == (50, 4 + 7)
     full = TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
     assert full.mu.flags.writeable
-    for got, want in zip(series_terms(env, 4), series_terms(full, 4)):
-        assert np.array_equal(got, want)
+    want = series_sums(full, 4)
+    for key, got in series_sums(env, 4).items():
+        assert np.array_equal(got, want[key]), key
 
     sample = limit.sample_two_sided_batch
 
