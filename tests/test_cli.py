@@ -237,6 +237,8 @@ def test_dispatch_leaves_no_workers(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", Counting)
+    # the pool size is capped at the usable CPUs; four keep it at ``workers``
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path, workers=2)))
     assert len(bench.dispatch("martingale")) == 18
     assert made == [{"max_workers": 2}]
