@@ -34,7 +34,7 @@ from .ladder import LadderTables
 __all__ = [
     "RejectionExhausted",
     "sample_conditioned_batch",
-    "resample_by_weight",
+    "resample_indices",
 ]
 
 REJECTION_CAP = 1_000_000  # free-path attempts allowed per accepted path
@@ -176,8 +176,8 @@ def sample_conditioned_batch(model: EnvironmentModel, n: int, method: str,
     return s, w / w.sum()
 
 
-def resample_by_weight(values: np.ndarray, weights: np.ndarray, reps: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Importance-resample rows (or scalars) into an equal-weight sample."""
-    idx = rng.choice(len(values), size=reps, replace=True, p=weights)
-    return values[idx]
+def resample_indices(weights: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of an importance resample: ``reps`` draws with replacement,
+    index k with probability ``weights[k]``, so the indexed rows form an
+    equal-weight sample."""
+    return rng.choice(len(weights), size=reps, replace=True, p=weights)

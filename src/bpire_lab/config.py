@@ -136,6 +136,10 @@ class RunConfig:
             if self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
                 problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
                                 f"with horizons[-1] = {self.horizons[-1]}")
+            # the joint law of Y at one generation twice says nothing of two times
+            if self.horizons and len({math.floor(self.horizons[-1] * t) for t in ts}) < 2:
+                problems.append(f"t_values: need floor(horizons[-1] * t1) < floor(horizons[-1] "
+                                f"* t2), got {ts} with horizons[-1] = {self.horizons[-1]}")
             k1, k2 = (math.floor(self.n_walk * t) for t in ts)
             if k1 < 1:
                 problems.append(f"t_values: need floor(n_walk * t1) >= 1, got t1 = {ts[0]} "

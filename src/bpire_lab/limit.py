@@ -10,9 +10,14 @@ sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
 two-sided environment. The two-sided environment glues an independent
 pair of conditioned walks: a nonnegative one indexed forward and a
 negative one indexed backward (with flipped sign), each carrying its own
-immigration rates. They are glued once, when drawn, into one array per
-quantity in one coordinate system (``TwoSidedBatch``): column
-origin + i holds S*_i and mu*_{i+1}, and every reader slices it.
+immigration rates. One rule draws a side (``sample_side``: its paths,
+their resample indices, then its rates), so every reader sees the same
+numbers from the same stream. Readers of whole environments (lemma1's
+S*_i, the gamma sample's tail sums) glue the sides as they are drawn
+into one array per quantity in one coordinate system
+(``TwoSidedBatch``): column origin + i holds S*_i and mu*_{i+1}. The
+series sums (``series_sums``) read one side at a time, so a reader that
+needs only them holds one side, never the glued pair.
 """
 
 from __future__ import annotations
@@ -22,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpire import _join, _row_groups, limit_log_values
-from .conditioned import resample_by_weight, sample_conditioned_batch
+from .bpire import _row_groups, limit_log_values
+from .conditioned import resample_indices, sample_conditioned_batch
 from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
 
 __all__ = [
     "TwoSidedBatch",
     "stable_standard",
+    "sample_side",
     "sample_two_sided_batch",
     "series_sums",
     "sample_gamma_batch",
@@ -50,9 +56,14 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
     (Chambers, Mallows and Stuck, 1976). The symmetric case has
     characteristic function exp(-|s|^alpha). At alpha = 2 (so rho = 1/2)
     the formula reduces to 2 sin(U) sqrt(E), which is Normal(0, 2) by the
-    Box-Muller transform, and that normal is drawn directly. Computed in
-    place: the draws plus one buffer, three arrays of the requested size
-    at most.
+    Box-Muller transform, and that normal is drawn directly.
+
+    The trigonometric factors come from three tangents, which cost a
+    fraction of a sine or cosine: both cosine angles lie in (-pi/2, pi/2),
+    so cos x = (1 + tan^2 x)^{-1/2}, and sin 2h = 2 tan h / (1 + tan^2 h).
+    The values agree with the sine-cosine form to rounding, not bit for
+    bit. Computed in place: the draws plus one buffer, three arrays of the
+    requested size at most.
     """
     check_stable_params(alpha, rho)
     if alpha == 2.0:
@@ -62,25 +73,34 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
         np.tan(u, out=u)
         u += math.tan(np.pi * (rho - 0.5))
         return u
-    e = rng.exponential(1.0, size)
+    e = rng.standard_exponential(size)
     t = np.pi * (rho - 0.5)
     a = alpha
-    # e <- fac = (cos(a t + (a-1) u) / e)^{(1-a)/a}
+    # with c2 = cos(a t + (a-1) u) = (1 + tan^2)^{-1/2}, the last factor is
+    # (c2 / e)^{(1-a)/a} = ((1 + tan^2) e^2)^{(a-1)/(2a)}: e <- that
     buf = u * (a - 1.0)
     buf += a * t
-    np.cos(buf, out=buf)
-    np.divide(buf, e, out=e)
-    e **= (1.0 - a) / a
-    # buf <- den = (cos(a t) cos u)^{1/a}
-    np.cos(u, out=buf)
-    buf *= math.cos(a * t)
-    buf **= 1.0 / a
-    # u <- num / den * fac with num = sin(a (u + t))
+    np.tan(buf, out=buf)
+    buf *= buf
+    buf += 1.0
+    e *= e
+    e *= buf
+    e **= (a - 1.0) / (2.0 * a)
+    # 1 / (cos u)^{1/a} = (1 + tan^2 u)^{1/(2a)}: e <- e times that
+    np.tan(u, out=buf)
+    buf *= buf
+    buf += 1.0
+    buf **= 1.0 / (2.0 * a)
+    e *= buf
+    # u <- sin(a (u + t)) / 2 from the tangent h of its half angle
     u += t
-    u *= a
-    np.sin(u, out=u)
+    u *= a / 2.0
+    np.tan(u, out=u)
+    np.multiply(u, u, out=buf)
+    buf += 1.0
     u /= buf
     u *= e
+    u *= 2.0 * math.cos(a * t) ** (-1.0 / a)
     return u
 
 
@@ -107,60 +127,76 @@ class TwoSidedBatch:
         return self.s[:, self.origin + i]
 
 
+def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator,
+                tables: LadderTables, side: str):
+    """One side of the two-sided environment at horizon ``n``, in the glued
+    coordinates: (walk, rows, mu).
+
+    ``walk`` holds ``reps`` exact rejection paths, negated on the negative
+    side, so that column j is S*_j on the positive side and S*_{-j} on the
+    negative one. Row r of the side is ``walk[rows[r]]``: the paths
+    importance-resampled by their terminal renewal weight, so the side
+    follows the renewal-reweighted measure of the limiting environment.
+    Column j of ``mu`` is mu*_{j+1} on the positive side and mu*_{-j} on
+    the negative one, so the series term of column j is
+    mu[:, j] e^{-walk[rows, j]} on the positive side and
+    mu[:, j] e^{-walk[rows, j + 1]} on the negative one. The draw order
+    fixes the bytes: the paths, their resample indices, then the rates
+    (constant rates draw nothing and are one read-only view of the value).
+    """
+    walk, weights = sample_conditioned_batch(model, n, "rejection", reps, rng, side, tables)
+    rows = resample_indices(weights, reps, rng)
+    if side == "negative":
+        np.negative(walk, out=walk)
+    return walk, rows, model.draw_rate(rng, (reps, n))
+
+
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
                            rng: np.random.Generator, tables: LadderTables,
                            pos_extra: int = 0) -> TwoSidedBatch:
     """Draw glued environments at series half-width ``I``: S*_{-I}..S*_hp,
     origin I, with hp = I + ``pos_extra``.
 
-    The positive side is sampled to horizon hp (the tail sums beyond the
-    series need the extra steps), the negative side to horizon I; the two
-    sides are independent. Both sides follow the renewal-reweighted
-    measure that the limiting environment obeys: exact rejection paths,
-    importance-resampled by their terminal renewal weight.
+    The positive side is drawn to horizon hp (the tail sums beyond the
+    series need the extra steps), then the negative side to horizon I
+    (``sample_side``); the two sides are independent. Each side goes
+    straight into its columns of the glued arrays.
     """
     if I < 1:
         raise ValueError("I must be >= 1")
     hp = I + max(pos_extra, 0)
-    # each draw goes straight into its columns of the glued arrays, and a
-    # side's batch is dropped before the next draw, so memory holds one
-    # copy of the environment. The draw order fixes the bytes: the
-    # positive side's paths and their resample, the same for the negative
-    # side, then the positive and the negative rates. Constant rates draw
-    # nothing and are one read-only view of the value.
     s = np.empty((reps, I + hp + 1))
-    s[:, I:] = resample_by_weight(*sample_conditioned_batch(
-        model, hp, "rejection", reps, rng, "positive", tables), reps, rng)
-    s[:, I - 1::-1] = -resample_by_weight(*sample_conditioned_batch(
-        model, I, "rejection", reps, rng, "negative", tables), reps, rng)[:, 1:]
+    walk, rows, mu_pos = sample_side(model, hp, reps, rng, tables, "positive")
+    s[:, I:] = walk[rows]
+    # the negative walk's S*_{-1}..S*_{-I} fills columns I-1..0
+    walk, rows, mu_neg = sample_side(model, I, reps, rng, tables, "negative")
+    s[:, I - 1::-1] = walk[rows, 1:]
     if model.rate_family == "constant":
         return TwoSidedBatch(s=s, mu=model.draw_rate(rng, (reps, I + hp)), origin=I)
     mu = np.empty((reps, I + hp))
-    mu[:, I:] = model.draw_rate(rng, (reps, hp))
-    mu[:, I - 1::-1] = model.draw_rate(rng, (reps, I))
+    mu[:, I:], mu[:, I - 1::-1] = mu_pos, mu_neg
     return TwoSidedBatch(s=s, mu=mu, origin=I)
 
 
-def series_sums(env: TwoSidedBatch, I: int) -> dict:
-    """Per-row partial sums of the first series' terms mu*_{i+1} e^{-S*_i},
-    i in [-I, I-1]: ``positive`` over i >= 0, ``negative`` over i < 0,
-    ``tail_after`` over i >= 1 and ``head_before`` over i <= -2.
+def series_sums(walk: np.ndarray, mu: np.ndarray, rows=None) -> np.ndarray:
+    """Per-row sums of one side's series terms mu[:, j] e^{-walk[:, j]}, one
+    term per column of ``mu``: row 0 sums every term, row 1 all but the
+    first (the term nearest the origin). Row r of the side reads walk row
+    ``rows[r]`` (walk row r when ``rows`` is None) and mu row r.
 
     The terms are formed in row groups of about ``_BLOCK_CELLS`` cells, so
-    no (reps, 2I) buffer exists; a row's sums do not depend on its group.
+    no (reps, width) buffer exists; a row's sums do not depend on its group.
     """
-    o = env.origin
-    parts = []
-    for lo, hi in _row_groups(2 * I, len(env.s)):
-        # negate, exponentiate and scale in place
-        terms = np.negative(env.s[lo:hi, o - I:o + I])
+    width = mu.shape[1]
+    sums = np.empty((2, len(mu)))
+    for lo, hi in _row_groups(width, len(mu)):
+        # gather, negate, exponentiate and scale in place
+        terms = np.negative(walk[np.s_[lo:hi] if rows is None else rows[lo:hi], :width])
         np.exp(terms, out=terms)
-        terms *= env.mu[lo:hi, o - I:o + I]
-        pos, neg = terms[:, I:], terms[:, I - 1::-1]
-        parts.append({"positive": pos.sum(axis=1), "negative": neg.sum(axis=1),
-                      "tail_after": pos[:, 1:].sum(axis=1),
-                      "head_before": neg[:, 1:].sum(axis=1)})
-    return _join(parts)
+        terms *= mu[lo:hi]
+        sums[0, lo:hi] = terms.sum(axis=1)
+        sums[1, lo:hi] = terms[:, 1:].sum(axis=1)
+    return sums
 
 
 def _glued_tails(env: TwoSidedBatch, I: int, J: int):
@@ -195,8 +231,10 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
     if J < 1:
         raise ValueError("J must be >= 1")
     env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
-    sums = series_sums(env, I)
-    sigma1 = sums["positive"] + sums["negative"]
+    o = env.origin
+    # the positive side runs right from the origin, the negative side left
+    sigma1 = (series_sums(env.s[:, o:], env.mu[:, o:o + I])[0]
+              + series_sums(env.s[:, o - 1::-1], env.mu[:, o - 1::-1])[0])
     s_i, mu, t_log = _glued_tails(env, I, J)
     # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
     sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)

@@ -10,11 +10,13 @@ a statistic and its gate into each record's verdict. Four samples are
 drawn once per run and shared: the free walks (walk-stats, arcsine,
 lemma1), the gamma sample (gamma-dist, theorem1-onedim,
 theorem1-twodim), the pre-limit process Y of theorem 1
-(theorem1-onedim, theorem1-twodim) and the series sample of the glued
-limit environment (lemma5, lemma7). The series sample is drawn whole
-in the main process, not in blocks: the two-sided sampler
-resamples its rejection paths by tilt weight within the pool it is
-given, and splitting the pool concentrates the weight on fewer paths.
+(theorem1-onedim, theorem1-twodim) and the series sample of the
+two-sided limit environment (lemma5, lemma7). The series sample is
+drawn whole in the main process, not in blocks: each side resamples its
+rejection paths by tilt weight within the pool it is given, and
+splitting the pool concentrates the weight on fewer paths. It is never
+glued: each side is reduced to its per-row reads and dropped before the
+next side is drawn, so the process holds one side's paths at a time.
 
 With more than one worker, the runner opens one process pool the first
 time a check needs it and shuts it down before ``dispatch`` returns, so
@@ -48,6 +50,7 @@ from .ladder import estimate_ladder_tables, save_ladder_tables
 from .limit import (
     estimate_level_change_prob,
     sample_gamma_batch,
+    sample_side,
     sample_two_sided_batch,
     series_sums,
     stable_standard,
@@ -269,19 +272,24 @@ class Runner:
                                    self.model, tuple(sorted(gens)))
 
     def series_sample(self, reps: int) -> dict:
-        """Per-row reads of ``reps`` glued environments at half-width
+        """Per-row reads of ``reps`` two-sided environments at half-width
         ``series_trunc``: the halves of the series Sigma1 (lemma5) and the
         numerators of the lemma-7 ratios at i = 1. One draw, whole and in
-        this process (see the module docstring); the environment itself is
-        dropped once these are read."""
+        this process (see the module docstring), and never glued: each side
+        is reduced to its reads and dropped before the next is drawn."""
         key = ("series", reps)
         if key not in self._samples:
-            cfg = self.cfg
-            env = sample_two_sided_batch(self.model, cfg.series_trunc, reps,
-                                         self._stream("lemma5-limit"), self.tables)
-            self._samples[key] = {**series_sums(env, cfg.series_trunc),
-                                  "a_after": np.exp(-env.s_star(1)),
-                                  "a_before": np.exp(-env.s_star(-1))}
+            I = self.cfg.series_trunc
+            rng = self._stream("lemma5-limit")
+            reads = {}
+            # (side, first walk column of the series, keys of its reads)
+            for side, first, keys in (("positive", 0, ("positive", "tail_after", "a_after")),
+                                      ("negative", 1, ("negative", "head_before", "a_before"))):
+                walk, rows, mu = sample_side(self.model, I, reps, rng, self.tables, side)
+                whole, rest = series_sums(walk[:, first:], mu, rows)
+                reads.update(zip(keys, (whole, rest, np.exp(-walk[rows, 1]))))
+                del walk, mu
+            self._samples[key] = reads
         return self._samples[key]
 
     def _record(self, name, statistic, gate, replicas, passed=None, detail="", **inputs):

@@ -72,6 +72,10 @@ def test_config_field_level_messages():
     with pytest.raises(ConfigError,
                        match=r"t_values: need floor\(n_walk \* t1\) < floor\(n_walk \* t2\)"):
         RunConfig(n_walk=4, t_values=[0.3, 0.4])
+    # floor(40 * 1.0) = floor(40 * 1.01) = 40 would read Y at one generation twice
+    with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) < "
+                                          r"floor\(horizons\[-1\] \* t2\)"):
+        RunConfig(horizons=[20, 40], t_values=[1.0, 1.01])
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
@@ -173,25 +177,30 @@ def test_theorem1_sample_drawn_once(tmp_path, monkeypatch):
 
 
 def test_series_sample_drawn_once(tmp_path, monkeypatch):
-    # lemma5 and lemma7 read one draw of the glued limit environment at
-    # series_trunc, sized by replicas.lemma5; unequal counts need two draws
-    draws = []
-    sample = runner.sample_two_sided_batch
+    # lemma5 and lemma7 read one draw of the two-sided limit environment at
+    # series_trunc, sized by replicas.lemma5; unequal counts need two draws.
+    # A draw is its positive side followed by its negative side.
+    draws, sides = [], []
+    sample = runner.sample_side
 
-    def counting(model, I, reps, rng, tables, pos_extra=0):
-        draws.append((I, reps))
-        return sample(model, I, reps, rng, tables, pos_extra)
+    def counting(model, n, reps, rng, tables, side):
+        sides.append(side)
+        if side == "positive":
+            draws.append((n, reps))
+        return sample(model, n, reps, rng, tables, side)
 
-    monkeypatch.setattr(runner, "sample_two_sided_batch", counting)
+    monkeypatch.setattr(runner, "sample_side", counting)
     replicas = tiny_config(tmp_path)["replicas"]
     for lemma7, expect in ((200, [(8, 200)]), (300, [(8, 200), (8, 300)])):
         draws.clear()
+        sides.clear()
         cfg = RunConfig.from_dict(tiny_config(
             tmp_path, replicas={**replicas, "lemma7": lemma7}))
         bench = runner.Runner(cfg)
         for name in ("lemma5", "lemma7"):
             bench.dispatch(name)
         assert draws == expect
+        assert sides == ["positive", "negative"] * len(expect)
 
 
 def test_worker_count_invariance(tmp_path):
@@ -413,6 +422,15 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, how):
         argv = ["arcsine", "--config", write_config(tmp_path, master_seed=-1)]
     assert main(argv) == 2
     assert "config error: master_seed" in capsys.readouterr().err
+
+
+def test_cli_coinciding_twodim_generations_exit_code(tmp_path, capsys):
+    # theorem1-twodim reads Y at floor(N t1) and floor(N t2), N = horizons[-1]:
+    # one generation read twice is a configuration error
+    argv = ["theorem1-twodim", "--config",
+            write_config(tmp_path, horizons=[20, 40], t_values=[1.0, 1.01])]
+    assert main(argv) == 2
+    assert "config error: t_values: need floor(horizons[-1] * t1) <" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("offsets", [[-6], [1, 5], [0], [1.5], [True], 2])

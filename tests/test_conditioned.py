@@ -8,7 +8,7 @@ from scipy.stats import norm
 import bpire_lab.conditioned as conditioned
 from bpire_lab.conditioned import (
     RejectionExhausted,
-    resample_by_weight,
+    resample_indices,
     sample_conditioned_batch,
 )
 from bpire_lab.env import EnvironmentModel
@@ -238,5 +238,5 @@ def test_unknown_method_and_side(std_model, rng):
 def test_resample_by_weight(rng):
     vals = np.array([0.0, 1.0, 2.0])
     w = np.array([0.0, 0.0, 1.0])
-    out = resample_by_weight(vals, w, 50, rng)
+    out = vals[resample_indices(w, 50, rng)]
     assert np.all(out == 2.0)

@@ -18,6 +18,8 @@ from bpire_lab.limit import (
     stable_standard,
 )
 from bpire_lab.bpire import cohort_log_values, limit_log_values
+from bpire_lab.conditioned import resample_indices, sample_conditioned_batch
+from bpire_lab.config import RunConfig
 from bpire_lab.env import EnvironmentModel, check_stable_params
 from bpire_lab.report import write_csv
 from bpire_lab.stats import ks_two_sample
@@ -80,6 +82,24 @@ def test_skewed_stable_matches_reference(rng):
     assert np.allclose(np.quantile(x, qs), expect, atol=0.06)
 
 
+def _cms_sin_cos(alpha, rho, size, rng):
+    # the uniform-exponential transform written out with sines and cosines
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+    e = rng.exponential(1.0, size)
+    t = np.pi * (rho - 0.5)
+    return (np.sin(alpha * (u + t)) / (math.cos(alpha * t) * np.cos(u)) ** (1.0 / alpha)
+            * (np.cos(alpha * t + (alpha - 1.0) * u) / e) ** ((1.0 - alpha) / alpha))
+
+
+@pytest.mark.parametrize("alpha,rho", [(0.5, 0.5), (1.2, 0.5), (1.5, 0.5), (1.8, 0.5),
+                                       (1.5, 0.6)])
+def test_stable_matches_sin_cos_form(alpha, rho):
+    # the tangent form gives the sine-cosine values on the same draws, to rounding
+    got = stable_standard(alpha, rho, 200_000, derive_stream(9, 0, "cms"))
+    want = _cms_sin_cos(alpha, rho, 200_000, derive_stream(9, 0, "cms"))
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 # -- two-sided environments --------------------------------------------------
 
 def test_two_sided_gluing_invariants(std_model, std_tables, rng):
@@ -95,13 +115,11 @@ def test_two_sided_gluing_invariants(std_model, std_tables, rng):
 def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, rng):
     # the glued S*_1 law equals the reweighted-face law of S_1 sampled at
     # the direct one-step horizon: horizon consistency of the tilt
-    from bpire_lab.conditioned import resample_by_weight, sample_conditioned_batch
-
     reps = 8000
     env = sample_two_sided_batch(std_model, 8, reps, rng, std_tables)
     direct, tilt = sample_conditioned_batch(std_model, 1, "rejection", reps, rng,
                                             "positive", std_tables)
-    direct_tilt = resample_by_weight(direct[:, -1], tilt, reps, rng)
+    direct_tilt = direct[resample_indices(tilt, reps, rng), -1]
     ks = ks_two_sample(env.s_star(1), direct_tilt)
     assert ks.statistic <= 0.05
 
@@ -123,6 +141,51 @@ def test_s_star_rejects_indices_outside_the_environment(std_model, std_tables, r
     for i in (-4, 6, -9):
         with pytest.raises(IndexError):
             env.s_star(i)
+
+
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_side_draws_paths_then_resample_then_rates(side, std_tables):
+    # one side draws its rejection paths, their resample indices, then its
+    # rates; the negative side's walk is negated into the glued coordinates
+    model = EnvironmentModel(rate_family="lognormal", rate_params=(0.0, 0.5))
+    walk, rows, mu = limit.sample_side(model, 6, 300, derive_stream(8, 0, side), std_tables, side)
+    rng = derive_stream(8, 0, side)
+    paths, weights = sample_conditioned_batch(model, 6, "rejection", 300, rng, side, std_tables)
+    assert np.array_equal(rows, resample_indices(weights, 300, rng))
+    assert np.array_equal(mu, model.draw_rate(rng, (300, 6)))
+    assert np.array_equal(walk, paths if side == "positive" else -paths)
+
+
+@pytest.mark.parametrize("rates", [{}, {"rate_family": "lognormal", "rate_params": [0.0, 0.5]}])
+def test_series_sample_reads_the_glued_environment(rates, std_tables):
+    # the series sample is never glued, yet its reads are those of the glued
+    # environment drawn from the same stream: both follow one draw order
+    bench = runner.Runner(RunConfig.from_dict({"series_trunc": 6, "out_dir": "unused", **rates}))
+    bench._tables = std_tables
+    reads = bench.series_sample(300)
+    env = sample_two_sided_batch(bench.model, 6, 300, bench._stream("lemma5-limit"), std_tables)
+    want = dict(zip(("positive", "tail_after", "negative", "head_before"), _glued_sums(env, 6)))
+    want.update(a_after=np.exp(-env.s_star(1)), a_before=np.exp(-env.s_star(-1)))
+    assert reads.keys() == want.keys()
+    for key, val in want.items():
+        assert np.array_equal(reads[key], val), key
+
+
+def test_series_sample_holds_one_side(std_tables):
+    # the series sample holds one side's path matrix at a time: its traced
+    # peak stays under 2.5 of them (1.8 measured; glued whole, it was 4)
+    import tracemalloc
+
+    reps, trunc = 4000, 256
+    bench = runner.Runner(RunConfig.from_dict({"series_trunc": trunc, "out_dir": "unused"}))
+    bench._tables = std_tables
+    tracemalloc.start()
+    try:
+        bench.series_sample(reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * reps * (trunc + 1) * 8
 
 
 # -- martingale limits and the ratio law ------------------------------------
@@ -245,18 +308,31 @@ def test_gamma_truncation_stability(std_model, std_tables, rng):
     assert ks_two_sample(a["gamma"], b["gamma"]).statistic <= 0.05
 
 
+def _glued_sums(env, I):
+    # the series sums of both sides of a glued environment: the positive side
+    # runs right from the origin, the negative side left
+    o = env.origin
+    return np.concatenate([series_sums(env.s[:, o:], env.mu[:, o:o + I]),
+                           series_sums(env.s[:, o - 1::-1], env.mu[:, o - 1::-1])])
+
+
 def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch):
     env = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
     terms = {i: _mu_star(env, i + 1) * np.exp(-env.s_star(i)) for i in range(-4, 4)}
-    sums = series_sums(env, 4)
-    assert np.allclose(sums["positive"], sum(terms[j] for j in range(4)))
-    assert np.allclose(sums["negative"], sum(terms[-(j + 1)] for j in range(4)))
-    assert np.allclose(sums["tail_after"], sum(terms[j] for j in range(1, 4)))
-    assert np.allclose(sums["head_before"], sum(terms[-(j + 1)] for j in range(1, 4)))
+    sums = _glued_sums(env, 4)
+    # (positive, tail_after, negative, head_before)
+    assert np.allclose(sums[0], sum(terms[j] for j in range(4)))
+    assert np.allclose(sums[2], sum(terms[-(j + 1)] for j in range(4)))
+    assert np.allclose(sums[1], sum(terms[j] for j in range(1, 4)))
+    assert np.allclose(sums[3], sum(terms[-(j + 1)] for j in range(1, 4)))
     # a row's sums do not depend on the row group it is formed in
-    monkeypatch.setattr(bpire, "_BLOCK_CELLS", 3 * 8)
-    for key, val in series_sums(env, 4).items():
-        assert np.array_equal(val, sums[key]), key
+    monkeypatch.setattr(bpire, "_BLOCK_CELLS", 3 * 4)
+    assert np.array_equal(_glued_sums(env, 4), sums)
+    # row r of a gathered side reads walk row rows[r] and rate row r
+    rows = rng.integers(0, 50, 80)
+    mu = rng.lognormal(0.0, 1.0, (80, 4))
+    walk = env.s[:, env.origin:]
+    assert np.array_equal(series_sums(walk, mu, rows), series_sums(walk[rows], mu))
 
 
 @dataclass(frozen=True)
@@ -275,9 +351,7 @@ def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch)
     assert not env.mu.flags.writeable and env.mu.shape == (50, 4 + 7)
     full = TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
     assert full.mu.flags.writeable
-    want = series_sums(full, 4)
-    for key, got in series_sums(env, 4).items():
-        assert np.array_equal(got, want[key]), key
+    assert np.array_equal(_glued_sums(env, 4), _glued_sums(full, 4))
 
     sample = limit.sample_two_sided_batch
 
