@@ -426,9 +426,10 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, how):
 
 def test_cli_coinciding_twodim_generations_exit_code(tmp_path, capsys):
     # theorem1-twodim reads Y at floor(N t1) and floor(N t2), N = horizons[-1]:
-    # one generation read twice is a configuration error
+    # one generation read twice is a configuration error (n_walk = 200 keeps
+    # the band indices 200 and 202 apart)
     argv = ["theorem1-twodim", "--config",
-            write_config(tmp_path, horizons=[20, 40], t_values=[1.0, 1.01])]
+            write_config(tmp_path, horizons=[20, 40], t_values=[1.0, 1.01], n_walk=200)]
     assert main(argv) == 2
     assert "config error: t_values: need floor(horizons[-1] * t1) <" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,6 @@ def test_series_sample_reads_the_glued_environment(rates, std_tables):
 def test_series_sample_holds_one_side(std_tables):
     # the series sample holds one side's path matrix at a time: its traced
     # peak stays under 2.5 of them (1.8 measured; glued whole, it was 4)
-    import tracemalloc
-
     reps, trunc = 4000, 256
     bench = runner.Runner(RunConfig.from_dict({"series_trunc": trunc, "out_dir": "unused"}))
     bench._tables = std_tables
