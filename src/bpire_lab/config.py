@@ -154,8 +154,9 @@ class RunConfig:
             problems.append(f"band_eps: need strictly decreasing positives, got {eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
-        # an offset reads S*_i of the glued environment, which spans |i| <= trunc_i,
-        # and S_{tau+i} of the free walk S_0..S_{n_walk}, and names one record
+        # an offset reads S*_i of the two-sided environment, which spans
+        # |i| <= trunc_i, and S_{tau+i} of the free walk S_0..S_{n_walk}, and
+        # names one record
         offsets = self.lemma_offsets
         if len(set(offsets)) < len(offsets) or not all(
                 1 <= abs(i) <= min(self.trunc_i, self.n_walk) for i in offsets):

@@ -1,4 +1,4 @@
-"""The limiting objects: stable Lévy levels, glued conditioned
+"""The limiting objects: stable Lévy levels, two-sided conditioned
 environments, and the ratio law driving the limit process, drawn from
 exact martingale limits.
 
@@ -7,23 +7,22 @@ The limit process is built from two independent ingredients: the level
 needs only whether it drops between two times (one pass over a grid
 path, ``estimate_level_change_prob``), and an i.i.d.
 sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
-two-sided environment. The two-sided environment glues an independent
-pair of conditioned walks: a nonnegative one indexed forward and a
-negative one indexed backward (with flipped sign), each carrying its own
-immigration rates. One rule draws a side (``sample_side``: its paths,
-their resample indices, then its rates), so every reader sees the same
-numbers from the same stream. Readers of whole environments (lemma1's
-S*_i, the gamma sample's tail sums) glue the sides as they are drawn
-into one array per quantity in one coordinate system
-(``TwoSidedBatch``): column origin + i holds S*_i and mu*_{i+1}. The
-series sums (``series_sums``) read one side at a time, so a reader that
-needs only them holds one side, never the glued pair.
+two-sided environment. The two-sided environment pairs independent
+conditioned walks: a nonnegative one indexed forward and a negative one
+indexed backward (with flipped sign), each carrying its own immigration
+rates. The environment takes one form, its two sides: one rule draws a
+side (``sample_side``: its paths, their resample indices, then its
+rates), so every reader sees the same numbers from the same stream, and
+column j of a side is S*_j on the positive side and S*_{-j} on the
+negative one. One rule sums a side's series (``series_sums``). A reader
+that needs only per-side reads (lemma1's S*_i, the series sums) holds
+one side at a time; the gamma sample builds its cohort arrays straight
+from both sides (``_cohort_tails``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .env import EnvironmentModel, check_stable_params
 from .ladder import LadderTables
 
 __all__ = [
-    "TwoSidedBatch",
     "stable_standard",
     "sample_side",
     "sample_two_sided_batch",
@@ -104,33 +102,11 @@ def stable_standard(alpha: float, rho: float, size, rng: np.random.Generator) ->
     return u
 
 
-@dataclass
-class TwoSidedBatch:
-    """Replica batch of glued two-sided environments, in one coordinate
-    system.
-
-    Column ``origin + i`` of ``s`` is S*_i and the same column of ``mu``
-    is mu*_{i+1}, for i = -origin..width - origin - 1 (``mu`` stops one
-    column short of ``s``). S*_i for i >= 0 is the nonnegative walk; for
-    i < 0 it is minus the negative walk read backward, S*_i = -S^-_{-i},
-    with mu*_{i+1} = mu^-_{-i}. Under constant rates ``mu`` is a read-only
-    broadcast view of the rate.
-    """
-
-    s: np.ndarray
-    mu: np.ndarray
-    origin: int
-
-    def s_star(self, i: int) -> np.ndarray:
-        if not -self.origin <= i < self.s.shape[1] - self.origin:
-            raise IndexError(f"S*_{i} lies outside the glued environment")
-        return self.s[:, self.origin + i]
-
-
 def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator,
                 tables: LadderTables, side: str):
-    """One side of the two-sided environment at horizon ``n``, in the glued
-    coordinates: (walk, rows, mu).
+    """One side of the two-sided environment at horizon ``n``, in the
+    coordinates of S*: (walk, rows, mu), the only form the environment
+    takes.
 
     ``walk`` holds ``reps`` exact rejection paths, negated on the negative
     side, so that column j is S*_j on the positive side and S*_{-j} on the
@@ -153,29 +129,17 @@ def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Gener
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
                            rng: np.random.Generator, tables: LadderTables,
-                           pos_extra: int = 0) -> TwoSidedBatch:
-    """Draw glued environments at series half-width ``I``: S*_{-I}..S*_hp,
-    origin I, with hp = I + ``pos_extra``.
-
-    The positive side is drawn to horizon hp (the tail sums beyond the
-    series need the extra steps), then the negative side to horizon I
-    (``sample_side``); the two sides are independent. Each side goes
-    straight into its columns of the glued arrays.
+                           pos_extra: int = 0):
+    """The two sides of ``reps`` environments at series half-width ``I``, as
+    the side draws (positive, negative) of ``sample_side``: the positive
+    side to horizon I + ``pos_extra`` (the tail sums beyond the series need
+    the extra steps), then the negative side to horizon I. The two sides
+    are independent.
     """
     if I < 1:
         raise ValueError("I must be >= 1")
-    hp = I + max(pos_extra, 0)
-    s = np.empty((reps, I + hp + 1))
-    walk, rows, mu_pos = sample_side(model, hp, reps, rng, tables, "positive")
-    s[:, I:] = walk[rows]
-    # the negative walk's S*_{-1}..S*_{-I} fills columns I-1..0
-    walk, rows, mu_neg = sample_side(model, I, reps, rng, tables, "negative")
-    s[:, I - 1::-1] = walk[rows, 1:]
-    if model.rate_family == "constant":
-        return TwoSidedBatch(s=s, mu=model.draw_rate(rng, (reps, I + hp)), origin=I)
-    mu = np.empty((reps, I + hp))
-    mu[:, I:], mu[:, I - 1::-1] = mu_pos, mu_neg
-    return TwoSidedBatch(s=s, mu=mu, origin=I)
+    return (sample_side(model, I + max(pos_extra, 0), reps, rng, tables, "positive"),
+            sample_side(model, I, reps, rng, tables, "negative"))
 
 
 def series_sums(walk: np.ndarray, mu: np.ndarray, rows=None) -> np.ndarray:
@@ -199,22 +163,28 @@ def series_sums(walk: np.ndarray, mu: np.ndarray, rows=None) -> np.ndarray:
     return sums
 
 
-def _glued_tails(env: TwoSidedBatch, I: int, J: int):
-    """Tail sums of the 2I immigrant cohorts i = -I..I-1 of the glued
-    environment.
+def _cohort_tails(model: EnvironmentModel, positive, negative, I: int, J: int):
+    """Tail sums of the 2I immigrant cohorts i = -I..I-1 of the side draws
+    (``positive``, ``negative``).
 
-    Returns (reps, 2I) arrays: S*_i, mu*_{i+1}, and
-    ln T_i = ln sum_{j=i}^{I+J-1} e^{-S*_j}, the sum running J steps past
-    the series into the positive tail. One right-to-left ``logaddexp``
-    pass over the glued walk gives every T_i, so no increment of the walk
-    underflows a sum to zero.
+    Returns (reps, 2I) arrays, column c for cohort i = c - I: S*_i,
+    mu*_{i+1}, and ln T_i = ln sum_{j=i}^{I+J-1} e^{-S*_j}, the sum running
+    J steps past the series into the positive tail. One right-to-left
+    ``logaddexp`` pass over S*_{-I}..S*_{I+J-1} gives every T_i, so no
+    increment of the walk underflows a sum to zero. Under constant rates
+    mu*_{i+1} stays one read-only view of the rate.
     """
-    o = env.origin
-    if o < I or env.s.shape[1] - o < I + J:
+    (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = positive, negative
+    if pos.shape[1] < I + J or neg.shape[1] < I + 1:
         raise ValueError(f"two-sided environment too short for I={I}, J={J}")
-    s = env.s[:, o - I:o + I + J]
+    # the negative side read backward, S*_{-I}..S*_{-1}, then S*_0..S*_{I+J-1}
+    s = np.concatenate([neg[neg_rows, I:0:-1], pos[pos_rows, :I + J]], axis=1)
     t_log = np.logaddexp.accumulate(-s[:, ::-1], axis=1)[:, ::-1]
-    return s[:, :2 * I], env.mu[:, o - I:o + I], t_log[:, :2 * I]
+    if model.rate_family == "constant":
+        mu = model.draw_rate(None, (len(s), 2 * I))
+    else:
+        mu = np.concatenate([neg_mu[:, I - 1::-1], pos_mu[:, :I]], axis=1)
+    return s[:, :2 * I], mu, t_log[:, :2 * I]
 
 
 def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
@@ -230,12 +200,12 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    env = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
-    o = env.origin
-    # the positive side runs right from the origin, the negative side left
-    sigma1 = (series_sums(env.s[:, o:], env.mu[:, o:o + I])[0]
-              + series_sums(env.s[:, o - 1::-1], env.mu[:, o - 1::-1])[0])
-    s_i, mu, t_log = _glued_tails(env, I, J)
+    positive, negative = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
+    (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = positive, negative
+    # the positive series starts at S*_0, the negative one at S*_{-1}
+    sigma1 = (series_sums(pos, pos_mu[:, :I], pos_rows)[0]
+              + series_sums(neg[:, 1:], neg_mu, neg_rows)[0])
+    s_i, mu, t_log = _cohort_tails(model, positive, negative, I, J)
     # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
     sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)
     return {"sigma1": sigma1, "sigma2": sigma2, "gamma": sigma2 / sigma1}

@@ -14,9 +14,10 @@ theorem1-twodim), the pre-limit process Y of theorem 1
 two-sided limit environment (lemma5, lemma7). The series sample is
 drawn whole in the main process, not in blocks: each side resamples its
 rejection paths by tilt weight within the pool it is given, and
-splitting the pool concentrates the weight on fewer paths. It is never
-glued: each side is reduced to its per-row reads and dropped before the
-next side is drawn, so the process holds one side's paths at a time.
+splitting the pool concentrates the weight on fewer paths. Like
+lemma1's limit environment, it is read one side at a time: each side is
+reduced to its per-row reads and dropped before the next side is drawn,
+so the process holds one side's paths at a time.
 
 With more than one worker, the runner opens one process pool the first
 time a check needs it and shuts it down before ``dispatch`` returns, so
@@ -51,7 +52,6 @@ from .limit import (
     estimate_level_change_prob,
     sample_gamma_batch,
     sample_side,
-    sample_two_sided_batch,
     series_sums,
     stable_standard,
 )
@@ -120,14 +120,14 @@ def _free_walk_block(count, rng, model, n, offsets):
 
 def _cond_series_block(count, rng, model, n, side):
     """Pre-limit series of the conditioned walk (rejection, exact), summed
-    over the batch's own paths: exponentiated and scaled in place."""
+    over the batch's own paths by the limit's series rule: positive,
+    sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}; negative, sum_{i=1}^{n-1} mu_i e^{S_i}."""
     s = sample_conditioned_batch(model, n, "rejection", count, rng, side)[0]
     mu = model.draw_rate(rng, (count, n))
-    # positive: sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}; negative: sum_{i=1}^{n-1} mu_i e^{S_i}
-    terms = np.negative(s[:, :n], out=s[:, :n]) if side == "positive" else s[:, 1:n]
-    np.exp(terms, out=terms)
-    terms *= mu[:, : terms.shape[1]]
-    return terms.sum(axis=1)
+    if side == "positive":
+        return series_sums(s, mu)[0]
+    np.negative(s[:, 1:], out=s[:, 1:])
+    return series_sums(s[:, 1:], mu[:, :n - 1])[0]
 
 
 def _ratio_block(count, rng, model, n, i):
@@ -275,8 +275,8 @@ class Runner:
         """Per-row reads of ``reps`` two-sided environments at half-width
         ``series_trunc``: the halves of the series Sigma1 (lemma5) and the
         numerators of the lemma-7 ratios at i = 1. One draw, whole and in
-        this process (see the module docstring), and never glued: each side
-        is reduced to its reads and dropped before the next is drawn."""
+        this process (see the module docstring), one side at a time: each
+        side is reduced to its reads and dropped before the next is drawn."""
         key = ("series", reps)
         if key not in self._samples:
             I = self.cfg.series_trunc
@@ -411,13 +411,20 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         walks = self.free_walks()
-        env = sample_two_sided_batch(self.model, cfg.trunc_i, reps,
-                                     self._stream("lemma1-limit"), self.tables)
+        rng = self._stream("lemma1-limit")
+        lim = {}
+        # S*_i is column |i| of the side of i's sign (the config gate keeps
+        # 1 <= |i| <= trunc_i); each side is dropped before the next is drawn
+        for side in ("positive", "negative"):
+            walk, rows, mu = sample_side(self.model, cfg.trunc_i, reps, rng, self.tables, side)
+            lim.update((i, walk[rows, abs(i)]) for i in cfg.lemma_offsets
+                       if (i > 0) == (side == "positive"))
+            del walk, mu
         records = []
         for i in cfg.lemma_offsets:
             pre = walks()[i]
             records.append(self._versus_limit(
-                f"lemma1/offset{i:+d}", pre, env.s_star(i), reps,
+                f"lemma1/offset{i:+d}", pre, lim[i], reps,
                 f"lemma1_offset{i:+d}.csv",
                 dict(subcommand="lemma1", offset=i, n=n, replicas=reps),
                 n=n, trunc_i=cfg.trunc_i, kept=len(pre)))
@@ -621,8 +628,6 @@ class Runner:
 
 def run(subcommand: str, cfg: RunConfig) -> Report:
     """Execute one subcommand and write report plus CSV artifacts."""
-    import os
-
     runner = Runner(cfg)
     # the echo omits execution-only fields so reports are byte-identical
     # across worker counts and output locations

@@ -470,12 +470,12 @@ def test_branch_generation_has_no_overflow(rng):
 def test_branch_generation_large_step_small_count(rng, c):
     # a step past the exact-draw margin sends a small count to log space,
     # where NegBin(c, 1/(1+e^x)) is Poisson(e^x Gamma(c)): ln Z follows
-    # x + ln Gamma(c), at the 5% one-sample critical value
-    x, reps = 50.0, 40_000
+    # x + ln Gamma(c), at the 1/3 % one-sample critical value
+    x, reps = 50.0, 70_000
     _, z_log = branch_generation(np.full(reps, c), np.full(reps, math.log(c)),
                                  np.full(reps, x), rng)
     ks = ks_against_cdf(z_log, lambda v: gammainc(c, np.exp(v - x)))
-    assert ks.statistic <= 1.358 / math.sqrt(reps)
+    assert ks.statistic <= 1.789 / math.sqrt(reps)
 
 
 def test_branch_generation_zero_parents(rng):
@@ -502,8 +502,8 @@ def test_cohort_law_stabilizes_under_conditioning(std_model, std_tables, rng):
 def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     # the cohort joining one generation after the walk argmin, normalized
     # by e^{-(S_n - S_{tau+1})}, matches the martingale-limit law of the
-    # glued environment's first forward cohort
-    from bpire_lab.limit import _glued_tails, sample_two_sided_batch
+    # two-sided environment's first forward cohort
+    from bpire_lab.limit import _cohort_tails, sample_two_sided_batch
 
     n, reps, off = 512, 3000, 1
     x = std_model.draw_x(rng, (reps, n))
@@ -519,9 +519,9 @@ def test_recentered_cohort_matches_martingale_limit(std_model, std_tables, rng):
     pre = np.where(np.isfinite(z_log),
                    np.exp(z_log - (s[:, n] - s[np.arange(reps), cohort])), 0.0)[keep]
 
-    env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
-    s_i, mu, t_log = _glued_tails(env, env.origin, 64)
-    c = env.origin + off  # column of cohort i = off among i = -origin..origin-1
+    sides = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=70)
+    s_i, mu, t_log = _cohort_tails(std_model, *sides, 2, 64)
+    c = 2 + off  # column of cohort i = off among i = -2..1
     lim = np.exp(limit_log_values(mu[:, c], t_log[:, c] + s_i[:, c], rng))
     assert ks_two_sample(pre, lim).statistic <= 0.06
 

@@ -11,6 +11,7 @@ import pytest
 from bpire_lab import runner
 from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
+from bpire_lab.env import validate_model
 from bpire_lab.report import TestRecord as Record
 from bpire_lab.runner import run
 from bpire_lab.stats import ks_two_sample
@@ -411,6 +412,16 @@ def test_cli_model_mismatch_exit_code(tmp_path, capsys, fields, check):
     code = main(["validate-env", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config error: model: {check}" in capsys.readouterr().err
+
+
+def test_validate_env_records_what_the_config_gate_checked(tmp_path):
+    # RunConfig.model() validates strictly, so a failing check is a config
+    # error (above) and in a run every validate-env record passes
+    cfg = RunConfig.from_dict(tiny_config(tmp_path))
+    records = runner.Runner(cfg).dispatch("validate-env")
+    assert [r.name for r in records] == [
+        f"validate-env/{c.name}" for c in validate_model(cfg.model())]
+    assert all(r.verdict is True for r in records)
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

@@ -10,8 +10,7 @@ import bpire_lab.bpire as bpire
 import bpire_lab.limit as limit
 from bpire_lab import runner
 from bpire_lab.limit import (
-    TwoSidedBatch,
-    _glued_tails,
+    _cohort_tails,
     estimate_level_change_prob,
     sample_gamma_batch,
     sample_two_sided_batch,
@@ -103,51 +102,63 @@ def test_stable_matches_sin_cos_form(alpha, rho):
 
 # -- two-sided environments --------------------------------------------------
 
+def _s_star(sides, i):
+    # S*_i: column |i| of the side of i's sign, read through its rows
+    walk, rows, _ = sides[0] if i >= 0 else sides[1]
+    return walk[rows, abs(i)]
+
+
+def _mu_star(sides, i):
+    # mu*_i: column i - 1 of the positive side's rates for i >= 1, column -i
+    # of the negative side's for i <= 0
+    return sides[0][2][:, i - 1] if i >= 1 else sides[1][2][:, -i]
+
+
 def test_two_sided_gluing_invariants(std_model, std_tables, rng):
-    env = sample_two_sided_batch(std_model, 6, 800, rng, std_tables, pos_extra=4)
-    assert np.all(env.s_star(0) == 0.0)
+    sides = sample_two_sided_batch(std_model, 6, 800, rng, std_tables, pos_extra=4)
+    assert np.all(_s_star(sides, 0) == 0.0)
     for i in (1, 3, 6):
-        assert np.all(env.s_star(i) >= 0.0)
+        assert np.all(_s_star(sides, i) >= 0.0)
     for i in (-1, -3, -6):
-        assert np.all(env.s_star(i) > 0.0)
-    assert np.all(env.mu[:, env.origin] > 0.0)
+        assert np.all(_s_star(sides, i) > 0.0)
+    assert np.all(_mu_star(sides, 1) > 0.0)
 
 
 def test_two_sided_first_marginal_matches_direct_sampler(std_model, std_tables, rng):
-    # the glued S*_1 law equals the reweighted-face law of S_1 sampled at
-    # the direct one-step horizon: horizon consistency of the tilt
+    # the two-sided S*_1 law equals the reweighted-face law of S_1 sampled
+    # at the direct one-step horizon: horizon consistency of the tilt
     reps = 8000
-    env = sample_two_sided_batch(std_model, 8, reps, rng, std_tables)
+    sides = sample_two_sided_batch(std_model, 8, reps, rng, std_tables)
     direct, tilt = sample_conditioned_batch(std_model, 1, "rejection", reps, rng,
                                             "positive", std_tables)
     direct_tilt = direct[resample_indices(tilt, reps, rng), -1]
-    ks = ks_two_sample(env.s_star(1), direct_tilt)
+    ks = ks_two_sample(_s_star(sides, 1), direct_tilt)
     assert ks.statistic <= 0.05
 
 
 def test_scalar_environment_view(std_model, std_tables, rng):
-    env = sample_two_sided_batch(std_model, 4, 256, rng, std_tables)
-    assert np.all(env.s_star(0) == 0.0)
-    assert np.all(env.s_star(-2) > 0.0)
-    assert np.all(env.mu[:, env.origin] > 0.0)
+    sides = sample_two_sided_batch(std_model, 4, 256, rng, std_tables)
+    assert np.all(_s_star(sides, 0) == 0.0)
+    assert np.all(_s_star(sides, -2) > 0.0)
+    assert np.all(_mu_star(sides, 1) > 0.0)
 
 
-def test_s_star_rejects_indices_outside_the_environment(std_model, std_tables, rng):
-    # S*_i spans i = -I..I+pos_extra; one step past either end is an
-    # IndexError, not a wrapped column of the glued array
-    env = sample_two_sided_batch(std_model, 3, 16, rng, std_tables, pos_extra=2)
-    assert env.s.shape[1] == 3 + 5 + 1 and env.mu.shape[1] == 3 + 5
-    assert np.array_equal(env.s_star(-3), env.s[:, 0])
-    assert np.array_equal(env.s_star(5), env.s[:, -1])
-    for i in (-4, 6, -9):
-        with pytest.raises(IndexError):
-            env.s_star(i)
+def test_sides_span_the_environment(std_model, std_tables, rng):
+    # S*_i spans i = -I..I+pos_extra: the positive side holds S*_0..S*_5 and
+    # mu*_1..mu*_5, the negative side S*_0..S*_{-3} and mu*_0..mu*_{-2}
+    (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = sample_two_sided_batch(
+        std_model, 3, 16, rng, std_tables, pos_extra=2)
+    assert pos.shape[1] == 5 + 1 and neg.shape[1] == 3 + 1
+    assert pos_mu.shape == (16, 5) and neg_mu.shape == (16, 3)
+    assert pos.shape[1] + neg.shape[1] - 1 == 3 + 5 + 1
+    assert pos_rows.shape == neg_rows.shape == (16,)
+    assert np.all(pos[:, 0] == 0.0) and np.all(neg[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_side_draws_paths_then_resample_then_rates(side, std_tables):
     # one side draws its rejection paths, their resample indices, then its
-    # rates; the negative side's walk is negated into the glued coordinates
+    # rates; the negative side's walk is negated into the coordinates of S*
     model = EnvironmentModel(rate_family="lognormal", rate_params=(0.0, 0.5))
     walk, rows, mu = limit.sample_side(model, 6, 300, derive_stream(8, 0, side), std_tables, side)
     rng = derive_stream(8, 0, side)
@@ -159,14 +170,15 @@ def test_side_draws_paths_then_resample_then_rates(side, std_tables):
 
 @pytest.mark.parametrize("rates", [{}, {"rate_family": "lognormal", "rate_params": [0.0, 0.5]}])
 def test_series_sample_reads_the_glued_environment(rates, std_tables):
-    # the series sample is never glued, yet its reads are those of the glued
-    # environment drawn from the same stream: both follow one draw order
+    # the series sample's reads are those of the two sides that
+    # sample_two_sided_batch draws from the same stream, each gathered by its
+    # rows first: both follow one draw order
     bench = runner.Runner(RunConfig.from_dict({"series_trunc": 6, "out_dir": "unused", **rates}))
     bench._tables = std_tables
     reads = bench.series_sample(300)
-    env = sample_two_sided_batch(bench.model, 6, 300, bench._stream("lemma5-limit"), std_tables)
-    want = dict(zip(("positive", "tail_after", "negative", "head_before"), _glued_sums(env, 6)))
-    want.update(a_after=np.exp(-env.s_star(1)), a_before=np.exp(-env.s_star(-1)))
+    sides = sample_two_sided_batch(bench.model, 6, 300, bench._stream("lemma5-limit"), std_tables)
+    want = dict(zip(("positive", "tail_after", "negative", "head_before"), _side_sums(sides, 6)))
+    want.update(a_after=np.exp(-_s_star(sides, 1)), a_before=np.exp(-_s_star(sides, -1)))
     assert reads.keys() == want.keys()
     for key, val in want.items():
         assert np.array_equal(reads[key], val), key
@@ -187,56 +199,72 @@ def test_series_sample_holds_one_side(std_tables):
     assert peak <= 2.5 * reps * (trunc + 1) * 8
 
 
+def test_lemma1_limit_holds_one_side(std_tables, tmp_path):
+    # lemma1 reads S*_i from one side at a time: at the default size, with
+    # the free walks joined beforehand, the traced peak of the check stays
+    # under 2 path matrices of one side (1.4 measured; glued whole, 4.3)
+    reps, trunc = 20_000, 64
+    bench = runner.Runner(RunConfig.from_dict({
+        "trunc_i": trunc, "n_walk": 50, "replicas": {"walk_stats": reps},
+        "out_dir": str(tmp_path)}))
+    bench._tables = std_tables
+    bench.free_walks()()
+    tracemalloc.start()
+    try:
+        bench.dispatch("lemma1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * reps * (trunc + 1) * 8
+
+
 # -- martingale limits and the ratio law ------------------------------------
 
-def _mu_star(env, i):
-    # mu*_i of the glued environment sits in column origin + i - 1
-    return env.mu[:, env.origin + i - 1]
+def _tiled(sides, reps):
+    # row 0 of each side repeated across replicas
+    return tuple((walk, np.repeat(rows[:1], reps), np.repeat(mu[:1], reps, axis=0))
+                 for walk, rows, mu in sides)
 
 
-def _tiled(env, reps):
-    # one environment row repeated across replicas
-    return TwoSidedBatch(np.repeat(env.s, reps, axis=0), np.repeat(env.mu, reps, axis=0),
-                         env.origin)
-
-
-def _zeta_log(env, i, J, rng):
-    # ln zeta*_i: the exact martingale limit of cohort i over a tail of J steps
-    I = env.origin
-    s_i, mu, t_log = _glued_tails(env, I, J)
+def _zeta_log(model, sides, i, J, rng):
+    # ln zeta*_i: the exact martingale limit of cohort i over a tail of J
+    # steps; the negative side's horizon is the series half-width I
+    I = sides[1][0].shape[1] - 1
+    s_i, mu, t_log = _cohort_tails(model, *sides, I, J)
     return limit_log_values(mu[:, I + i], t_log[:, I + i] + s_i[:, I + i], rng)
 
 
-def test_glued_tails_match_stepwise_sums(std_model, std_tables, rng):
+def test_cohort_tails_match_stepwise_sums(std_model, std_tables, rng):
     # the tail sums agree with a logaddexp loop over each cohort's tail,
-    # also on a hand-built environment with +-800 jumps, where one shift
-    # for the whole walk would underflow some sums to zero
+    # also on hand-built sides with +-800 jumps, where one shift for the
+    # whole walk would underflow some sums to zero
     I, J = 3, 4
     drawn = sample_two_sided_batch(std_model, I, 40, rng, std_tables, pos_extra=J)
     # S*_{-3}..S*_7: the steps 800, 1, 2 on both sides of 0, then 3, 1, -805, 2;
     # mu*_{-2}..mu*_7 = 13, 12, 11, then 1..7
-    jumps = np.array([803.0, -2.0, -1.0, -800.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0])
-    wild = TwoSidedBatch(s=np.cumsum(jumps)[None],
-                         mu=np.concatenate([[13.0, 12.0, 11.0], np.arange(1.0, 8.0)])[None],
-                         origin=3)
-    for env in (drawn, wild):
-        s_i, mu, t_log = _glued_tails(env, I, J)
+    s = np.cumsum([803.0, -2.0, -1.0, -800.0, 800.0, 1.0, 2.0, 3.0, 1.0, -805.0, 2.0])
+    wild = ((s[None, 3:], np.zeros(1, int), np.arange(1.0, 8.0)[None]),
+            (s[None, 3::-1], np.zeros(1, int), np.array([[11.0, 12.0, 13.0]])))
+    # hand-built rates are not one value: a non-constant family reads them
+    lognormal = EnvironmentModel(rate_family="lognormal", rate_params=(0.0, 1.0))
+    for model, sides in ((std_model, drawn), (lognormal, wild)):
+        s_i, mu, t_log = _cohort_tails(model, *sides, I, J)
         for c, i in enumerate(range(-I, I)):
             t_ref = np.full(len(s_i), -np.inf)
             for j in range(i, I + J):
-                t_ref = np.logaddexp(t_ref, -env.s_star(j))
-            assert np.array_equal(s_i[:, c], env.s_star(i))
-            assert np.array_equal(mu[:, c], _mu_star(env, i + 1))
+                t_ref = np.logaddexp(t_ref, -_s_star(sides, j))
+            assert np.array_equal(s_i[:, c], _s_star(sides, i))
+            assert np.array_equal(mu[:, c], _mu_star(sides, i + 1))
             assert np.allclose(t_log[:, c], t_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_zeta_dead_cohort_is_zero(std_model, std_tables):
     rng = derive_stream(11, 0, "zeta")
     tiny = EnvironmentModel(rate_params=(1e-9,))
-    env = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
-    assert np.all(np.exp(_zeta_log(env, 0, 4, rng)) == 0.0)
+    sides = sample_two_sided_batch(tiny, 2, 256, rng, std_tables, pos_extra=4)
+    assert np.all(np.exp(_zeta_log(tiny, sides, 0, 4, rng)) == 0.0)
     with pytest.raises(ValueError):  # horizon too short for the tail
-        _zeta_log(env, 1, 8, rng)
+        _zeta_log(tiny, sides, 1, 8, rng)
 
 
 def test_zeta_conditional_mean(std_model, std_tables, rng):
@@ -246,7 +274,7 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
     reps = 40_000
     tiled = _tiled(base, reps)
     for i, J in ((0, 1), (0, 6), (-2, 4)):
-        vals = np.exp(_zeta_log(tiled, i, J, rng))
+        vals = np.exp(_zeta_log(std_model, tiled, i, J, rng))
         se = vals.std(ddof=1) / math.sqrt(reps)
         target = float(_mu_star(base, i + 1)[0])
         assert abs(vals.mean() - target) <= 4.0 * se
@@ -255,9 +283,9 @@ def test_zeta_conditional_mean(std_model, std_tables, rng):
 def test_zeta_law_stabilizes_in_depth(std_model, std_tables, rng):
     # doubling the positive tail that T_i sums leaves the law in place
     reps = 6000
-    env = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=64)
-    a = np.exp(_zeta_log(env, 0, 24, rng))
-    b = np.exp(_zeta_log(env, 0, 48, rng))
+    sides = sample_two_sided_batch(std_model, 2, reps, rng, std_tables, pos_extra=64)
+    a = np.exp(_zeta_log(std_model, sides, 0, 24, rng))
+    b = np.exp(_zeta_log(std_model, sides, 0, 48, rng))
     assert ks_two_sample(a, b).statistic <= 0.05
 
 
@@ -268,11 +296,11 @@ def test_zeta_limit_matches_deep_cohort(std_model, std_tables, rng):
     # two-sample KS at the 5% critical value
     I, J, reps = 1, 255, 20_000
     base = sample_two_sided_batch(std_model, I, 1, rng, std_tables, pos_extra=J)
-    s_i, mu, t_log = _glued_tails(_tiled(base, reps), I, J)
+    s_i, mu, t_log = _cohort_tails(std_model, *_tiled(base, reps), I, J)
     lim = np.exp(limit_log_values(mu, t_log + s_i, rng))
-    glued = base.s[0]  # S*_{-I}..S*_{I+J}
+    star = np.array([_s_star(base, i)[0] for i in range(-I, I + J + 1)])  # S*_{-I}..S*_{I+J}
     for c in range(2 * I):
-        walk = glued[c:] - glued[c]
+        walk = star[c:] - star[c]
         deep = np.exp(cohort_log_values(mu[:, c], -walk[-1],
                                         np.logaddexp.reduce(-walk[:-1]), rng))
         assert ks_two_sample(lim[:, c], deep).statistic <= 1.358 * math.sqrt(2.0 / reps)
@@ -307,18 +335,18 @@ def test_gamma_truncation_stability(std_model, std_tables, rng):
     assert ks_two_sample(a["gamma"], b["gamma"]).statistic <= 0.05
 
 
-def _glued_sums(env, I):
-    # the series sums of both sides of a glued environment: the positive side
-    # runs right from the origin, the negative side left
-    o = env.origin
-    return np.concatenate([series_sums(env.s[:, o:], env.mu[:, o:o + I]),
-                           series_sums(env.s[:, o - 1::-1], env.mu[:, o - 1::-1])])
+def _side_sums(sides, I):
+    # the series sums of both sides, each side gathered by its rows first:
+    # the positive series starts at S*_0, the negative one at S*_{-1}
+    (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = sides
+    return np.concatenate([series_sums(pos[pos_rows], pos_mu[:, :I]),
+                           series_sums(neg[neg_rows, 1:], neg_mu)])
 
 
 def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch):
-    env = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
-    terms = {i: _mu_star(env, i + 1) * np.exp(-env.s_star(i)) for i in range(-4, 4)}
-    sums = _glued_sums(env, 4)
+    sides = sample_two_sided_batch(std_model, 4, 50, rng, std_tables)
+    terms = {i: _mu_star(sides, i + 1) * np.exp(-_s_star(sides, i)) for i in range(-4, 4)}
+    sums = _side_sums(sides, 4)
     # (positive, tail_after, negative, head_before)
     assert np.allclose(sums[0], sum(terms[j] for j in range(4)))
     assert np.allclose(sums[2], sum(terms[-(j + 1)] for j in range(4)))
@@ -326,11 +354,11 @@ def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch
     assert np.allclose(sums[3], sum(terms[-(j + 1)] for j in range(1, 4)))
     # a row's sums do not depend on the row group it is formed in
     monkeypatch.setattr(bpire, "_BLOCK_CELLS", 3 * 4)
-    assert np.array_equal(_glued_sums(env, 4), sums)
+    assert np.array_equal(_side_sums(sides, 4), sums)
     # row r of a gathered side reads walk row rows[r] and rate row r
     rows = rng.integers(0, 50, 80)
     mu = rng.lognormal(0.0, 1.0, (80, 4))
-    walk = env.s[:, env.origin:]
+    walk = sides[0][0]
     assert np.array_equal(series_sums(walk, mu, rows), series_sums(walk[rows], mu))
 
 
@@ -343,26 +371,23 @@ class _MaterializedRates(EnvironmentModel):
 
 
 def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch):
-    # constant rates draw nothing: mu is one broadcast view of the rate, and
-    # the readers give the same numbers as from a materialized matrix
-    env = sample_two_sided_batch(std_model, 4, 50, derive_stream(3, 0, "mu"), std_tables,
-                                 pos_extra=3)
-    assert not env.mu.flags.writeable and env.mu.shape == (50, 4 + 7)
-    full = TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
-    assert full.mu.flags.writeable
-    assert np.array_equal(_glued_sums(env, 4), _glued_sums(full, 4))
+    # constant rates draw nothing: each side's mu and the cohort rates of the
+    # gamma sample are one broadcast view of the rate, and the readers give
+    # the same numbers as from materialized matrices
+    sides = sample_two_sided_batch(std_model, 4, 50, derive_stream(3, 0, "mu"), std_tables,
+                                   pos_extra=3)
+    (_, _, pos_mu), (_, _, neg_mu) = sides
+    assert not pos_mu.flags.writeable and not neg_mu.flags.writeable
+    assert pos_mu.shape == (50, 7) and neg_mu.shape == (50, 4)
+    full = tuple((walk, rows, np.array(mu)) for walk, rows, mu in sides)
+    assert all(mu.flags.writeable for _, _, mu in full)
+    assert np.array_equal(_side_sums(sides, 4), _side_sums(full, 4))
+    assert not _cohort_tails(std_model, *sides, 4, 3)[1].flags.writeable
 
-    sample = limit.sample_two_sided_batch
-
-    def materialized(*args, **kwargs):
-        env = sample(*args, **kwargs)
-        return TwoSidedBatch(s=env.s, mu=np.array(env.mu), origin=env.origin)
-
-    view = sample_gamma_batch(std_model, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
-                              tables=std_tables)
-    monkeypatch.setattr(limit, "sample_two_sided_batch", materialized)
-    full = sample_gamma_batch(std_model, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
-                              tables=std_tables)
+    dense = _MaterializedRates(**vars(std_model))
+    assert dense.draw_rate(None, (3, 4)).flags.writeable
+    view, full = (sample_gamma_batch(m, 4, 4, reps=200, rng=derive_stream(4, 0, "g"),
+                                     tables=std_tables) for m in (std_model, dense))
     for key in ("sigma1", "sigma2", "gamma"):
         assert np.array_equal(view[key], full[key])
 
@@ -370,8 +395,6 @@ def test_constant_rates_are_a_read_only_view(std_model, std_tables, monkeypatch)
     # the lemma-5 series block give the same numbers from a materialized
     # rate matrix as from the view
     assert not std_model.draw_rate(None, (3, 4)).flags.writeable
-    dense = _MaterializedRates(**vars(std_model))
-    assert dense.draw_rate(None, (3, 4)).flags.writeable
     monkeypatch.setattr(bpire, "_BLOCK_CELLS", 2 ** 8)  # several row groups
     ys = [bpire.simulate_normalized_at(m, 30, (0.5, 1.0), 40, derive_stream(5, 0, "y"))
           for m in (std_model, dense)]
