@@ -144,13 +144,13 @@ def test_scalar_environment_view(std_model, std_tables, rng):
 
 
 def test_sides_span_the_environment(std_model, std_tables, rng):
-    # S*_i spans i = -I..I+pos_extra: the positive side holds S*_0..S*_5 and
-    # mu*_1..mu*_5, the negative side S*_0..S*_{-3} and mu*_0..mu*_{-2}
+    # S*_i spans i = -I..I+pos_extra, 3 + 5 + 1 values: the positive side
+    # holds S*_0..S*_5 and mu*_1..mu*_5, the negative side S*_0..S*_{-3} and
+    # mu*_0..mu*_{-2}
     (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = sample_two_sided_batch(
         std_model, 3, 16, rng, std_tables, pos_extra=2)
     assert pos.shape[1] == 5 + 1 and neg.shape[1] == 3 + 1
     assert pos_mu.shape == (16, 5) and neg_mu.shape == (16, 3)
-    assert pos.shape[1] + neg.shape[1] - 1 == 3 + 5 + 1
     assert pos_rows.shape == neg_rows.shape == (16,)
     assert np.all(pos[:, 0] == 0.0) and np.all(neg[:, 0] == 0.0)
 
