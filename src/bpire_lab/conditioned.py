@@ -1,24 +1,33 @@
 """Samplers for the walk conditioned to stay positive or negative.
 
-Two laws are in play for each side and horizon n. Taking the positive
-side: the plain conditional law given {min_{0<=i<=n} S_i >= 0}, and the
-renewal-reweighted law whose density against the conditional one is
-proportional to v(S_n). The first is what a finite-n conditioning event
-produces; the second is the harmonic-transform measure that the limiting
-environment obeys, and it is consistent across horizons. A batch is a
-pair (paths, weights): equal-weight paths drawn from the method's native
-face, and a weight vector converting them into the other face by
-self-normalized importance weighting.
+Every path is returned in the coordinates of the limit environment S*:
+a positive-side path is the walk S conditioned on
+{min_{0<=i<=n} S_i >= 0}, and a negative-side path is the dual walk -S
+conditioned the same way, since the environment reads its negative side
+backward from the minimum. The side is one sign, applied where the steps
+are drawn, and both sides keep their paths in one region, S* >= 0.
+
+Two laws are in play for each side and horizon n: the plain conditional
+law given the region, and the renewal-reweighted law whose density
+against the conditional one is proportional to v(S*_n). The first is
+what a finite-n conditioning event produces; the second is the
+harmonic-transform measure that the limiting environment obeys, and it
+is consistent across horizons. For the dual walk v is the ascending
+ladder renewal function u of S, which equals v for the symmetric
+continuous step laws shipped here (see ladder.py), so both sides read one
+table. A batch is a pair (paths, weights): equal-weight paths drawn
+from the method's native face, and a weight vector converting them into
+the other face by self-normalized importance weighting.
 
 Methods:
 
 * ``rejection`` -- resimulate free walks until the conditioning event
   holds; paths are exact draws from the conditional law, and the weights
-  (proportional to v(S_n), resp. u(-S_n)) give the reweighted law.
+  (proportional to v(S*_n)) give the reweighted law.
 * ``h-transform`` -- sequential importance sampling whose running weight
-  after step k is proportional to v(S_k) on surviving paths, with
+  after step k is proportional to v(S*_k) on surviving paths, with
   systematic resampling; particles are equal-weight draws from the
-  reweighted law, and the weights (proportional to 1/v(S_n)) recover the
+  reweighted law, and the weights (proportional to 1/v(S*_n)) recover the
   conditional law.
 """
 
@@ -44,11 +53,12 @@ class RejectionExhausted(RuntimeError):
     """Raised when rejection sampling exceeds its attempt budget."""
 
 
-def _harmonic(tables: LadderTables, side: str):
-    if side == "positive":
-        return lambda y: tables.v_at(y)
-    # u = v for the symmetric step laws (see ladder.py)
-    return lambda y: tables.v_at(-y)
+def _steps(model: EnvironmentModel, rng: np.random.Generator, size, sign: int) -> np.ndarray:
+    """Steps of S*: the drawn steps X, negated in place when ``sign`` is -1."""
+    x = model.draw_x(rng, size)
+    if sign < 0:
+        np.negative(x, out=x)
+    return x
 
 
 # Longest kill sweep in rejection: the sweeps double from 1 step up to
@@ -57,8 +67,9 @@ _KILL_SEGMENT = 128
 
 
 def _rejection(model: EnvironmentModel, n: int, reps: int,
-               rng: np.random.Generator, side: str) -> np.ndarray:
-    """Exact conditional sampling by resimulation.
+               rng: np.random.Generator, sign: int) -> np.ndarray:
+    """Exact conditional sampling by resimulation, of the walk with steps
+    ``sign`` X (+1 for the positive side, -1 for the negative one).
 
     Proposals advance in sweeps of 1, 2, 4, ... steps (at most
     ``_KILL_SEGMENT``) and are dropped at the end of the first sweep in
@@ -87,7 +98,7 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
     while got < reps:
         if attempts >= budget:
             raise RejectionExhausted(
-                f"{side} rejection at n={n}: {attempts} attempts for {got}/{reps} paths"
+                f"rejection (sign {sign:+d}) at n={n}: {attempts} attempts for {got}/{reps} paths"
             )
         need = reps - got
         m = min(32768, budget - attempts, math.ceil(need / p_accept))
@@ -98,8 +109,8 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
         while lo < n:
             k = min(width, n - lo)
             lo, width = lo + k, min(2 * width, _KILL_SEGMENT)
-            seg = cur[:, None] + np.cumsum(model.draw_x(rng, (len(rows), k)), axis=1)
-            ok = (seg.min(axis=1) >= 0.0) if side == "positive" else (seg.max(axis=1) < 0.0)
+            seg = cur[:, None] + np.cumsum(_steps(model, rng, (len(rows), k), sign), axis=1)
+            ok = seg.min(axis=1) >= 0.0
             rows, seg = rows[ok], seg[ok]
             kept.append((rows, seg))
             cur = seg[:, -1]
@@ -126,17 +137,16 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 
 def _h_flow(model: EnvironmentModel, n: int, reps: int, rng: np.random.Generator,
-            side: str, tables: LadderTables) -> np.ndarray:
-    h = _harmonic(tables, side)
+            sign: int, tables: LadderTables) -> np.ndarray:
     s = np.zeros((reps, n + 1))
     h_prev = np.ones(reps)  # h at the origin is 1 by convention
     for k in range(1, n + 1):
-        y = s[:, k - 1] + model.draw_x(rng, reps)
-        alive = (y >= 0.0) if side == "positive" else (y < 0.0)
+        y = s[:, k - 1] + _steps(model, rng, reps, sign)
+        alive = y >= 0.0
         if not alive.any():
-            raise RejectionExhausted(f"{side} h-flow died out at step {k}")
+            raise RejectionExhausted(f"h-flow (sign {sign:+d}) died out at step {k}")
         h_cur = np.ones(reps)
-        h_cur[alive] = h(y[alive])
+        h_cur[alive] = tables.v_at(y[alive])
         # one step of weights, then systematic resampling at every step
         logw = np.where(alive, np.log(h_cur / h_prev), -np.inf)
         s[:, k] = y
@@ -152,25 +162,27 @@ def sample_conditioned_batch(model: EnvironmentModel, n: int, method: str,
                              tables: LadderTables | None = None):
     """Draw ``reps`` conditioned paths at horizon ``n``.
 
-    Returns (paths, weights): rows S_0..S_n, equal-weight draws from the
-    method's native face, and normalized weights giving the other face
-    (see the module docstring). ``tables`` may be omitted for rejection,
-    in which case the weights are None.
+    Returns (paths, weights): rows S*_0..S*_n, which are S on the positive
+    side and -S on the negative one, so every row stays >= 0; equal-weight
+    draws from the method's native face, and normalized weights giving the
+    other face (see the module docstring). ``tables`` may be omitted for
+    rejection, in which case the weights are None.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    sign = 1 if side == "positive" else -1
     if method == "rejection":
-        s = _rejection(model, n, reps, rng, side)
+        s = _rejection(model, n, reps, rng, sign)
         if tables is None:
             return s, None
-        w = _harmonic(tables, side)(s[:, -1])
+        w = tables.v_at(s[:, -1])
     elif method == "h-transform":
         if tables is None:
             raise ValueError("h-transform sampling requires ladder tables")
-        s = _h_flow(model, n, reps, rng, side, tables)
-        w = 1.0 / _harmonic(tables, side)(s[:, -1])
+        s = _h_flow(model, n, reps, rng, sign, tables)
+        w = 1.0 / tables.v_at(s[:, -1])
     else:
         raise ValueError(f"unknown method {method!r}")
     return s, w / w.sum()

@@ -158,10 +158,11 @@ class RunConfig:
         # |i| <= trunc_i, and S_{tau+i} of the free walk S_0..S_{n_walk}, and
         # names one record
         offsets = self.lemma_offsets
-        if len(set(offsets)) < len(offsets) or not all(
+        if not offsets or len(set(offsets)) < len(offsets) or not all(
                 1 <= abs(i) <= min(self.trunc_i, self.n_walk) for i in offsets):
-            problems.append(f"lemma_offsets: need distinct integers i with 1 <= |i| <= trunc_i = "
-                            f"{self.trunc_i} and |i| <= n_walk = {self.n_walk}, got {offsets}")
+            problems.append(f"lemma_offsets: need one or more distinct integers i with 1 <= |i| "
+                            f"<= trunc_i = {self.trunc_i} and |i| <= n_walk = {self.n_walk}, "
+                            f"got {offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():
@@ -171,6 +172,8 @@ class RunConfig:
                 problems.append(f"replicas.{key}: too few replicas ({val})")
         if self.ladder_budget < 1000:
             problems.append(f"ladder_budget: need >= 1000 epochs, got {self.ladder_budget}")
+        if not self.out_dir:
+            problems.append("out_dir: need a nonempty path")
         if self.workers < 1:
             problems.append(f"workers: must be >= 1, got {self.workers}")
         if self.master_seed < 0:

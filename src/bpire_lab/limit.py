@@ -8,9 +8,9 @@ needs only whether it drops between two times (one pass over a grid
 path, ``estimate_level_change_prob``), and an i.i.d.
 sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
 two-sided environment. The two-sided environment pairs independent
-conditioned walks: a nonnegative one indexed forward and a negative one
-indexed backward (with flipped sign), each carrying its own immigration
-rates. The environment takes one form, its two sides: one rule draws a
+conditioned walks, each carrying its own immigration rates: S
+conditioned to stay nonnegative, indexed forward, and the dual walk -S
+conditioned the same way, indexed backward. The environment takes one form, its two sides: one rule draws a
 side (``sample_side``: its paths, their resample indices, then its
 rates), so every reader sees the same numbers from the same stream, and
 column j of a side is S*_j on the positive side and S*_{-j} on the
@@ -108,8 +108,9 @@ def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Gener
     coordinates of S*: (walk, rows, mu), the only form the environment
     takes.
 
-    ``walk`` holds ``reps`` exact rejection paths, negated on the negative
-    side, so that column j is S*_j on the positive side and S*_{-j} on the
+    ``walk`` holds ``reps`` exact rejection paths, as the sampler returns
+    them: S on the positive side and the dual walk -S on the negative one,
+    so that column j is S*_j on the positive side and S*_{-j} on the
     negative one. Row r of the side is ``walk[rows[r]]``: the paths
     importance-resampled by their terminal renewal weight, so the side
     follows the renewal-reweighted measure of the limiting environment.
@@ -121,10 +122,7 @@ def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Gener
     (constant rates draw nothing and are one read-only view of the value).
     """
     walk, weights = sample_conditioned_batch(model, n, "rejection", reps, rng, side, tables)
-    rows = resample_indices(weights, reps, rng)
-    if side == "negative":
-        np.negative(walk, out=walk)
-    return walk, rows, model.draw_rate(rng, (reps, n))
+    return walk, resample_indices(weights, reps, rng), model.draw_rate(rng, (reps, n))
 
 
 def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,

@@ -120,13 +120,14 @@ def _free_walk_block(count, rng, model, n, offsets):
 
 def _cond_series_block(count, rng, model, n, side):
     """Pre-limit series of the conditioned walk (rejection, exact), summed
-    over the batch's own paths by the limit's series rule: positive,
-    sum_{i=0}^{n-1} mu_{i+1} e^{-S_i}; negative, sum_{i=1}^{n-1} mu_i e^{S_i}."""
+    over the batch's own paths S* (S on the positive side, -S on the
+    negative one) by the limit's series rule: positive,
+    sum_{i=0}^{n-1} mu_{i+1} e^{-S*_i}; negative,
+    sum_{i=1}^{n-1} mu_i e^{-S*_i}."""
     s = sample_conditioned_batch(model, n, "rejection", count, rng, side)[0]
     mu = model.draw_rate(rng, (count, n))
     if side == "positive":
         return series_sums(s, mu)[0]
-    np.negative(s[:, 1:], out=s[:, 1:])
     return series_sums(s[:, 1:], mu[:, :n - 1])[0]
 
 
@@ -394,6 +395,8 @@ class Runner:
                 self.model, n, "h-transform", reps, self._stream(f"mc-htransform-{side}"),
                 side, self.tables)
             rej, hfl = rej[:, -1], hfl[:, -1]
+            if side == "negative":  # the faces are compared on the S_n axis
+                rej, hfl = -rej, -hfl
             records.append(self._record(
                 f"measure-change/{side}/conditional-face",
                 ks_two_sample(rej, hfl, None, cond).statistic, 0.05, reps, n=n))
@@ -586,11 +589,11 @@ class Runner:
 
         y1, y2 = (sample()[k] for k in _twodim_gens(cfg))
         jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_hat)
-        records.append(self._record("theorem1-twodim/joint-mixture", jt.max_discrepancy, 0.05,
-                                    reps, n=n, level_change_prob=p_hat))
+        records.append(self._record("theorem1-twodim/joint-mixture", jt["max_discrepancy"],
+                                    0.05, reps, n=n, level_change_prob=p_hat))
         self._csv("theorem1_twodim_probes.csv", {
-            "x1": jt.probes[:, 0], "x2": jt.probes[:, 1],
-            "predicted": jt.predicted, "observed": jt.observed,
+            "x1": jt["probes"][:, 0], "x2": jt["probes"][:, 1],
+            "predicted": jt["predicted"], "observed": jt["observed"],
         }, "theorem1-twodim", n=n, replicas=reps)
 
         diffs = band()

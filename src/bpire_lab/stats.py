@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "Ecdf",
     "KsResult",
-    "JointTestReport",
     "ecdf",
     "ks_two_sample",
     "ks_against_cdf",
@@ -105,27 +104,16 @@ def ks_against_cdf(sample, cdf) -> KsResult:
     return KsResult(statistic=d, n_a=n, n_b=0)
 
 
-@dataclass
-class JointTestReport:
-    """Mixture check of a two-coordinate law against its predicted form.
+def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float) -> dict:
+    """Compare an observed two-coordinate sample with the mixture law.
 
     The prediction at probe (x1, x2) is
     G(x1) G(x2) p + G(min(x1, x2)) (1 - p), where G is the reference
     marginal CDF and p the level-change probability; the two mixture
-    weights sum to one by construction.
-    """
-
-    probes: np.ndarray
-    predicted: np.ndarray
-    observed: np.ndarray
-    max_discrepancy: float
-
-
-def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float) -> JointTestReport:
-    """Compare an observed two-coordinate sample with the mixture law.
-
-    The probes are the 5x5 grid of reference-marginal quantiles at
-    0.1..0.9 (tails avoided).
+    weights sum to one by construction. The probes are the 5x5 grid of
+    reference-marginal quantiles at 0.1..0.9 (tails avoided). Returns a
+    dict keyed ``probes`` (25 rows of (x1, x2)), ``predicted``,
+    ``observed`` and ``max_discrepancy``.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -142,9 +130,5 @@ def joint_two_time_test(y1, y2, gamma_sample, level_change_prob: float) -> Joint
     observed = np.array([
         np.mean((y1 <= x1) & (y2 <= x2)) for x1, x2 in probes
     ])
-    return JointTestReport(
-        probes=probes,
-        predicted=predicted,
-        observed=observed,
-        max_discrepancy=float(np.abs(predicted - observed).max()),
-    )
+    return {"probes": probes, "predicted": predicted, "observed": observed,
+            "max_discrepancy": float(np.abs(predicted - observed).max())}

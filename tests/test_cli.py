@@ -93,8 +93,13 @@ def test_config_field_level_messages():
     with pytest.raises(ConfigError, match="band_eps: need strictly decreasing"):
         RunConfig(band_eps=[0.1, 0.1])
     # each offset writes one record
-    with pytest.raises(ConfigError, match="lemma_offsets: need distinct"):
+    with pytest.raises(ConfigError, match="lemma_offsets: need one or more distinct"):
         RunConfig(lemma_offsets=[1, 1])
+    # lemma1 with no offset would write a report with no record
+    with pytest.raises(ConfigError, match="lemma_offsets: need one or more"):
+        RunConfig(lemma_offsets=[])
+    with pytest.raises(ConfigError, match="out_dir: need a nonempty path"):
+        RunConfig(out_dir="")
     # S_{tau+i} of a walk of n_walk steps exists only for |i| <= n_walk
     with pytest.raises(ConfigError, match=r"lemma_offsets: .* \|i\| <= n_walk = 4"):
         RunConfig(n_walk=4, trunc_i=8, lemma_offsets=[-6, 6])
@@ -453,6 +458,22 @@ def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
     argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=offsets)]
     assert main(argv) == 2
     assert "config error: lemma_offsets" in capsys.readouterr().err
+
+
+def test_cli_empty_lemma_offsets_exit_code(tmp_path, capsys):
+    # with no offset lemma1 would write no record and no verdict, and
+    # still exit as a failed test
+    argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=[])]
+    assert main(argv) == 2
+    assert "config error: lemma_offsets" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_empty_out_dir_exit_code(tmp_path, capsys):
+    # an empty output directory is a configuration error, not a traceback
+    # from creating the directory ""
+    assert main(["validate-env", "--config", write_config(tmp_path), "--out", ""]) == 2
+    assert "config error: out_dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields, name", [

@@ -13,31 +13,45 @@ from bpire_lab.conditioned import (
 )
 from bpire_lab.env import EnvironmentModel
 from bpire_lab.stats import ks_against_cdf, ks_two_sample
+from bpire_lab.streams import derive_stream
 from test_golden import FAMILIES
+
+# the step families of the goldens (their rates do not enter a conditioned walk)
+STEPS = {family: FAMILIES[family] for family in ("normal", "pareto")}
 
 
 @dataclass(frozen=True)
 class _RecordingModel(EnvironmentModel):
-    """An environment model that keeps every step block it draws."""
+    """An environment model that keeps a copy of every step block it draws
+    (the sampler may negate a block in place)."""
 
     draws: list = field(default_factory=list, compare=False)
 
     def draw_x(self, rng, size=None):
         x = super().draw_x(rng, size)
-        self.draws.append(x)
+        self.draws.append(x.copy())
         return x
 
 
-def _in_region(seg, side):
-    return (seg.min(axis=1) >= 0.0) if side == "positive" else (seg.max(axis=1) < 0.0)
+@dataclass(frozen=True)
+class _MirroredModel(EnvironmentModel):
+    """An environment model whose steps are the negated draws of its law."""
+
+    def draw_x(self, rng, size=None):
+        return -super().draw_x(rng, size)
+
+
+def _sign(side):
+    """Steps of S* are those of S on the positive side, of -S on the negative one."""
+    return 1.0 if side == "positive" else -1.0
 
 
 def _replay_sweeps(draws, n, side):
     """Proposals and accepted proposals of rejection, from its step blocks.
 
     Each proposal chunk starts at 0 with a one-step block over all its
-    rows; every later block continues the rows still in the region. The
-    rows that reach step n in the region are accepted.
+    rows; every later block continues the rows still in the region
+    S* >= 0. The rows that reach step n in the region are accepted.
     """
     proposals = accepted = 0
     lo = n
@@ -45,8 +59,8 @@ def _replay_sweeps(draws, n, side):
         if lo == n:
             cur, lo = np.zeros(len(d)), 0
             proposals += len(d)
-        seg = cur[:, None] + np.cumsum(d, axis=1)
-        cur, lo = seg[_in_region(seg, side), -1], lo + d.shape[1]
+        seg = cur[:, None] + np.cumsum(_sign(side) * d, axis=1)
+        cur, lo = seg[seg.min(axis=1) >= 0.0, -1], lo + d.shape[1]
         if lo == n:
             accepted += len(cur)
         elif len(cur) == 0:
@@ -64,18 +78,38 @@ def test_positive_paths_stay_nonnegative(std_model, std_tables, rng, method):
 
 @pytest.mark.parametrize("method", ["rejection", "h-transform"])
 def test_negative_paths_stay_negative(std_model, std_tables, rng, method):
+    # a negative-side row is S* = -S, so S stays <= 0 where the row stays >= 0
     s, _ = sample_conditioned_batch(std_model, 12, method, 500, rng, "negative", std_tables)
-    assert s[:, 1:].max() < 0.0
+    assert s.shape == (500, 13)
+    assert np.all(s[:, 0] == 0.0)
+    assert s[:, 1:].min() >= 0.0
 
 
 def test_single_path_wrappers(std_model, std_tables, rng):
-    # one conditioned path is one row of a batch
+    # one conditioned path is one row of a batch, in S* coordinates on
+    # either side
     p = sample_conditioned_batch(std_model, 8, "rejection", 1, rng,
                                  "positive", std_tables)[0][0]
     assert p[1:].min() >= 0.0
     q = sample_conditioned_batch(std_model, 8, "h-transform", 256, rng,
                                  "negative", std_tables)[0][0]
-    assert q[1:].max() < 0.0
+    assert q[1:].min() >= 0.0
+
+
+@pytest.mark.parametrize("family", sorted(STEPS))
+@pytest.mark.parametrize("method", ["rejection", "h-transform"])
+def test_negative_side_is_the_dual_walk(std_tables, family, method):
+    # the negative side draws the dual walk -S and conditions it as the
+    # positive side conditions S: a model whose steps are the negated draws
+    # gives, on its positive side, the plain model's negative side, bit for
+    # bit, paths and weights
+    model = EnvironmentModel(**STEPS[family])
+    mirrored = _MirroredModel(**STEPS[family])
+    s, w = sample_conditioned_batch(model, 40, method, 300, derive_stream(9, 0, family),
+                                    "negative", std_tables)
+    ms, mw = sample_conditioned_batch(mirrored, 40, method, 300, derive_stream(9, 0, family),
+                                      "positive", std_tables)
+    assert np.array_equal(s, ms) and np.array_equal(w, mw)
 
 
 def test_methods_agree_on_conditional_face(std_model, std_tables, rng):
@@ -158,7 +192,7 @@ def test_rejection_exhaustion(std_model, rng, monkeypatch):
         sample_conditioned_batch(std_model, 4000, "rejection", 2, rng, "positive")
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(STEPS))
 @pytest.mark.parametrize("side", ["positive", "negative"])
 @pytest.mark.parametrize("n", [5, 64, 512, 2000])
 def test_rejection_cost_per_accepted_path(rng, family, side, n):
@@ -169,7 +203,7 @@ def test_rejection_cost_per_accepted_path(rng, family, side, n):
     # take several chunks, and accepted paths drawn past the last one
     # needed would count against the paths returned.
     reps = 10_000 if n == 5 else 400
-    model = _RecordingModel(**FAMILIES[family])
+    model = _RecordingModel(**STEPS[family])
     s, _ = sample_conditioned_batch(model, n, "rejection", reps, rng, side)
     assert s.shape == (reps, n + 1)
     proposals, accepted = _replay_sweeps(model.draws, n, side)
@@ -183,29 +217,29 @@ def test_rejection_cost_per_accepted_path(rng, family, side, n):
 
 
 def _filtered_paths(model, n, reps, rng, side):
-    """Oracle: whole free paths, kept when every step stays in the region."""
+    """Oracle: whole free paths, mirrored on the negative side, kept when
+    every step stays in the region S* >= 0."""
     kept, got = [], 0
     while got < reps:
-        s = np.cumsum(model.draw_x(rng, (4096, n)), axis=1)
-        s = s[_in_region(s, side)]
+        s = np.cumsum(_sign(side) * model.draw_x(rng, (4096, n)), axis=1)
+        s = s[s.min(axis=1) >= 0.0]
         kept.append(s)
         got += len(s)
     return np.concatenate(kept)[:reps]
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(STEPS))
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_rejection_matches_full_path_filter(rng, family, side):
     # n = 300 is no sum of whole sweeps (1 + 2 + ... + 128 = 255), so the
     # last sweep is cut short
     n, reps = 300, 2000
-    model = EnvironmentModel(**FAMILIES[family])
+    model = EnvironmentModel(**STEPS[family])
     rej = sample_conditioned_batch(model, n, "rejection", reps, rng, side)[0][:, 1:]
     ref = _filtered_paths(model, n, reps, rng, side)
-    extremum = np.min if side == "positive" else np.max
     crit = 1.95 * math.sqrt(2.0 / reps)  # two-sample KS at the 0.1% level
     for a, b in ((rej[:, -1], ref[:, -1]), (rej[:, 149], ref[:, 149]),
-                 (extremum(rej, axis=1), extremum(ref, axis=1))):
+                 (np.min(rej, axis=1), np.min(ref, axis=1))):
         assert ks_two_sample(a, b).statistic <= crit
 
 

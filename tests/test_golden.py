@@ -2,7 +2,8 @@
 recorded bytes.
 
 Runs ``run("all", ...)`` at ``test_cli.tiny_config`` (master seed 7)
-on the normal family and on the Pareto family with tail index 1.5, and
+on the normal family, on normal steps with lognormal rates
+(m, s) = (0.5, 0.5) and on the Pareto family with tail index 1.5, and
 compares the SHA-256 of every file written (``report.json``, each CSV
 and ``ladder_tables.txt``) with the digests below. They were recorded
 with numpy 2.4.6 and scipy 1.17.1; other versions may draw different
@@ -12,7 +13,7 @@ alter report bytes, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the current digests of both families in the layout of ``GOLDEN``,
+prints the current digests of every family in the layout of ``GOLDEN``,
 ready to paste over it.
 """
 
@@ -50,6 +51,28 @@ GOLDEN = {
         "theorem1_onedim_ecdf.csv": "0806cc5dd809577c0ffe39b8ecae7eecd1249bcba165447419da732e74851cc3",
         "theorem1_twodim_probes.csv": "fd1ac2925839e346d42e2c8868a5e3a59b3a5b33bb915f0f833cee199bd5b5aa",
     },
+    "lognormal": {
+        "arcsine_ecdf.csv": "b8e7b6e479dd7c33a7a9f6cf2a16bf70880d127569fb60da3eeb20337ade2c81",
+        "band_fractions.csv": "6cdc1f059aad7e67aad53e258047393f4aad1bfc9b855a711ca1aafcddd94873",
+        "gamma_ecdf.csv": "6ab6e8525f5d0ed0fcc25831fecd4e7a238489e3b182fa28bcb89b9064feabf7",
+        "ladder_tables.txt": "532d89b96598565a2d4195df72e8c735193d9303af03fe3a07d014b880407f83",
+        "lemma1_offset+1.csv": "1f36272fe252964af3db39438032bb89f125838d9ed0959c51a43aa47b69462a",
+        "lemma1_offset+2.csv": "f2d3e43de6e527a0a0eecc2f724a4e31afaffc05002453cd214c4731151bcd5f",
+        "lemma1_offset-1.csv": "1c5c1ef4e2870b6b5a7ed3f8bf5c58ac9016d0a132e60c3382d60dd43d9ada27",
+        "lemma1_offset-2.csv": "5122b17c51beb149b98ea501434de8ee3870d4c92810a6f2a847b7d7f28a1c73",
+        "lemma5_negative.csv": "19d4577e6ed8420ac1bebd1a68fc866624fdceded5da90939c03b8a8dffdc563",
+        "lemma5_positive.csv": "21d01def24b26380288e648064e6455c2ae3414e27f0f684a85d8107e818155d",
+        "lemma7_a_after.csv": "ed675062a2e8034899362584758ce9c9288cbfbe00deaf1822a6adccd2f381ec",
+        "lemma7_a_before.csv": "948d26d53524b4adbeff6862729cfeed148e58af690a1065a5f7aaf9eb658809",
+        "lemma7_head_before.csv": "d6c04c636c2d6cf57f1011983458dd6da216f79d652467eef372daaea64b3186",
+        "lemma7_tail_after.csv": "fde1d424a27501aee324da50a0cc493310ef9c7ea585dd6fd8150851f236ebf2",
+        "martingale_means.csv": "6224a6bda498feeee59e85b15d1537f7834f9c92b0a1c1727f80595cff12a624",
+        "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
+        "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
+        "report.json": "ed5ed3505834cba053c5409e78b93d102e6b5c7a29a1e262b24045638a26ec3a",
+        "theorem1_onedim_ecdf.csv": "0b63f06791036c0a7bf7c7155368cb5146a542463534786722275b0b606dd5a6",
+        "theorem1_twodim_probes.csv": "ddbd328b4cd0352b4bfb33ffcf55fa14ef83b5bd99f6bf0b2d84cb5bfa41fe53",
+    },
     "pareto": {
         "arcsine_ecdf.csv": "ab510803a84ab841a87af19080ee5540e2bfaed78af0dcd462de72ad00b271d5",
         "band_fractions.csv": "b276f179e87ac714f673926ffefa1cd137b8bd77f7ce712bee491eb259255b89",
@@ -76,6 +99,7 @@ GOLDEN = {
 
 FAMILIES = {
     "normal": {},
+    "lognormal": {"rate_family": "lognormal", "rate_params": [0.5, 0.5]},
     "pareto": {"x_family": "pareto", "x_param": 1.5, "alpha": 1.5},
 }
 

@@ -158,14 +158,14 @@ def test_sides_span_the_environment(std_model, std_tables, rng):
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_side_draws_paths_then_resample_then_rates(side, std_tables):
     # one side draws its rejection paths, their resample indices, then its
-    # rates; the negative side's walk is negated into the coordinates of S*
+    # rates; the sampler already returns the paths in the coordinates of S*
     model = EnvironmentModel(rate_family="lognormal", rate_params=(0.0, 0.5))
     walk, rows, mu = limit.sample_side(model, 6, 300, derive_stream(8, 0, side), std_tables, side)
     rng = derive_stream(8, 0, side)
     paths, weights = sample_conditioned_batch(model, 6, "rejection", 300, rng, side, std_tables)
     assert np.array_equal(rows, resample_indices(weights, 300, rng))
     assert np.array_equal(mu, model.draw_rate(rng, (300, 6)))
-    assert np.array_equal(walk, paths if side == "positive" else -paths)
+    assert np.array_equal(walk, paths)
 
 
 @pytest.mark.parametrize("rates", [{}, {"rate_family": "lognormal", "rate_params": [0.0, 0.5]}])

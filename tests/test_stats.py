@@ -127,15 +127,15 @@ def test_joint_test_degenerate_branches(rng):
     g = ecdf(gam)
     # independent-coordinates branch, on the report's own probe grid
     rep1 = joint_two_time_test(gam[:2000], gam[2000:], gam, 1.0)
-    probes = rep1.probes
+    probes = rep1["probes"]
     expect1 = g.evaluate(probes[:, 0]) * g.evaluate(probes[:, 1])
-    assert np.allclose(rep1.predicted, expect1)
+    assert np.allclose(rep1["predicted"], expect1)
     # common-coordinate branch
     rep0 = joint_two_time_test(gam[:2000], gam[:2000], gam, 0.0)
-    assert np.array_equal(rep0.probes, probes)
+    assert np.array_equal(rep0["probes"], probes)
     expect0 = g.evaluate(probes.min(axis=1))
-    assert np.allclose(rep0.predicted, expect0)
-    assert np.allclose(rep0.observed, ecdf(gam[:2000]).evaluate(probes.min(axis=1)),
+    assert np.allclose(rep0["predicted"], expect0)
+    assert np.allclose(rep0["observed"], ecdf(gam[:2000]).evaluate(probes.min(axis=1)),
                        atol=0.05)
 
 
@@ -145,9 +145,9 @@ def test_joint_test_total_mass_probe(rng):
     gam = rng.exponential(1.0, 1000)
     big = gam.max() + 1.0
     rep = joint_two_time_test(gam[:500], gam[500:], np.full(10, big), 0.37)
-    assert np.all(rep.probes == big)
-    assert rep.predicted[0] == pytest.approx(1.0)
-    assert rep.observed[0] == 1.0
+    assert np.all(rep["probes"] == big)
+    assert rep["predicted"][0] == pytest.approx(1.0)
+    assert rep["observed"][0] == 1.0
 
 
 def test_joint_test_reproduces_mixture(rng):
@@ -162,8 +162,8 @@ def test_joint_test_reproduces_mixture(rng):
     y2 = np.where(change, g2, g1)
     gam_ref = rng.exponential(1.0, reps)
     rep = joint_two_time_test(y1, y2, gam_ref, p)
-    assert rep.max_discrepancy <= 2.0 * 3.0 / math.sqrt(reps) + 0.02
-    assert rep.probes.shape == (25, 2)
+    assert rep["max_discrepancy"] <= 2.0 * 3.0 / math.sqrt(reps) + 0.02
+    assert rep["probes"].shape == (25, 2)
 
 
 def test_joint_test_rejects_bad_input(rng):

@@ -215,8 +215,9 @@ def test_cond_series_block_matches_direct_sum(model, side):
     rng = derive_stream(6, 0, "c")
     s, _ = sample_conditioned_batch(model, n, "rejection", 50, rng, side)
     mu = np.asarray(model.draw_rate(rng, (50, n)), dtype=float)
+    # the paths are S* = S on the positive side and -S on the negative one
     if side == "positive":
         want = (mu * np.exp(-s[:, :n])).sum(axis=1)
     else:
-        want = (mu[:, : n - 1] * np.exp(s[:, 1:n])).sum(axis=1)
+        want = (mu[:, : n - 1] * np.exp(-s[:, 1:n])).sum(axis=1)
     assert np.array_equal(got, want)

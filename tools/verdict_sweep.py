@@ -64,8 +64,10 @@ def sweep(data: dict, checks, seeds) -> dict:
     return failed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def parse_args(argv, description: str):
+    """The config source (``--config`` or ``--workload``), the checks and
+    the seeds of a run over seeds."""
+    parser = argparse.ArgumentParser(description=description)
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--config", help="a RunConfig JSON file (default: package defaults)")
     source.add_argument("--workload", help="a workload of perfbench/workloads.json")
@@ -74,6 +76,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.checks or args.workload):
         parser.error("--checks is required without --workload")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv, __doc__.split("\n\n")[0])
     data, checks = resolve(args)
     print(json.dumps(sweep(data, checks, args.seeds), sort_keys=True))
     return 0
