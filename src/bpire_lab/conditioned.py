@@ -1,4 +1,4 @@
-"""Samplers for the walk conditioned to stay positive or negative.
+"""Samplers for the walk and its dual walk conditioned to stay nonnegative.
 
 Every path is returned in the coordinates of the limit environment S*:
 a positive-side path is the walk S conditioned on

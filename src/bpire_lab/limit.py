@@ -10,14 +10,15 @@ sequence of ratios gamma = Sigma2/Sigma1 of two random series over a
 two-sided environment. The two-sided environment pairs independent
 conditioned walks, each carrying its own immigration rates: S
 conditioned to stay nonnegative, indexed forward, and the dual walk -S
-conditioned the same way, indexed backward. The environment takes one form, its two sides: one rule draws a
-side (``sample_side``: its paths, their resample indices, then its
-rates), so every reader sees the same numbers from the same stream, and
-column j of a side is S*_j on the positive side and S*_{-j} on the
-negative one. One rule sums a side's series (``series_sums``). A reader
-that needs only per-side reads (lemma1's S*_i, the series sums) holds
-one side at a time; the gamma sample builds its cohort arrays straight
-from both sides (``_cohort_tails``).
+conditioned the same way, indexed backward. The environment takes one
+form, its two sides: one rule draws a side (``sample_side``: its paths,
+their resample indices, then its rates), so every reader sees the same
+numbers from the same stream, and column j of a side is S*_j on the
+positive side and S*_{-j} on the negative one. One rule sums a side's
+series (``series_sums``). A reader that needs only per-side reads
+(lemma1's S*_i, the series sums) holds one side at a time; the gamma
+sample builds its cohort arrays straight from both sides
+(``_cohort_tails``).
 """
 
 from __future__ import annotations
