@@ -119,7 +119,8 @@ class EnvironmentModel:
             return np.broadcast_to(float(self.rate_params[0]), size)
         if self.rate_family == "lognormal":
             m, s = self.rate_params
-            return np.exp(rng.normal(m, s, size))
+            rates = rng.normal(m, s, size)
+            return np.exp(rates, out=rates)  # in place: one rate-sized array
         raise InvalidModelError(f"unknown rate family {self.rate_family!r}")
 
     def stable_scale(self) -> float:

@@ -16,7 +16,14 @@ its own ascending table, so ``env.X_FAMILIES`` admits none.
 
 v is estimated empirically: each walker contributes one renewal
 realization, followed until its cumulative ladder depth leaves the
-grid. Record times are detected strictly.
+grid. Record times are detected strictly. The walkers run in fixed
+blocks of ``_BLOCK`` (never a function of the worker count): block 0
+draws on the caller's stream after the pilot, so a table of one block
+draws what one pass over all walkers would, and block b >= 1 on the
+b-th stream spawned from it (``Generator.spawn``). Each block gives
+exact int64 sums of its walkers' cumulative counts and of their
+squares, so no process holds more than one block's count matrix and the
+table is the same however the blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ _CHUNK = 512  # steps simulated per vectorized sweep
 _STEP_CAP = 262_144  # steps after which a walker's renewal sequence is cut
 _NONCONVERGENCE_TOL = 0.05  # largest tolerated share of cut walkers
 _SPAN = 10  # grid top in mean ladder heights
+_BLOCK = 2500  # walkers per block, the runner's replica block
 
 
 class LadderNonconvergence(RuntimeError):
@@ -136,19 +144,37 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
     return np.cumsum(counts, axis=1), capped
 
 
+def _block_sums(walkers: int, rng: np.random.Generator, model: EnvironmentModel,
+                grid: np.ndarray):
+    """One block's per-grid sums of the walkers' cumulative counts and of
+    their squares (int64; a count is at most ``_STEP_CAP``, one record a
+    step), and its number of capped walkers."""
+    counts, capped = _renewal_counts(model, grid, walkers, rng)
+    # the plain sum is taken before the squares overwrite the counts
+    return counts.sum(axis=0), np.square(counts, out=counts).sum(axis=0), capped
+
+
 def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
-                           budget: int = 200_000) -> LadderTables:
+                           budget: int = 200_000, submit=None) -> LadderTables:
     """Estimate the renewal function v by direct renewal simulation.
 
     ``budget`` is the target number of ladder epochs across all walkers
     (at least 1000). The grid spans 10 mean ladder heights in 512
     points. Each walker runs until its record leaves the grid or
     ``_STEP_CAP`` steps elapse; if more than ``_NONCONVERGENCE_TOL`` of
-    the walkers hit the cap, :class:`LadderNonconvergence` is raised.
+    all walkers hit the cap, :class:`LadderNonconvergence` is raised.
     Capped walkers censor a small tail of late ladder points; the capped
     fraction is recorded in the metadata. Only descending walkers run,
     since u = v for the symmetric step laws: the metadata keys
     ``epochs_asc`` and ``capped_frac_asc`` are kept and are 0.
+
+    The walkers run in blocks of ``_BLOCK`` (module docstring). Block 0
+    runs in this process; ``submit``, when given, takes the tasks
+    ``(fn, rng, count, args)`` of the other blocks and returns a callable
+    giving each ``fn(count, rng, *args)`` in task order (the runner
+    submits them to its pool first, so they overlap block 0). Without it
+    they run here, one at a time. v = 1 + S1/W and v_se is the sample
+    standard deviation over sqrt(W), from the exact W S2 - S1^2.
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000 ladder epochs")
@@ -160,18 +186,26 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
     # by the renewal theorem a walker meets about _SPAN epochs on the grid
     walkers = max(512, int(budget) // _SPAN)
 
-    counts, capped = _renewal_counts(model, grid, walkers, rng)
+    sizes = [min(_BLOCK, walkers - lo) for lo in range(_BLOCK, walkers, _BLOCK)]
+    tasks = [(_block_sums, r, n, (model, grid)) for r, n in zip(rng.spawn(len(sizes)), sizes)]
+    rest = (submit(tasks) if submit is not None and tasks
+            else lambda: [fn(n, r, *args) for fn, r, n, args in tasks])
+    # block 0 on this stream, drawn while the submitted blocks run
+    first = _block_sums(min(_BLOCK, walkers), rng, model, grid)
+    s1, s2, capped = map(sum, zip(first, *rest()))
     if capped / walkers > _NONCONVERGENCE_TOL:
         raise LadderNonconvergence(
             f"{capped}/{walkers} walkers exceeded the step cap {_STEP_CAP}")
+    # W S2 - S1^2 in Python integers: exact, whatever the sums' size
+    spread = np.array([walkers * b - a * a for a, b in zip(s1.tolist(), s2.tolist())], float)
     return LadderTables(
         grid=grid,
-        v=1.0 + counts.mean(axis=0),
-        v_se=counts.std(axis=0, ddof=1) / np.sqrt(walkers),
+        v=1.0 + s1 / walkers,
+        v_se=np.sqrt(spread / walkers / (walkers - 1)) / np.sqrt(walkers),
         meta={
             "walkers": walkers,
             "step_cap": _STEP_CAP,
-            "epochs_desc": int(counts[:, -1].sum()),
+            "epochs_desc": int(s1[-1]),
             "epochs_asc": 0,
             "capped_frac_desc": capped / walkers,
             "capped_frac_asc": 0.0,

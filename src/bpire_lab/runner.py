@@ -26,13 +26,20 @@ raises). A check submits all of its blocks first and gathers them after
 its own main-process draws (the series sample, the lemma-1 limit
 environment, the Lévy level, the stable reference of walk-stats), so
 these draws overlap the workers. With one worker the blocks run in this
-process when gathered.
+process when gathered. The ladder table's walker blocks after the first
+use the pool too (``Runner._submit``), while this process draws block
+0: inside a check they borrow its pool, and read outside any check (as
+the benchmark battery reads it, before the first ``dispatch``) the
+table is built as a check of its own, whose pool is shut down before
+``tables`` returns. A table of one block submits nothing, so it forks
+no worker.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -82,8 +89,7 @@ SUBCOMMANDS = (
 # block workers (module level so process pools can pickle them)
 
 def _run_block(task):
-    fn, master_seed, stream_name, block_index, count, args = task
-    rng = derive_block_stream(master_seed, block_index, stream_name)
+    fn, rng, count, args = task
     return fn(count, rng, *args)
 
 
@@ -207,36 +213,50 @@ class Runner:
         # submitted blocks until their first read
         self._samples: dict = {}
         self._pool = None  # the current check's process pool
+        self._checking = False  # inside a check: it owns the pool
 
     # -- shared resources ---------------------------------------------------
 
     @property
     def tables(self):
+        """The run's ladder table, built at the first read. Its walker
+        blocks after the first go to the check's pool; read outside a
+        check, the build is a check of its own, so a pool it opens is shut
+        down before the table is returned."""
         if self._tables is None:
-            self._tables = estimate_ladder_tables(
-                self.model, self._stream("ladder-tables"), budget=self.cfg.ladder_budget)
+            build = partial(estimate_ladder_tables, self.model, self._stream("ladder-tables"),
+                            budget=self.cfg.ladder_budget, submit=self._submit)
+            self._tables = build() if self._checking else self._check(build)
         return self._tables
 
     def _stream(self, name):
         """The run's stream ``name``, for draws made whole in this process."""
         return derive_stream(self.cfg.master_seed, 0, name)
 
-    def _blocks(self, fn, total, stream_name, *args):
-        """Submit ``fn(count, rng, *args)`` over fixed replica blocks; returns
-        a callable giving the block results joined in block order."""
-        cfg = self.cfg
-        tasks = [(fn, cfg.master_seed, stream_name, bi, min(_WORK_BLOCK, total - lo), args)
-                 for bi, lo in enumerate(range(0, total, _WORK_BLOCK))]
-        if cfg.workers <= 1:
-            return lambda: _join([_run_block(t) for t in tasks])
+    def _submit(self, tasks):
+        """Submit block tasks ``(fn, rng, count, args)`` to the check's pool,
+        opened at the first submit; returns a callable giving each
+        ``fn(count, rng, *args)`` in task order. With one worker the tasks
+        run in this process when the callable is called."""
+        if self.cfg.workers <= 1:
+            return lambda: [_run_block(t) for t in tasks]
         if self._pool is None:
             # the pool forks all of its workers at the first submit, so it
             # asks for no more than the CPUs this process may run on
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-            self._pool = ProcessPoolExecutor(max_workers=min(cfg.workers, cpus))
+            self._pool = ProcessPoolExecutor(max_workers=min(self.cfg.workers, cpus))
         futures = [self._pool.submit(_run_block, t) for t in tasks]
-        return lambda: _join([f.result() for f in futures])
+        return lambda: [f.result() for f in futures]
+
+    def _blocks(self, fn, total, stream_name, *args):
+        """Submit ``fn(count, rng, *args)`` over fixed replica blocks, block
+        b on its own stream; returns a callable giving the block results
+        joined in block order."""
+        gather = self._submit([(fn, derive_block_stream(self.cfg.master_seed, bi, stream_name),
+                                min(_WORK_BLOCK, total - lo), args)
+                               for bi, lo in enumerate(range(0, total, _WORK_BLOCK))])
+        return lambda: _join(gather())
 
     def _shared_sample(self, key, fn, total, stream_name, *args):
         """A callable giving the joined block results of ``fn``. The blocks
@@ -617,9 +637,15 @@ class Runner:
     def dispatch(self, subcommand: str):
         if subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {subcommand!r}")
+        return self._check(getattr(self, "run_" + subcommand.replace("-", "_")))
+
+    def _check(self, fn):
+        """``fn()`` as one check, which owns the pool its blocks open."""
+        self._checking = True
         try:
-            return getattr(self, "run_" + subcommand.replace("-", "_"))()
+            return fn()
         finally:
+            self._checking = False
             # no worker outlives its check, so its CPU time and memory are
             # reaped with it; a raising check cancels its pending blocks
             if self._pool is not None:

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bpire_lab import runner
+from bpire_lab import ladder, runner
 from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
 from bpire_lab.env import validate_model
@@ -260,6 +260,63 @@ def test_dispatch_leaves_no_workers(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     bench.dispatch("validate-env")  # no block work: no pool
     assert len(made) == 1
+
+
+def _count_pools(monkeypatch):
+    """The keyword arguments of each pool the runner opens, recorded; four
+    usable CPUs keep a pool at ``workers``."""
+    made = []
+
+    class Counting(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return made
+
+
+def test_tables_outside_a_check_leave_no_pool(tmp_path, monkeypatch):
+    # 3,000 ladder walkers are two blocks: the second goes to a pool that
+    # the tables open outside any check, and shut down before returning
+    made = _count_pools(monkeypatch)
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(
+        tmp_path, workers=2, ladder_budget=30_000)))
+    assert bench.tables.meta["walkers"] == 3000
+    assert made == [{"max_workers": 2}]
+    assert bench._pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_check_building_the_tables_opens_one_pool(tmp_path, monkeypatch):
+    # gamma-dist builds the tables (a block on the pool) and then submits its
+    # own blocks: the tables borrow the check's pool, so one pool is opened
+    made = _count_pools(monkeypatch)
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(
+        tmp_path, workers=2, ladder_budget=30_000)))
+    assert len(bench.dispatch("gamma-dist")) == 2
+    assert bench._tables.meta["walkers"] == 3000
+    assert made == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+
+
+def test_ladder_nonconvergence_in_worker_blocks(tmp_path, monkeypatch, capsys):
+    # with an 8-step cap most walkers are capped, in this process and in
+    # the pool's block of 500: the summed capped count (more than block 0's
+    # 2,500 walkers) fails the run with exit 1 as on one worker, and no
+    # worker is left
+    monkeypatch.setattr(ladder, "_STEP_CAP", 8)
+    errors = []
+    for workers in (1, 2):
+        path = write_config(tmp_path, workers=workers, ladder_budget=30_000)
+        assert main(["measure-change", "--config", path]) == 1
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    capped = re.fullmatch(r"sampler failure in measure-change: (\d+)/3000 walkers "
+                          r"exceeded the step cap 8\n", errors[1])
+    assert capped and int(capped[1]) > 2500
 
 
 @pytest.mark.parametrize("affinity", [True, False])

@@ -218,6 +218,26 @@ def test_lemma1_limit_holds_one_side(std_tables, tmp_path):
     assert peak <= 2.0 * reps * (trunc + 1) * 8
 
 
+def test_lemma1_limit_holds_one_side_lognormal_rates(std_tables, tmp_path):
+    # under lognormal rates each side also draws its (reps, trunc_i) rate
+    # matrix, which lemma1 never reads; drawn in one array (the normals,
+    # then exp in place) the check peaks at about 2.1 one-side path
+    # matrices (3.05 with a second array for the exponentials)
+    reps, trunc = 20_000, 64
+    bench = runner.Runner(RunConfig.from_dict({
+        "trunc_i": trunc, "n_walk": 50, "replicas": {"walk_stats": reps},
+        "rate_family": "lognormal", "rate_params": [0.5, 0.5], "out_dir": str(tmp_path)}))
+    bench._tables = std_tables
+    bench.free_walks()()
+    tracemalloc.start()
+    try:
+        bench.dispatch("lemma1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * reps * (trunc + 1) * 8
+
+
 # -- martingale limits and the ratio law ------------------------------------
 
 def _tiled(sides, reps):

@@ -38,6 +38,20 @@ def test_rss_probe_prints_each_stage_and_the_peak(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_rss_probe_workers_override(tmp_path):
+    # --workers 1 runs a two-worker config's blocks in this process, so no
+    # stage leaves a reaped child
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config(tmp_path, workers=2)))
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--config", str(cfg), "--checks", "arcsine", "lemma5",
+         "--workers", "1"], capture_output=True, text=True, check=True)
+    rows = [line.split() for line in out.stdout.splitlines()[1:-1]]
+    assert [row[0] for row in rows] == ["start", "tables", "arcsine", "lemma5"]
+    assert all(float(row[2]) == 0.0 for row in rows)
+    assert out.stdout.splitlines()[-1].endswith("children 0.0 MB set by None")
+
+
 def test_peak_stage_is_the_last_that_raised_it():
     tool = _tool()
     rows = [("start", 50.0, 0.0), ("tables", 100.0, 0.0), ("a", 100.0, 40.0),

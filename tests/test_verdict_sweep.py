@@ -54,3 +54,19 @@ def test_verdict_sweep_needs_checks_or_workload(tmp_path):
                           "--config", str(tmp_path / "c.json"), "--seeds", "0"],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "not allowed with argument" in out.stderr
+
+
+def test_workers_overrides_the_config(tmp_path):
+    # --workers K replaces the config's worker count, from a workload or a
+    # config file, and leaves every other field as it was
+    tool = _tool()
+    spec = json.loads(WORKLOADS.read_text())["workloads"]["pareto-2w"]
+    args = tool.parse_args(["--workload", "pareto-2w", "--seeds", "0", "--workers", "1"], "")
+    assert tool.resolve(args) == ({**spec["config"], "workers": 1}, spec["checks"])
+    assert tool.resolve(tool.parse_args(["--workload", "pareto-2w", "--seeds", "0"], ""))[0] \
+        == spec["config"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config(tmp_path)))
+    args = tool.parse_args(["--config", str(cfg), "--checks", "arcsine", "--seeds", "0",
+                            "--workers", "2"], "")
+    assert tool.resolve(args) == ({**tiny_config(tmp_path), "workers": 2}, ["arcsine"])

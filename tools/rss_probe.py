@@ -11,17 +11,17 @@ afterwards.
 
 Usage (from the root of a checkout):
 
-    python3 tools/rss_probe.py --workload NAME [--seed N]
+    python3 tools/rss_probe.py --workload NAME [--seed N] [--workers K]
     python3 tools/rss_probe.py [--config CONFIG.json] --checks CHECK ... [--seed N]
 
 ``--workload`` reads the config and the checks of a benchmark workload
 from ``perfbench/workloads.json``, so ``--workload pareto-2w`` probes
-that workload's seed-0 battery in one process.
+that workload's seed-0 battery in one process. ``--workers K``
+overrides the config's worker count, as the CLI's ``--workers`` does.
 """
 
 from __future__ import annotations
 
-import argparse
 import resource
 import sys
 import tempfile
@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bpire_lab.config import RunConfig  # noqa: E402
 from bpire_lab.runner import Runner  # noqa: E402
-from verdict_sweep import BASE_SEED, resolve  # noqa: E402
+from verdict_sweep import BASE_SEED, resolve, source_parser  # noqa: E402
 
 
 def _maxrss_mb() -> tuple:
@@ -70,11 +70,7 @@ def peak_stages(rows) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--config", help="a RunConfig JSON file (default: package defaults)")
-    source.add_argument("--workload", help="a workload of perfbench/workloads.json")
-    parser.add_argument("--checks", nargs="+")
+    parser = source_parser(__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if not (args.checks or args.workload):

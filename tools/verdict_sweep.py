@@ -9,13 +9,14 @@ directory that is removed afterwards.
 Usage (from the root of a checkout):
 
     python3 tools/verdict_sweep.py [--config CONFIG.json] --checks CHECK ... --seeds S ...
-    python3 tools/verdict_sweep.py --workload NAME --seeds S ...
+    python3 tools/verdict_sweep.py --workload NAME --seeds S ... [--workers K]
 
 Without ``--config`` the package defaults are used. ``--workload`` reads
 the config and the checks of a benchmark workload from
 ``perfbench/workloads.json``, so ``--workload pareto-2w --seeds 0 1 2 3
 4 5 6 7 8 9`` gives the failed verdicts of that workload's BENCH seeds
-(``--checks`` overrides its checks). Prints one JSON line
+(``--checks`` overrides its checks). ``--workers K`` overrides the
+config's worker count, as the CLI's ``--workers`` does. Prints one JSON line
 that maps each failed verdict to the seeds at which it failed, e.g.
 ``{"lemma5/eq-negative": [2]}``; ``{}`` when nothing failed.
 """
@@ -38,7 +39,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.js
 
 
 def resolve(args) -> tuple:
-    """The config dict and the checks that the arguments name."""
+    """The config dict and the checks that the arguments name, with
+    ``--workers`` over the config's worker count when given."""
     data, checks = {}, args.checks
     if args.workload:
         with open(WORKLOADS, encoding="utf-8") as fh:
@@ -47,6 +49,8 @@ def resolve(args) -> tuple:
     elif args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
+    if getattr(args, "workers", None) is not None:
+        data = {**data, "workers": args.workers}
     return data, checks
 
 
@@ -64,14 +68,23 @@ def sweep(data: dict, checks, seeds) -> dict:
     return failed
 
 
-def parse_args(argv, description: str):
-    """The config source (``--config`` or ``--workload``), the checks and
-    the seeds of a run over seeds."""
+def source_parser(description: str) -> argparse.ArgumentParser:
+    """A parser of the config source (``--config`` or ``--workload``), the
+    worker count and the checks, which ``resolve`` reads."""
     parser = argparse.ArgumentParser(description=description)
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--config", help="a RunConfig JSON file (default: package defaults)")
     source.add_argument("--workload", help="a workload of perfbench/workloads.json")
+    parser.add_argument("--workers", type=int, metavar="K",
+                        help="override the config's worker count")
     parser.add_argument("--checks", nargs="+")
+    return parser
+
+
+def parse_args(argv, description: str):
+    """The config source, the worker count, the checks and the seeds of a
+    run over seeds."""
+    parser = source_parser(description)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     args = parser.parse_args(argv)
     if not (args.checks or args.workload):
