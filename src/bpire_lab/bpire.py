@@ -252,6 +252,9 @@ def _log_group_sums(v: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
 
 
 _MAX_WINDOW = 1024  # generations per window: bounds its step and rate arrays
+# replicas per block: the runner's replica blocks and the ladder's walker
+# blocks, each on its own stream; fixed, never a function of the worker count
+_BLOCK_REPS = 2500
 # walk cells per block of replicas: keeps a block's temporaries (1 MB each)
 # in L2, and a 2,500-replica window of up to 51 generations in one block
 _BLOCK_CELLS = 2 ** 17

@@ -16,14 +16,14 @@ its own ascending table, so ``env.X_FAMILIES`` admits none.
 
 v is estimated empirically: each walker contributes one renewal
 realization, followed until its cumulative ladder depth leaves the
-grid. Record times are detected strictly. The walkers run in fixed
-blocks of ``_BLOCK`` (never a function of the worker count): block 0
-draws on the caller's stream after the pilot, so a table of one block
-draws what one pass over all walkers would, and block b >= 1 on the
-b-th stream spawned from it (``Generator.spawn``). Each block gives
-exact int64 sums of its walkers' cumulative counts and of their
-squares, so no process holds more than one block's count matrix and the
-table is the same however the blocks are scheduled.
+grid. Record times are detected strictly. The walkers run in the fixed
+replica blocks of ``bpire._BLOCK_REPS`` (never a function of the worker
+count): block 0 draws on the caller's stream after the pilot, so a table
+of one block draws what one pass over all walkers would, and block
+b >= 1 on the b-th stream spawned from it (``Generator.spawn``). Each
+block gives exact int64 sums of its walkers' cumulative counts and of
+their squares, so no process holds more than one block's count matrix
+and the table is the same however the blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import io
 
 import numpy as np
 
+from .bpire import _BLOCK_REPS
 from .env import EnvironmentModel
 
 __all__ = [
@@ -46,7 +47,6 @@ _CHUNK = 512  # steps simulated per vectorized sweep
 _STEP_CAP = 262_144  # steps after which a walker's renewal sequence is cut
 _NONCONVERGENCE_TOL = 0.05  # largest tolerated share of cut walkers
 _SPAN = 10  # grid top in mean ladder heights
-_BLOCK = 2500  # walkers per block, the runner's replica block
 
 
 class LadderNonconvergence(RuntimeError):
@@ -168,8 +168,8 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
     since u = v for the symmetric step laws: the metadata keys
     ``epochs_asc`` and ``capped_frac_asc`` are kept and are 0.
 
-    The walkers run in blocks of ``_BLOCK`` (module docstring). Block 0
-    runs in this process; ``submit``, when given, takes the tasks
+    The walkers run in replica blocks (module docstring). Block 0 runs
+    in this process; ``submit``, when given, takes the tasks
     ``(fn, rng, count, args)`` of the other blocks and returns a callable
     giving each ``fn(count, rng, *args)`` in task order (the runner
     submits them to its pool first, so they overlap block 0). Without it
@@ -186,12 +186,12 @@ def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
     # by the renewal theorem a walker meets about _SPAN epochs on the grid
     walkers = max(512, int(budget) // _SPAN)
 
-    sizes = [min(_BLOCK, walkers - lo) for lo in range(_BLOCK, walkers, _BLOCK)]
+    sizes = [min(_BLOCK_REPS, walkers - lo) for lo in range(_BLOCK_REPS, walkers, _BLOCK_REPS)]
     tasks = [(_block_sums, r, n, (model, grid)) for r, n in zip(rng.spawn(len(sizes)), sizes)]
     rest = (submit(tasks) if submit is not None and tasks
             else lambda: [fn(n, r, *args) for fn, r, n, args in tasks])
     # block 0 on this stream, drawn while the submitted blocks run
-    first = _block_sums(min(_BLOCK, walkers), rng, model, grid)
+    first = _block_sums(min(_BLOCK_REPS, walkers), rng, model, grid)
     s1, s2, capped = map(sum, zip(first, *rest()))
     if capped / walkers > _NONCONVERGENCE_TOL:
         raise LadderNonconvergence(

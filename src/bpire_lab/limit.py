@@ -15,10 +15,12 @@ form, its two sides: one rule draws a side (``sample_side``: its paths,
 their resample indices, then its rates), so every reader sees the same
 numbers from the same stream, and column j of a side is S*_j on the
 positive side and S*_{-j} on the negative one. One rule sums a side's
-series (``series_sums``). A reader that needs only per-side reads
-(lemma1's S*_i, the series sums) holds one side at a time; the gamma
-sample builds its cohort arrays straight from both sides
-(``_cohort_tails``).
+series (``series_sums``), and it alone owns the side layout: each
+side's series starts at S*_0 on the positive side and at S*_{-1} on
+the negative one, and a caller passes only the side's draw and the rate
+columns it sums. A reader that needs only per-side reads (lemma1's
+S*_i, the series sums) holds one side at a time; the gamma sample
+builds its cohort arrays straight from both sides (``_cohort_tails``).
 """
 
 from __future__ import annotations
@@ -116,11 +118,10 @@ def sample_side(model: EnvironmentModel, n: int, reps: int, rng: np.random.Gener
     importance-resampled by their terminal renewal weight, so the side
     follows the renewal-reweighted measure of the limiting environment.
     Column j of ``mu`` is mu*_{j+1} on the positive side and mu*_{-j} on
-    the negative one, so the series term of column j is
-    mu[:, j] e^{-walk[rows, j]} on the positive side and
-    mu[:, j] e^{-walk[rows, j + 1]} on the negative one. The draw order
-    fixes the bytes: the paths, their resample indices, then the rates
-    (constant rates draw nothing and are one read-only view of the value).
+    the negative one; ``series_sums`` pairs it with its walk column. The
+    draw order fixes the bytes: the paths, their resample indices, then
+    the rates (constant rates draw nothing and are one read-only view of
+    the value).
     """
     walk, weights = sample_conditioned_batch(model, n, "rejection", reps, rng, side, tables)
     return walk, resample_indices(weights, reps, rng), model.draw_rate(rng, (reps, n))
@@ -141,20 +142,27 @@ def sample_two_sided_batch(model: EnvironmentModel, I: int, reps: int,
             sample_side(model, I, reps, rng, tables, "negative"))
 
 
-def series_sums(walk: np.ndarray, mu: np.ndarray, rows=None) -> np.ndarray:
-    """Per-row sums of one side's series terms mu[:, j] e^{-walk[:, j]}, one
-    term per column of ``mu``: row 0 sums every term, row 1 all but the
-    first (the term nearest the origin). Row r of the side reads walk row
-    ``rows[r]`` (walk row r when ``rows`` is None) and mu row r.
+def series_sums(walk: np.ndarray, mu: np.ndarray, side: str, rows=None) -> np.ndarray:
+    """Per-row sums of the series terms of one side of the environment,
+    one term per column of ``mu``: row 0 sums every term, row 1 all but
+    the first (the term nearest the origin). Row r of the side reads walk
+    row ``rows[r]`` (walk row r when ``rows`` is None) and mu row r.
+
+    This is the one owner of the side layout: the positive series starts
+    at S*_0, walk column 0, so its term j is mu[:, j] e^{-walk[:, j]}; the
+    negative one at S*_{-1}, walk column 1, so its term j is
+    mu[:, j] e^{-walk[:, j + 1]}. A caller chooses only the width, by the
+    columns of ``mu`` it passes.
 
     The terms are formed in row groups of about ``_BLOCK_CELLS`` cells, so
     no (reps, width) buffer exists; a row's sums do not depend on its group.
     """
-    width = mu.shape[1]
+    first = {"positive": 0, "negative": 1}[side]
+    cols = np.s_[first:first + mu.shape[1]]
     sums = np.empty((2, len(mu)))
-    for lo, hi in _row_groups(width, len(mu)):
+    for lo, hi in _row_groups(mu.shape[1], len(mu)):
         # gather, negate, exponentiate and scale in place
-        terms = np.negative(walk[np.s_[lo:hi] if rows is None else rows[lo:hi], :width])
+        terms = np.negative(walk[np.s_[lo:hi] if rows is None else rows[lo:hi], cols])
         np.exp(terms, out=terms)
         terms *= mu[lo:hi]
         sums[0, lo:hi] = terms.sum(axis=1)
@@ -201,9 +209,8 @@ def sample_gamma_batch(model: EnvironmentModel, I: int, J: int, *, reps: int,
         raise ValueError("J must be >= 1")
     positive, negative = sample_two_sided_batch(model, I, reps, rng, tables, pos_extra=J)
     (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = positive, negative
-    # the positive series starts at S*_0, the negative one at S*_{-1}
-    sigma1 = (series_sums(pos, pos_mu[:, :I], pos_rows)[0]
-              + series_sums(neg[:, 1:], neg_mu, neg_rows)[0])
+    sigma1 = (series_sums(pos, pos_mu[:, :I], "positive", pos_rows)[0]
+              + series_sums(neg, neg_mu, "negative", neg_rows)[0])
     s_i, mu, t_log = _cohort_tails(model, positive, negative, I, J)
     # the limit's B_i = sum_{k>=0} e^{-(S*_{i+k} - S*_i)} is e^{S*_i} T_i
     sigma2 = np.exp(limit_log_values(mu, t_log + s_i, rng) - s_i).sum(axis=1)

@@ -6,18 +6,20 @@ block order (``_join``: per key for dicts, along the last axis for
 arrays), so report content is a pure function of the configuration
 regardless of the worker count. Every gate lives here: the samplers and
 statistics return plain values, and one rule (``Runner._record``) turns
-a statistic and its gate into each record's verdict. Four samples are
-drawn once per run and shared: the free walks (walk-stats, arcsine,
-lemma1), the gamma sample (gamma-dist, theorem1-onedim,
-theorem1-twodim), the pre-limit process Y of theorem 1
-(theorem1-onedim, theorem1-twodim) and the series sample of the
-two-sided limit environment (lemma5, lemma7). The series sample is
-drawn whole in the main process, not in blocks: each side resamples its
-rejection paths by tilt weight within the pool it is given, and
-splitting the pool concentrates the weight on fewer paths. Like
-lemma1's limit environment, it is read one side at a time: each side is
-reduced to its per-row reads and dropped before the next side is drawn,
-so the process holds one side's paths at a time.
+a statistic and its gate into each record's verdict. Five draws are
+made once per run and shared, all through one memo (``Runner._shared``):
+the ladder table (measure-change, lemma1, lemma5, lemma7 and the gamma
+sample), the free walks (walk-stats, arcsine, lemma1), the gamma sample
+(gamma-dist, theorem1-onedim, theorem1-twodim), the pre-limit process Y
+of theorem 1 (theorem1-onedim, theorem1-twodim) and the series sample
+of the two-sided limit environment (lemma5, lemma7). The series sample
+is drawn whole in the main process, not in blocks: each side resamples
+its rejection paths by tilt weight within the pool it is given, and
+splitting the pool concentrates the weight on fewer paths. It and
+lemma1's limit environment are read by one side reader
+(``Runner._side_reads``): each side is reduced to its per-row reads and
+dropped before the next side is drawn, so the process holds one side's
+paths at a time.
 
 With more than one worker, the runner opens one process pool the first
 time a check needs it and shuts it down before ``dispatch`` returns, so
@@ -44,6 +46,7 @@ from functools import partial
 import numpy as np
 
 from .bpire import (
+    _BLOCK_REPS,
     _join,
     _row_groups,
     _window_cohorts,
@@ -66,8 +69,6 @@ from .report import VERSION, Report, TestRecord, write_csv
 from .stats import ecdf, joint_two_time_test, ks_against_cdf, ks_two_sample
 from .streams import derive_block_stream, derive_stream
 from .walk import arcsine_cdf, simulate_walk_matrix
-
-_WORK_BLOCK = 2500
 
 SUBCOMMANDS = (
     "validate-env",
@@ -128,13 +129,11 @@ def _cond_series_block(count, rng, model, n, side):
     """Pre-limit series of the conditioned walk (rejection, exact), summed
     over the batch's own paths S* (S on the positive side, -S on the
     negative one) by the limit's series rule: positive,
-    sum_{i=0}^{n-1} mu_{i+1} e^{-S*_i}; negative,
+    sum_{i=0}^{n-1} mu_{i+1} e^{-S*_i}; negative, the n - 1 terms
     sum_{i=1}^{n-1} mu_i e^{-S*_i}."""
     s = sample_conditioned_batch(model, n, "rejection", count, rng, side)[0]
     mu = model.draw_rate(rng, (count, n))
-    if side == "positive":
-        return series_sums(s, mu)[0]
-    return series_sums(s[:, 1:], mu[:, :n - 1])[0]
+    return series_sums(s, mu if side == "positive" else mu[:, :n - 1], side)[0]
 
 
 def _ratio_block(count, rng, model, n, i):
@@ -208,9 +207,8 @@ class Runner:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.model = cfg.model()
-        self._tables = None
-        # the four shared samples by key: joined dicts, or the gathers of
-        # submitted blocks until their first read
+        # the run's shared draws by key (``_shared``): each draw, or the
+        # gather of its submitted blocks until its first read
         self._samples: dict = {}
         self._pool = None  # the current check's process pool
         self._checking = False  # inside a check: it owns the pool
@@ -223,11 +221,10 @@ class Runner:
         blocks after the first go to the check's pool; read outside a
         check, the build is a check of its own, so a pool it opens is shut
         down before the table is returned."""
-        if self._tables is None:
-            build = partial(estimate_ladder_tables, self.model, self._stream("ladder-tables"),
-                            budget=self.cfg.ladder_budget, submit=self._submit)
-            self._tables = build() if self._checking else self._check(build)
-        return self._tables
+        def build():
+            return estimate_ladder_tables(self.model, self._stream("ladder-tables"),
+                                          budget=self.cfg.ladder_budget, submit=self._submit)
+        return self._shared("tables", build if self._checking else partial(self._check, build))()
 
     def _stream(self, name):
         """The run's stream ``name``, for draws made whole in this process."""
@@ -250,38 +247,51 @@ class Runner:
         return lambda: [f.result() for f in futures]
 
     def _blocks(self, fn, total, stream_name, *args):
-        """Submit ``fn(count, rng, *args)`` over fixed replica blocks, block
-        b on its own stream; returns a callable giving the block results
-        joined in block order."""
+        """Submit ``fn(count, rng, *args)`` over fixed replica blocks of
+        ``_BLOCK_REPS``, block b on its own stream; returns a callable
+        giving the block results joined in block order."""
         gather = self._submit([(fn, derive_block_stream(self.cfg.master_seed, bi, stream_name),
-                                min(_WORK_BLOCK, total - lo), args)
-                               for bi, lo in enumerate(range(0, total, _WORK_BLOCK))])
+                                min(_BLOCK_REPS, total - lo), args)
+                               for bi, lo in enumerate(range(0, total, _BLOCK_REPS))])
         return lambda: _join(gather())
 
-    def _shared_sample(self, key, fn, total, stream_name, *args):
-        """A callable giving the joined block results of ``fn``. The blocks
-        are submitted at the first request and joined at the first call,
-        once per run."""
+    def _shared(self, key, start):
+        """A callable giving the run's shared draw ``key``, made once per
+        run. ``start()`` runs at the first request and returns the draw, or
+        the gather of its submitted blocks, which is called once, at the
+        first read."""
         if key not in self._samples:
-            self._samples[key] = self._blocks(fn, total, stream_name, *args)
+            self._samples[key] = start()
 
-        def joined() -> dict:
+        def read():
             if callable(self._samples[key]):
                 self._samples[key] = self._samples[key]()
             return self._samples[key]
-        return joined
+        return read
+
+    def _side_reads(self, n, reps, stream_name, read):
+        """The reads ``read(side, walk, rows, mu)`` of both sides of
+        ``reps`` two-sided environments at horizon ``n``, merged into one
+        dict. ``sample_side`` draws the positive side and then the negative
+        one on the run's stream ``stream_name``; each side is dropped once
+        read, so this process holds one side's paths at a time."""
+        rng = self._stream(stream_name)
+        reads = {}
+        for side in ("positive", "negative"):
+            reads.update(read(side, *sample_side(self.model, n, reps, rng, self.tables, side)))
+        return reads
 
     def free_walks(self):
         """The ``replicas.walk_stats`` free walks of ``n_walk`` steps that
         walk-stats, arcsine and lemma1 read."""
         cfg = self.cfg
-        return self._shared_sample(
-            "free-walks", _free_walk_block, cfg.replicas["walk_stats"], "walk-stats",
-            self.model, cfg.n_walk, tuple(cfg.lemma_offsets))
+        return self._shared("free-walks", lambda: self._blocks(
+            _free_walk_block, cfg.replicas["walk_stats"], "walk-stats",
+            self.model, cfg.n_walk, tuple(cfg.lemma_offsets)))
 
     def gamma_sample(self, I: int, J: int, reps: int):
-        return self._shared_sample((I, J, reps), _gamma_block, reps, f"gamma/{I}/{J}",
-                                   self.model, I, J, self.tables)
+        return self._shared(("gamma", I, J, reps), lambda: self._blocks(
+            _gamma_block, reps, f"gamma/{I}/{J}", self.model, I, J, self.tables))
 
     def theorem1_sample(self, reps: int):
         """``reps`` paths of Y by generation, at every horizon and at
@@ -289,29 +299,21 @@ class Runner:
         horizons and the twodim times of theorem 1 read one pass."""
         cfg = self.cfg
         gens = {*cfg.horizons, *_twodim_gens(cfg)}
-        return self._shared_sample(("theorem1", reps), _ynorm_block, reps, "theorem1",
-                                   self.model, tuple(sorted(gens)))
+        return self._shared(("theorem1", reps), lambda: self._blocks(
+            _ynorm_block, reps, "theorem1", self.model, tuple(sorted(gens))))
 
     def series_sample(self, reps: int) -> dict:
         """Per-row reads of ``reps`` two-sided environments at half-width
         ``series_trunc``: the halves of the series Sigma1 (lemma5) and the
         numerators of the lemma-7 ratios at i = 1. One draw, whole and in
-        this process (see the module docstring), one side at a time: each
-        side is reduced to its reads and dropped before the next is drawn."""
-        key = ("series", reps)
-        if key not in self._samples:
-            I = self.cfg.series_trunc
-            rng = self._stream("lemma5-limit")
-            reads = {}
-            # (side, first walk column of the series, keys of its reads)
-            for side, first, keys in (("positive", 0, ("positive", "tail_after", "a_after")),
-                                      ("negative", 1, ("negative", "head_before", "a_before"))):
-                walk, rows, mu = sample_side(self.model, I, reps, rng, self.tables, side)
-                whole, rest = series_sums(walk[:, first:], mu, rows)
-                reads.update(zip(keys, (whole, rest, np.exp(-walk[rows, 1]))))
-                del walk, mu
-            self._samples[key] = reads
-        return self._samples[key]
+        this process (see the module docstring), one side at a time
+        (``_side_reads``)."""
+        def read(side, walk, rows, mu):
+            keys = (("positive", "tail_after", "a_after") if side == "positive"
+                    else ("negative", "head_before", "a_before"))
+            return dict(zip(keys, (*series_sums(walk, mu, side, rows), np.exp(-walk[rows, 1]))))
+        return self._shared(("series", reps), lambda: self._side_reads(
+            self.cfg.series_trunc, reps, "lemma5-limit", read))()
 
     def _record(self, name, statistic, gate, replicas, passed=None, detail="", **inputs):
         """One verdict line. With a gate the record passes when it has a
@@ -434,15 +436,10 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         walks = self.free_walks()
-        rng = self._stream("lemma1-limit")
-        lim = {}
         # S*_i is column |i| of the side of i's sign (the config gate keeps
-        # 1 <= |i| <= trunc_i); each side is dropped before the next is drawn
-        for side in ("positive", "negative"):
-            walk, rows, mu = sample_side(self.model, cfg.trunc_i, reps, rng, self.tables, side)
-            lim.update((i, walk[rows, abs(i)]) for i in cfg.lemma_offsets
-                       if (i > 0) == (side == "positive"))
-            del walk, mu
+        # 1 <= |i| <= trunc_i)
+        lim = self._side_reads(cfg.trunc_i, reps, "lemma1-limit", lambda side, walk, rows, mu: {
+            i: walk[rows, abs(i)] for i in cfg.lemma_offsets if (i > 0) == (side == "positive")})
         records = []
         for i in cfg.lemma_offsets:
             pre = walks()[i]
@@ -664,9 +661,7 @@ def run(subcommand: str, cfg: RunConfig) -> Report:
             if k not in ("workers", "out_dir")}
     report = Report(subcommand=subcommand, config=echo)
     report.extend(runner.dispatch(subcommand))
-    if runner._tables is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        save_ladder_tables(runner.tables,
-                           os.path.join(cfg.out_dir, "ladder_tables.txt"))
     report.write(cfg.out_dir)
+    if "tables" in runner._samples:
+        save_ladder_tables(runner.tables, os.path.join(cfg.out_dir, "ladder_tables.txt"))
     return report

@@ -209,6 +209,35 @@ def test_series_sample_drawn_once(tmp_path, monkeypatch):
         assert sides == ["positive", "negative"] * len(expect)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ladder_table_drawn_once(tmp_path, monkeypatch, workers):
+    # the table is one shared draw of the run: read outside a check and
+    # then by every check that conditions a walk, it is estimated once
+    calls = []
+    estimate = runner.estimate_ladder_tables
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "estimate_ladder_tables", counting)
+    bench = runner.Runner(RunConfig.from_dict(tiny_config(tmp_path, workers=workers)))
+    tables = bench.tables
+    for name in ("lemma1", "gamma-dist", "measure-change"):
+        bench.dispatch(name)
+    assert len(calls) == 1
+    assert bench.tables is tables
+
+
+def test_run_writes_ladder_tables_when_drawn(tmp_path):
+    # runner.run writes the table only for a check that drew it
+    for name, drawn in (("lemma1", True), ("walk-stats", False), ("arcsine", False),
+                        ("martingale", False), ("validate-env", False)):
+        cfg = RunConfig.from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / name)))
+        run(name, cfg)
+        assert os.path.isfile(os.path.join(cfg.out_dir, "ladder_tables.txt")) == drawn, name
+
+
 def test_worker_count_invariance(tmp_path):
     base = tiny_config(tmp_path)
     base.pop("out_dir")
@@ -221,10 +250,16 @@ def test_worker_count_invariance(tmp_path):
     assert text1 == text2  # byte-identical regardless of worker count
 
 
-def test_worker_count_invariance_all(tmp_path):
+@pytest.mark.parametrize("overrides", [
+    {},
+    # Pareto 1.5 steps at 3,000 ladder walkers: the table's second block
+    # goes to the pool of the first check that reads the table
+    {"x_family": "pareto", "x_param": 1.5, "alpha": 1.5, "ladder_budget": 30_000},
+], ids=["normal", "pareto-two-block-ladder"])
+def test_worker_count_invariance_all(tmp_path, overrides):
     # every check, and every file it writes, is the same on one worker and
     # on a pool of two
-    base = tiny_config(tmp_path)
+    base = tiny_config(tmp_path, **overrides)
     base.pop("out_dir")
     outs = []
     for workers in (1, 2):
@@ -296,7 +331,7 @@ def test_check_building_the_tables_opens_one_pool(tmp_path, monkeypatch):
     bench = runner.Runner(RunConfig.from_dict(tiny_config(
         tmp_path, workers=2, ladder_budget=30_000)))
     assert len(bench.dispatch("gamma-dist")) == 2
-    assert bench._tables.meta["walkers"] == 3000
+    assert bench._samples["tables"].meta["walkers"] == 3000
     assert made == [{"max_workers": 2}]
     assert multiprocessing.active_children() == []
 

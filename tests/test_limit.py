@@ -174,7 +174,7 @@ def test_series_sample_reads_the_glued_environment(rates, std_tables):
     # sample_two_sided_batch draws from the same stream, each gathered by its
     # rows first: both follow one draw order
     bench = runner.Runner(RunConfig.from_dict({"series_trunc": 6, "out_dir": "unused", **rates}))
-    bench._tables = std_tables
+    bench._samples["tables"] = std_tables
     reads = bench.series_sample(300)
     sides = sample_two_sided_batch(bench.model, 6, 300, bench._stream("lemma5-limit"), std_tables)
     want = dict(zip(("positive", "tail_after", "negative", "head_before"), _side_sums(sides, 6)))
@@ -189,7 +189,7 @@ def test_series_sample_holds_one_side(std_tables):
     # peak stays under 2.5 of them (1.8 measured; glued whole, it was 4)
     reps, trunc = 4000, 256
     bench = runner.Runner(RunConfig.from_dict({"series_trunc": trunc, "out_dir": "unused"}))
-    bench._tables = std_tables
+    bench._samples["tables"] = std_tables
     tracemalloc.start()
     try:
         bench.series_sample(reps)
@@ -207,7 +207,7 @@ def test_lemma1_limit_holds_one_side(std_tables, tmp_path):
     bench = runner.Runner(RunConfig.from_dict({
         "trunc_i": trunc, "n_walk": 50, "replicas": {"walk_stats": reps},
         "out_dir": str(tmp_path)}))
-    bench._tables = std_tables
+    bench._samples["tables"] = std_tables
     bench.free_walks()()
     tracemalloc.start()
     try:
@@ -227,7 +227,7 @@ def test_lemma1_limit_holds_one_side_lognormal_rates(std_tables, tmp_path):
     bench = runner.Runner(RunConfig.from_dict({
         "trunc_i": trunc, "n_walk": 50, "replicas": {"walk_stats": reps},
         "rate_family": "lognormal", "rate_params": [0.5, 0.5], "out_dir": str(tmp_path)}))
-    bench._tables = std_tables
+    bench._samples["tables"] = std_tables
     bench.free_walks()()
     tracemalloc.start()
     try:
@@ -359,8 +359,29 @@ def _side_sums(sides, I):
     # the series sums of both sides, each side gathered by its rows first:
     # the positive series starts at S*_0, the negative one at S*_{-1}
     (pos, pos_rows, pos_mu), (neg, neg_rows, neg_mu) = sides
-    return np.concatenate([series_sums(pos[pos_rows], pos_mu[:, :I]),
-                           series_sums(neg[neg_rows, 1:], neg_mu)])
+    return np.concatenate([series_sums(pos[pos_rows], pos_mu[:, :I], "positive"),
+                           series_sums(neg[neg_rows], neg_mu, "negative")])
+
+
+@pytest.mark.parametrize("gathered", [False, True])
+def test_series_sums_side_rule(gathered):
+    # the side decides the first walk column: "positive" sums
+    # mu[r, j] e^{-walk[row, j]} (from S*_0) and "negative" sums
+    # mu[r, j] e^{-walk[row, j + 1]} (from S*_{-1}), row = rows[r] or r;
+    # row 1 of the sums drops the term nearest the origin
+    walk = np.array([[0.0, 0.5, 1.0, 2.0],
+                     [0.0, 1.5, 0.25, 3.0],
+                     [0.0, 0.75, 2.5, 1.25]])
+    mu = np.array([[1.0, 2.0, 3.0],
+                   [0.5, 4.0, 1.5]])
+    rows = np.array([2, 0]) if gathered else None
+    for side, shift in (("positive", 0), ("negative", 1)):
+        sums = series_sums(walk, mu, side, rows)
+        for r in range(2):
+            row = rows[r] if gathered else r
+            terms = [mu[r, j] * math.exp(-walk[row, j + shift]) for j in range(3)]
+            assert sums[0, r] == pytest.approx(sum(terms), rel=1e-14), (side, r)
+            assert sums[1, r] == pytest.approx(sum(terms[1:]), rel=1e-14), (side, r)
 
 
 def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch):
@@ -379,7 +400,8 @@ def test_series_sums_match_star_sequence(std_model, std_tables, rng, monkeypatch
     rows = rng.integers(0, 50, 80)
     mu = rng.lognormal(0.0, 1.0, (80, 4))
     walk = sides[0][0]
-    assert np.array_equal(series_sums(walk, mu, rows), series_sums(walk[rows], mu))
+    assert np.array_equal(series_sums(walk, mu, "positive", rows),
+                          series_sums(walk[rows], mu, "positive"))
 
 
 @dataclass(frozen=True)
