@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .env import EnvironmentModel, InvalidModelError, validate_model
+from .limit import _grid_index
 
 
 class ConfigError(ValueError):
@@ -67,21 +68,20 @@ def _type_problems(cfg) -> list:
 class RunConfig:
     """Everything a run depends on, with acceptance-scale defaults."""
 
-    # environment model
+    # environment model; the model owns rho (1/2 for both symmetric
+    # families), and alpha is declared and checked against the family
     x_family: str = "normal"
     x_param: float = 1.0
     rate_family: str = "constant"
     rate_params: list[float] = field(default_factory=lambda: [2.0])
     alpha: float = 2.0
-    rho: float = 0.5
-    eps: float = 1.0
 
     # horizons, times, truncations
     horizons: list[int] = field(default_factory=lambda: [200, 800, 3200])
     n_walk: int = 2000
     n_small: int = 5
     t_values: list[float] = field(default_factory=lambda: [1.0, 2.0])
-    trunc_i: int = 64
+    trunc_i: int = 64  # the ratio law's half-widths
     trunc_j: int = 64
     series_trunc: int = 512  # raw-series comparisons need a longer tail
     lemma_offsets: list[int] = field(default_factory=lambda: [-2, -1, 1, 2])
@@ -148,21 +148,24 @@ class RunConfig:
             if k1 >= k2:
                 problems.append(f"t_values: need floor(n_walk * t1) < floor(n_walk * t2), got "
                                 f"{ts} with n_walk = {self.n_walk}")
+            # the Lévy level cannot drop between two times in one grid cell
+            if len(set(_grid_index(ts, self.delta()).tolist())) < 2:
+                problems.append(f"t_values: need t1 and t2 in different Lévy grid cells of "
+                                f"width delta = {self.delta()}, got {ts}")
         eps = self.band_eps
         # the band fractions must fall as eps does, and the last one is gated
         if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
             problems.append(f"band_eps: need strictly decreasing positives, got {eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
-        # an offset reads S*_i of the two-sided environment, which spans
-        # |i| <= trunc_i, and S_{tau+i} of the free walk S_0..S_{n_walk}, and
+        # an offset reads S_{tau+i} of the free walk S_0..S_{n_walk} and S*_i
+        # of the two-sided environment, which lemma1 draws to max |i|, and
         # names one record
         offsets = self.lemma_offsets
         if not offsets or len(set(offsets)) < len(offsets) or not all(
-                1 <= abs(i) <= min(self.trunc_i, self.n_walk) for i in offsets):
+                1 <= abs(i) <= self.n_walk for i in offsets):
             problems.append(f"lemma_offsets: need one or more distinct integers i with 1 <= |i| "
-                            f"<= trunc_i = {self.trunc_i} and |i| <= n_walk = {self.n_walk}, "
-                            f"got {offsets}")
+                            f"<= n_walk = {self.n_walk}, got {offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():
@@ -185,7 +188,7 @@ class RunConfig:
         model = EnvironmentModel(
             x_family=self.x_family, x_param=self.x_param,
             rate_family=self.rate_family, rate_params=tuple(self.rate_params),
-            alpha=self.alpha, rho=self.rho, eps=self.eps,
+            alpha=self.alpha,
         )
         validate_model(model, strict=True)
         return model

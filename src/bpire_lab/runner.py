@@ -365,17 +365,18 @@ class Runner:
                 for c in validate_model(self.model)]
 
     def run_walk_stats(self):
-        cfg = self.cfg
+        cfg, model = self.cfg, self.model
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         walks = self.free_walks()
         if cfg.x_family != "normal":
-            ref = stable_standard(cfg.alpha, cfg.rho, reps, self._stream("walk-stats-stable-ref"))
+            ref = stable_standard(model.alpha, model.rho, reps,
+                                  self._stream("walk-stats-stable-ref"))
         sn = walks()["terminal"]
         frac = float(np.mean(sn > 0))
-        records = [self._record("walk-stats/sign-fraction", abs(frac - cfg.rho), 0.03, reps,
+        records = [self._record("walk-stats/sign-fraction", abs(frac - model.rho), 0.03, reps,
                                 n=n, fraction=frac)]
-        scaled = sn / self.model.normalizer(n)
+        scaled = sn / model.normalizer(n)
         if cfg.x_family == "normal":
             from scipy.stats import norm
             # the standard stable law at alpha = 2 is Normal(0, 2)
@@ -393,12 +394,12 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         vals = self.free_walks()()["argmin_frac"]
-        ks = ks_against_cdf(vals, lambda x: arcsine_cdf(cfg.rho, x))
+        ks = ks_against_cdf(vals, lambda x: arcsine_cdf(self.model.rho, x))
         xs = np.sort(vals)[:: max(1, reps // 2048)]
         self._csv("arcsine_ecdf.csv", {
             "x": xs,
             "empirical": ecdf(vals).evaluate(xs),
-            "model": arcsine_cdf(cfg.rho, xs),
+            "model": arcsine_cdf(self.model.rho, xs),
         }, "arcsine", n=n, replicas=reps)
         return [self._record("arcsine/ks", ks.statistic, 0.03, reps, n=n)]
 
@@ -436,9 +437,11 @@ class Runner:
         n = cfg.n_walk
         reps = cfg.replicas["walk_stats"]
         walks = self.free_walks()
-        # S*_i is column |i| of the side of i's sign (the config gate keeps
-        # 1 <= |i| <= trunc_i)
-        lim = self._side_reads(cfg.trunc_i, reps, "lemma1-limit", lambda side, walk, rows, mu: {
+        # S*_i is column |i| of the side of i's sign. Under the h-transform
+        # S*_1..S*_d has one law at every horizon >= d, so both sides are
+        # drawn only as deep as the largest |i|
+        depth = max(abs(i) for i in cfg.lemma_offsets)
+        lim = self._side_reads(depth, reps, "lemma1-limit", lambda side, walk, rows, mu: {
             i: walk[rows, abs(i)] for i in cfg.lemma_offsets if (i > 0) == (side == "positive")})
         records = []
         for i in cfg.lemma_offsets:
@@ -447,7 +450,7 @@ class Runner:
                 f"lemma1/offset{i:+d}", pre, lim[i], reps,
                 f"lemma1_offset{i:+d}.csv",
                 dict(subcommand="lemma1", offset=i, n=n, replicas=reps),
-                n=n, trunc_i=cfg.trunc_i, kept=len(pre)))
+                n=n, depth=depth, kept=len(pre)))
         return records
 
     def run_lemma5(self):
@@ -584,7 +587,7 @@ class Runner:
         return records
 
     def run_theorem1_twodim(self):
-        cfg = self.cfg
+        cfg, model = self.cfg, self.model
         reps = cfg.replicas["twodim"]
         t1, t2 = float(cfg.t_values[0]), float(cfg.t_values[1])
         n = int(cfg.horizons[-1])
@@ -594,27 +597,27 @@ class Runner:
         k2 = int(np.floor(n_band * t2))
         gamma = self.gamma_sample(cfg.trunc_i, cfg.trunc_j, cfg.replicas["gamma"])
         sample = self.theorem1_sample(reps)
-        band = self._blocks(_band_block, cfg.replicas["band"], "band", self.model, k1, k2)
+        band = self._blocks(_band_block, cfg.replicas["band"], "band", model, k1, k2)
 
         p_hat = estimate_level_change_prob(
-            cfg.alpha, cfg.rho, t1, t2, cfg.delta(), cfg.replicas["level_change"],
+            model.alpha, model.rho, t1, t2, cfg.delta(), cfg.replicas["level_change"],
             self._stream("levy-level"))
-        p_exact = 1.0 - arcsine_cdf(cfg.rho, t1 / t2)
+        p_exact = 1.0 - arcsine_cdf(model.rho, t1 / t2)
         records = [self._record(
             "theorem1-twodim/level-change-prob", abs(p_hat - p_exact), 0.03,
             cfg.replicas["level_change"], estimate=p_hat, analytic=p_exact, t1=t1, t2=t2)]
 
         y1, y2 = (sample()[k] for k in _twodim_gens(cfg))
-        jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_hat)
+        jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_exact)
         records.append(self._record("theorem1-twodim/joint-mixture", jt["max_discrepancy"],
-                                    0.05, reps, n=n, level_change_prob=p_hat))
+                                    0.05, reps, n=n, level_change_prob=p_exact))
         self._csv("theorem1_twodim_probes.csv", {
             "x1": jt["probes"][:, 0], "x2": jt["probes"][:, 1],
             "predicted": jt["predicted"], "observed": jt["observed"],
         }, "theorem1-twodim", n=n, replicas=reps)
 
         diffs = band()
-        c_n = self.model.normalizer(n_band)
+        c_n = model.normalizer(n_band)
         fracs = [float(np.mean(diffs <= e * c_n)) for e in cfg.band_eps]
         decreasing = all(b <= a for a, b in zip(fracs, fracs[1:]))
         # the fractions must also fall as eps does

@@ -15,6 +15,7 @@ from bpire_lab.env import validate_model
 from bpire_lab.report import TestRecord as Record
 from bpire_lab.runner import run
 from bpire_lab.stats import ks_two_sample
+from bpire_lab.walk import arcsine_cdf
 
 
 def tiny_config(tmp_path, **overrides):
@@ -77,6 +78,10 @@ def test_config_field_level_messages():
     with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) < "
                                           r"floor\(horizons\[-1\] \* t2\)"):
         RunConfig(horizons=[20, 40], t_values=[1.0, 1.01])
+    # generations 3200 and 3201 and band indices 2000 and 2001 differ, but
+    # both times end in Lévy grid cell 1000, where the level cannot drop
+    with pytest.raises(ConfigError, match="t_values: need t1 and t2 in different Lévy grid cells"):
+        RunConfig(t_values=[1.0, 1.0005])
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
@@ -115,11 +120,12 @@ def test_config_field_level_messages():
 
 def test_config_stable_spec_scale(tmp_path, capsys):
     # the scale of C_n comes from the family, sigma/sqrt(2) for normal steps;
-    # no config field overrides it or the Lévy grid width
+    # no config field overrides it, the Lévy grid width, or the model's rho
+    # and eps
     model = RunConfig().model()
     assert model.stable_scale() == pytest.approx(1.0 / 2.0 ** 0.5)
     assert model.normalizer(400) == pytest.approx(20.0 / 2.0 ** 0.5)
-    for name in ("stable_scale", "grid_delta"):
+    for name in ("stable_scale", "grid_delta", "rho", "eps"):
         argv = ["validate-env", "--config", write_config(tmp_path, **{name: 0.7})]
         assert main(argv) == 2
         assert f"config error: unknown config fields: {name}" in capsys.readouterr().err
@@ -207,6 +213,36 @@ def test_series_sample_drawn_once(tmp_path, monkeypatch):
             bench.dispatch(name)
         assert draws == expect
         assert sides == ["positive", "negative"] * len(expect)
+
+
+@pytest.mark.parametrize("offsets, depth", [([-2, -1, 1, 2], 2), ([-3, 1], 3)])
+def test_lemma1_limit_drawn_to_largest_offset(tmp_path, monkeypatch, offsets, depth):
+    # lemma1 reads S*_i for i in lemma_offsets only, so both sides of its
+    # limit environment are drawn to max |i|, not to trunc_i = 4
+    draws = []
+    sample = runner.sample_side
+
+    def recording(model, n, reps, rng, tables, side):
+        draws.append((side, n))
+        return sample(model, n, reps, rng, tables, side)
+
+    monkeypatch.setattr(runner, "sample_side", recording)
+    cfg = RunConfig.from_dict(tiny_config(tmp_path, lemma_offsets=offsets))
+    records = runner.Runner(cfg).dispatch("lemma1")
+    assert draws == [("positive", depth), ("negative", depth)]
+    assert all(r.inputs["depth"] == depth for r in records)
+
+
+def test_joint_mixture_reads_closed_form_level_change_prob(tmp_path):
+    # the joint law is predicted from the analytic 1 - F(t1/t2); the Monte
+    # Carlo level is checked against it on its own record
+    cfg = RunConfig.from_dict(tiny_config(tmp_path))
+    recs = {r.name: r for r in runner.Runner(cfg).dispatch("theorem1-twodim")}
+    t1, t2 = cfg.t_values
+    p_exact = 1.0 - arcsine_cdf(0.5, t1 / t2)
+    assert recs["theorem1-twodim/joint-mixture"].inputs["level_change_prob"] == p_exact
+    level = recs["theorem1-twodim/level-change-prob"]
+    assert level.inputs["analytic"] == p_exact and level.inputs["estimate"] != p_exact
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -500,10 +536,9 @@ def test_cli_bad_rate_params_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, check", [
     ({"alpha": 1.5}, "alpha matches family"),
-    ({"x_family": "pareto", "x_param": 1.5, "alpha": 1.5, "rho": 0.6}, "rho matches symmetric family"),
 ])
 def test_cli_model_mismatch_exit_code(tmp_path, capsys, fields, check):
-    # (alpha, rho) that the step family contradicts is a configuration error
+    # an alpha that the step family contradicts is a configuration error
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(fields))
     code = main(["validate-env", "--config", str(bad), "--out", str(tmp_path / "out")])
@@ -542,11 +577,21 @@ def test_cli_coinciding_twodim_generations_exit_code(tmp_path, capsys):
     assert "config error: t_values: need floor(horizons[-1] * t1) <" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("offsets", [[-6], [1, 5], [0], [1.5], [True], 2])
+def test_cli_twodim_times_in_one_grid_cell_exit_code(tmp_path, capsys):
+    # t1 and t2 read two generations and two band indices but share a cell
+    # of the Lévy grid, where level-change-prob would be 0 by construction
+    argv = ["theorem1-twodim", "--config", write_config(
+        tmp_path, horizons=[20, 3200], n_walk=2000, t_values=[1.0, 1.0005])]
+    assert main(argv) == 2
+    assert "config error: t_values: need t1 and t2 in different" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offsets", [[-65], [1, 65], [0], [1.5], [True], 2])
 def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
-    # lemma1 reads S*_i for 1 <= |i| <= trunc_i = 4 only: any other offset,
-    # or one that is not an integer, is a configuration error, not a
-    # traceback or a silently truncated offset
+    # lemma1 reads S_{tau+i} of a walk of n_walk = 64 steps, so only
+    # 1 <= |i| <= 64: any other offset, or one that is not an integer, is a
+    # configuration error, not a traceback or a silently truncated offset
     argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=offsets)]
     assert main(argv) == 2
     assert "config error: lemma_offsets" in capsys.readouterr().err
@@ -585,10 +630,10 @@ def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, name):
 
 @pytest.mark.parametrize("fields, name", [
     ({"x_param": "a"}, "x_param"),
-    ({"rho": "x"}, "rho"),
-    ({"eps": None}, "eps"),
+    ({"alpha": "x"}, "alpha"),
+    ({"alpha": None}, "alpha"),
     ({"x_param": math.inf}, "x_param"),
-    ({"eps": math.inf}, "eps"),
+    ({"alpha": math.inf}, "alpha"),
     ({"replicas": [1, 2]}, "replicas"),
     ({"replicas": "abc"}, "replicas"),
     ({"out_dir": 5}, "out_dir"),

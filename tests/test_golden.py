@@ -34,10 +34,10 @@ GOLDEN = {
         "band_fractions.csv": "6cdc1f059aad7e67aad53e258047393f4aad1bfc9b855a711ca1aafcddd94873",
         "gamma_ecdf.csv": "37d409e5ca52bcd152fec7bc45b247399f08e4d3c27ee5b0e116011113762969",
         "ladder_tables.txt": "532d89b96598565a2d4195df72e8c735193d9303af03fe3a07d014b880407f83",
-        "lemma1_offset+1.csv": "1f36272fe252964af3db39438032bb89f125838d9ed0959c51a43aa47b69462a",
-        "lemma1_offset+2.csv": "f2d3e43de6e527a0a0eecc2f724a4e31afaffc05002453cd214c4731151bcd5f",
-        "lemma1_offset-1.csv": "7449015c489c0583febce4557d315ba867048086927241c359243e06903c32a8",
-        "lemma1_offset-2.csv": "80f6679b726ed64f5c685c7528714d6646c8feacfbf181c2dd839d994a8afa3c",
+        "lemma1_offset+1.csv": "c86cb67c8ee232a37c244b6461c2c44e674aed310ba8c77eea3c857a38e91b91",
+        "lemma1_offset+2.csv": "a0c9366c50a9d32b92e369c5bf30e3ab8c4f31ca4ee20962ca65fe20ea375721",
+        "lemma1_offset-1.csv": "f7b3bee4244d73824580d4ccc2e94538ae1f7329ed99c4b3494934a281587121",
+        "lemma1_offset-2.csv": "23e4d4bec2111adcafd2b5443bf8fe204d7c8df63c3d912aed58d2900f012c97",
         "lemma5_negative.csv": "de581f7cd6b86577a89547592e0c5cfa8180c478b46507dfadd46b1114e25e8e",
         "lemma5_positive.csv": "f849603d2b917e04e20cfa3ae2c66990a41671bc84dac9a8fc9d59ca2e90b8a1",
         "lemma7_a_after.csv": "5b7b2da5e7446f5f7ee1634c167555a2b2b1a66ef6f1de84d1e5b68f23554967",
@@ -47,19 +47,19 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "a9e567cd68bacdb480f4b0963eccb3a1f1d9c372445a1f80bfde1557acae1f5a",
+        "report.json": "bf4680569c9346f22e98c687d5227ed7b74b9921e248165734a65ba9504083c9",
         "theorem1_onedim_ecdf.csv": "0806cc5dd809577c0ffe39b8ecae7eecd1249bcba165447419da732e74851cc3",
-        "theorem1_twodim_probes.csv": "fd1ac2925839e346d42e2c8868a5e3a59b3a5b33bb915f0f833cee199bd5b5aa",
+        "theorem1_twodim_probes.csv": "47802458440a4677c9f3e8583d56d23cfc72f8b39ac99c9d388ce52741535aca",
     },
     "lognormal": {
         "arcsine_ecdf.csv": "b8e7b6e479dd7c33a7a9f6cf2a16bf70880d127569fb60da3eeb20337ade2c81",
         "band_fractions.csv": "6cdc1f059aad7e67aad53e258047393f4aad1bfc9b855a711ca1aafcddd94873",
         "gamma_ecdf.csv": "6ab6e8525f5d0ed0fcc25831fecd4e7a238489e3b182fa28bcb89b9064feabf7",
         "ladder_tables.txt": "532d89b96598565a2d4195df72e8c735193d9303af03fe3a07d014b880407f83",
-        "lemma1_offset+1.csv": "1f36272fe252964af3db39438032bb89f125838d9ed0959c51a43aa47b69462a",
-        "lemma1_offset+2.csv": "f2d3e43de6e527a0a0eecc2f724a4e31afaffc05002453cd214c4731151bcd5f",
-        "lemma1_offset-1.csv": "1c5c1ef4e2870b6b5a7ed3f8bf5c58ac9016d0a132e60c3382d60dd43d9ada27",
-        "lemma1_offset-2.csv": "5122b17c51beb149b98ea501434de8ee3870d4c92810a6f2a847b7d7f28a1c73",
+        "lemma1_offset+1.csv": "c86cb67c8ee232a37c244b6461c2c44e674aed310ba8c77eea3c857a38e91b91",
+        "lemma1_offset+2.csv": "a0c9366c50a9d32b92e369c5bf30e3ab8c4f31ca4ee20962ca65fe20ea375721",
+        "lemma1_offset-1.csv": "b1041e42ebf0a9630fde955bc70e7010e5443922529be405b034dbeb1aeb57f6",
+        "lemma1_offset-2.csv": "47501330e82ec7a4fb330417e8504f69fe50a8a9386ce84a71d9cba497997eb9",
         "lemma5_negative.csv": "19d4577e6ed8420ac1bebd1a68fc866624fdceded5da90939c03b8a8dffdc563",
         "lemma5_positive.csv": "21d01def24b26380288e648064e6455c2ae3414e27f0f684a85d8107e818155d",
         "lemma7_a_after.csv": "ed675062a2e8034899362584758ce9c9288cbfbe00deaf1822a6adccd2f381ec",
@@ -69,19 +69,19 @@ GOLDEN = {
         "martingale_means.csv": "6224a6bda498feeee59e85b15d1537f7834f9c92b0a1c1727f80595cff12a624",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "ed5ed3505834cba053c5409e78b93d102e6b5c7a29a1e262b24045638a26ec3a",
+        "report.json": "ea6476764f8222c07bddde02bd2bb4ce55994f867052075e7ec59c1d13591d6f",
         "theorem1_onedim_ecdf.csv": "0b63f06791036c0a7bf7c7155368cb5146a542463534786722275b0b606dd5a6",
-        "theorem1_twodim_probes.csv": "ddbd328b4cd0352b4bfb33ffcf55fa14ef83b5bd99f6bf0b2d84cb5bfa41fe53",
+        "theorem1_twodim_probes.csv": "4750255e39e1d4bfff6c09840e18041fe08521f076893c782ec894a010cb9c4d",
     },
     "pareto": {
         "arcsine_ecdf.csv": "ab510803a84ab841a87af19080ee5540e2bfaed78af0dcd462de72ad00b271d5",
         "band_fractions.csv": "b276f179e87ac714f673926ffefa1cd137b8bd77f7ce712bee491eb259255b89",
         "gamma_ecdf.csv": "13bfead41ac012f2aa2b6d5d3d60ded1b7af65d490ad2414b32200400eb4b143",
         "ladder_tables.txt": "18da00913593e3a605f105dc67efb8f2cd8b882947d30dbcc652ce345d787f5b",
-        "lemma1_offset+1.csv": "6c30eeffa81939bd92c5341bf7dd955d7297c3dc9ac4c37db11b93f4a188d5a3",
-        "lemma1_offset+2.csv": "9c00ec79263ffd25d744e018d48a7a9110caad38cfdfdf2f5743daee635de427",
-        "lemma1_offset-1.csv": "ed6df938514638c9319242503622aee65bc1643fd4b1a94b8e5d76794f8c647f",
-        "lemma1_offset-2.csv": "321f09d3a8e806997063d3f7ea56c6f724ee179b2070292089482d70b1a2e67a",
+        "lemma1_offset+1.csv": "03985027e04ecd58edfb1a5988c2df53c643894120face11b9eb5b85b77b840a",
+        "lemma1_offset+2.csv": "c14b4a6eb0b19b3788fa8b4360b55b56039d8e99075602c5eb3e54bdca607ad3",
+        "lemma1_offset-1.csv": "ba3acb8b9cfaa9d07021e5a767770f8ccd112edba20fa1420e6534b06fd38d85",
+        "lemma1_offset-2.csv": "5145f718a8a0101d8d1ce83238af0ca4ac428fe579fb96f1564959e608eb89dc",
         "lemma5_negative.csv": "c33afef6357e5862724729f3c43737410c68b698860fcf0f5fceca1d24ea432a",
         "lemma5_positive.csv": "4c993e1f4ab9cd38a617f0d8f3f691c561f5ad2d1d3e11db6f47444fa59f83f8",
         "lemma7_a_after.csv": "fcaf54a522992d55392d23af31ad04bb9725e7fade13bf8fcb9b3f7c8b3a2629",
@@ -91,9 +91,9 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "face411f6e435beca30fb423cde982db981d906224746db69c79980fbbc9ab08",
+        "report.json": "24b00b35a9b6a81d892983eb449a9bb1559c4f24f75091049538c08689650f5d",
         "theorem1_onedim_ecdf.csv": "089fd296c5149f5be1ca73b7eb17dc0f140e6433039eb03b4d06c3e4243c5b95",
-        "theorem1_twodim_probes.csv": "d0fd283ffd43a35ec2e155dfd250afcaf7a585ab2b9aa1155bfba0e55d375472",
+        "theorem1_twodim_probes.csv": "d16a2da819900a13b35e09d30ac638c03d494107660ad82909b8a83c8b60b934",
     },
 }
 
