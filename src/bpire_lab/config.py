@@ -81,7 +81,7 @@ class RunConfig:
     n_walk: int = 2000
     n_small: int = 5
     t_values: list[float] = field(default_factory=lambda: [1.0, 2.0])
-    trunc_i: int = 64  # the ratio law's half-widths
+    trunc_i: int = 64  # the ratio law's half-width only
     trunc_j: int = 64
     series_trunc: int = 512  # raw-series comparisons need a longer tail
     lemma_offsets: list[int] = field(default_factory=lambda: [-2, -1, 1, 2])

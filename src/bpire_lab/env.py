@@ -77,7 +77,9 @@ class EnvironmentModel:
         rate_params: (value,) for ``constant``; (m, s) for ``lognormal``
             meaning exp(Normal(m, s^2)).
         alpha: declared stable index in (0, 2].
-        rho: declared positivity parameter in (0, 1).
+        rho: positivity parameter in (0, 1); 1/2, the default, for both
+            shipped families, which are symmetric. No config field sets
+            it or eps.
         eps: moment-condition exponent slack, > 0.
     """
 

@@ -607,6 +607,8 @@ class Runner:
             "theorem1-twodim/level-change-prob", abs(p_hat - p_exact), 0.03,
             cfg.replicas["level_change"], estimate=p_hat, analytic=p_exact, t1=t1, t2=t2)]
 
+        # the mixture is predicted with the closed-form p, so its statistic
+        # carries no Monte Carlo error of the level estimate checked above
         y1, y2 = (sample()[k] for k in _twodim_gens(cfg))
         jt = joint_two_time_test(y1, y2, gamma()["gamma"], p_exact)
         records.append(self._record("theorem1-twodim/joint-mixture", jt["max_discrepancy"],
