@@ -534,16 +534,21 @@ def test_cli_bad_rate_params_exit_code(tmp_path, capsys):
     assert "config error: rate_params" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fields, check", [
-    ({"alpha": 1.5}, "alpha matches family"),
+@pytest.mark.parametrize("fields, err", [
+    pytest.param({"alpha": 1.5}, "model: alpha matches family",
+                 id="fields0-alpha matches family"),
+    # the model owns rho, 1/2 for the symmetric families: a config that
+    # declares another rho names an unknown field
+    pytest.param({"x_family": "pareto", "x_param": 1.5, "alpha": 1.5, "rho": 0.6},
+                 "unknown config fields: rho", id="fields1-rho matches symmetric family"),
 ])
-def test_cli_model_mismatch_exit_code(tmp_path, capsys, fields, check):
-    # an alpha that the step family contradicts is a configuration error
+def test_cli_model_mismatch_exit_code(tmp_path, capsys, fields, err):
+    # an (alpha, rho) that the step family contradicts is a configuration error
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(fields))
     code = main(["validate-env", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"config error: model: {check}" in capsys.readouterr().err
+    assert f"config error: {err}" in capsys.readouterr().err
 
 
 def test_validate_env_records_what_the_config_gate_checked(tmp_path):
