@@ -109,7 +109,9 @@ def _rejection(model: EnvironmentModel, n: int, reps: int,
         while lo < n:
             k = min(width, n - lo)
             lo, width = lo + k, min(2 * width, _KILL_SEGMENT)
-            seg = cur[:, None] + np.cumsum(_steps(model, rng, (len(rows), k), sign), axis=1)
+            seg = _steps(model, rng, (len(rows), k), sign)
+            np.cumsum(seg, axis=1, out=seg)
+            seg += cur[:, None]
             ok = seg.min(axis=1) >= 0.0
             rows, seg = rows[ok], seg[ok]
             kept.append((rows, seg))

@@ -90,14 +90,15 @@ def _first_height_sample(model: EnvironmentModel, rng: np.random.Generator,
     steps = 0
     while alive.any() and steps < max_steps:
         idx = np.nonzero(alive)[0]
-        x = model.draw_x(rng, (len(idx), _CHUNK))
-        s = cur[idx, None] + np.cumsum(x, axis=1)
-        hit = s < 0.0
-        anyhit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        vals = s[np.arange(len(idx)), first]
-        out.extend(np.abs(vals[anyhit]).tolist())
+        s = model.draw_x(rng, (len(idx), _CHUNK))
+        np.cumsum(s, axis=1, out=s)
+        s += cur[idx, None]
         cur[idx] = s[:, -1]
+        # only a row whose minimum is negative holds a first ladder height
+        anyhit = s.min(axis=1) < 0.0
+        s = s[anyhit]
+        first = np.argmax(s < 0.0, axis=1)
+        out.extend(np.abs(s[np.arange(len(s)), first]).tolist())
         alive[idx[anyhit]] = False
         steps += _CHUNK
     if not out:
@@ -119,15 +120,20 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
     steps_used = 0
     while len(active) and steps_used < _STEP_CAP:
         k = min(_CHUNK, _STEP_CAP - steps_used)
-        # one buffer holds the draws, then the walk, then its running minimum
+        # one buffer holds the draws, then the walk; a copy of its rows that
+        # set a record holds their running minimum
         run = model.draw_x(rng, (len(active), k))
         np.cumsum(run, axis=1, out=run)
         run += cur[active, None]
         cur[active] = run[:, -1]
+        # a walker sets a record in this sweep only if the sweep falls
+        # below its record; the bookkeeping runs on those rows alone
+        old = rec[active]
+        hit = run.min(axis=1) < old
+        rows, old, run = active[hit], old[hit], run[hit]
         np.minimum.accumulate(run, axis=1, out=run)
         # seed the running minimum with the historical record so only
         # genuinely new records fire
-        old = rec[active]
         np.minimum(run, old[:, None], out=run)
         is_rec = np.empty(run.shape, dtype=bool)
         np.less(run[:, 0], old, out=is_rec[:, 0])
@@ -136,9 +142,9 @@ def _renewal_counts(model: EnvironmentModel, grid: np.ndarray, walkers: int,
         h = np.abs(run[w_idx, t_idx])
         keep = h <= top
         cells = np.searchsorted(grid, h[keep], side="left")
-        np.add.at(counts, (active[w_idx[keep]], cells), 1)
-        rec[active] = run[:, -1]
-        active = active[np.abs(run[:, -1]) <= top]
+        np.add.at(counts, (rows[w_idx[keep]], cells), 1)
+        rec[rows] = run[:, -1]
+        active = active[np.abs(rec[active]) <= top]
         steps_used += k
     capped = len(active)
     return np.cumsum(counts, axis=1), capped

@@ -44,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
+from scipy import special
 
 from .bpire import (
     _BLOCK_REPS,
@@ -378,9 +379,8 @@ class Runner:
                                 n=n, fraction=frac)]
         scaled = sn / model.normalizer(n)
         if cfg.x_family == "normal":
-            from scipy.stats import norm
             # the standard stable law at alpha = 2 is Normal(0, 2)
-            ks = ks_against_cdf(scaled, norm(scale=np.sqrt(2.0)).cdf)
+            ks = ks_against_cdf(scaled, lambda x: special.ndtr(x / np.sqrt(2.0)))
             records.append(self._record("walk-stats/terminal-ks-normal", ks.statistic, 0.02,
                                         reps, n=n))
         else:
