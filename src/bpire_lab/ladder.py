@@ -16,7 +16,13 @@ its own ascending table, so ``env.X_FAMILIES`` admits none.
 
 v is estimated empirically: each walker contributes one renewal
 realization, followed until its cumulative ladder depth leaves the
-grid. Record times are detected strictly. The walkers run in the fixed
+grid. Record times are detected strictly: a ladder point is a step at
+which the walk falls below its running minimum, counted at the depth of
+the new minimum. A walker can set a record in a sweep only if the
+sweep's minimum falls below its record, so the record bookkeeping runs
+on those walkers alone; every other walker would add no count and keep
+its record, so the table is the one the bookkeeping of every walker
+gives, bit for bit. The walkers run in the fixed
 replica blocks of ``bpire._BLOCK_REPS`` (never a function of the worker
 count): block 0 draws on the caller's stream after the pilot, so a table
 of one block draws what one pass over all walkers would, and block

@@ -185,3 +185,55 @@ def test_ladder_peak_is_one_block(std_model):
         tracemalloc.stop()
     assert tables.meta["walkers"] == 10_000
     assert peak <= 1.5 * block
+
+
+def _full_bookkeeping_counts(model, grid, walkers, rng):
+    """The renewal counts with the record bookkeeping run on every active
+    walker in every sweep, as before walkers whose sweep stays above their
+    record were skipped: the oracle of the skip."""
+    top = grid[-1]
+    counts = np.zeros((walkers, len(grid)), dtype=np.int32)
+    cur = np.zeros(walkers)
+    rec = np.zeros(walkers)
+    active = np.arange(walkers)
+    steps_used = 0
+    while len(active) and steps_used < ladder._STEP_CAP:
+        k = min(ladder._CHUNK, ladder._STEP_CAP - steps_used)
+        run = model.draw_x(rng, (len(active), k))
+        np.cumsum(run, axis=1, out=run)
+        run += cur[active, None]
+        cur[active] = run[:, -1]
+        np.minimum.accumulate(run, axis=1, out=run)
+        old = rec[active]
+        np.minimum(run, old[:, None], out=run)
+        is_rec = np.empty(run.shape, dtype=bool)
+        np.less(run[:, 0], old, out=is_rec[:, 0])
+        np.less(run[:, 1:], run[:, :-1], out=is_rec[:, 1:])
+        w_idx, t_idx = np.nonzero(is_rec)
+        h = np.abs(run[w_idx, t_idx])
+        keep = h <= top
+        cells = np.searchsorted(grid, h[keep], side="left")
+        np.add.at(counts, (active[w_idx[keep]], cells), 1)
+        rec[active] = run[:, -1]
+        active = active[np.abs(run[:, -1]) <= top]
+        steps_used += k
+    return np.cumsum(counts, axis=1), len(active)
+
+
+@pytest.mark.parametrize("family", env.X_FAMILIES)
+def test_record_skip_matches_full_bookkeeping(family, monkeypatch):
+    # a cap of 2.5 sweeps ends on a short sweep and leaves walkers capped;
+    # the grid top is crossed in the middle of sweeps, so records past it
+    # are dropped and walkers leave at the end of the sweep that crossed
+    monkeypatch.setattr(ladder, "_STEP_CAP", 1280)
+    model = EnvironmentModel(x_family=family, x_param=1.5)
+    grid = np.linspace(0.0, 12.0, 512)
+    rng = np.random.default_rng(np.random.SeedSequence(2026, spawn_key=(6,)))
+    again = copy.deepcopy(rng)
+    counts, capped = ladder._renewal_counts(model, grid, 400, rng)
+    expect, expect_capped = _full_bookkeeping_counts(model, grid, 400, again)
+    assert 0 < capped < 400
+    assert capped == expect_capped
+    assert np.array_equal(counts, expect)
+    # the two loops drew the same variates
+    assert rng.random() == again.random()

@@ -25,12 +25,17 @@ def test_rss_probe_prints_each_stage_and_the_peak(tmp_path):
         [sys.executable, str(TOOL), "--config", str(cfg), "--checks", "arcsine", "lemma5"],
         capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[0].split() == ["stage", "self_mb", "children_mb"]
+    assert lines[0].split() == ["stage", "self_mb", "children_mb", "wall_s"]
     rows = [line.split() for line in lines[1:-1]]
     assert [row[0] for row in rows] == ["start", "tables", "arcsine", "lemma5"]
+    assert all(len(row) == 4 for row in rows)
     for col in (1, 2):  # high-water marks never fall
         marks = [float(row[col]) for row in rows]
         assert marks == sorted(marks) and marks[-1] > 0.0
+    # each stage's own wall time; the start is a mark, not a stage, and the
+    # tables stage includes building the Runner
+    walls = [float(row[3]) for row in rows]
+    assert walls[0] == 0.0 and walls[1] > 0.0 and min(walls) >= 0.0
     stages = "(start|tables|arcsine|lemma5)"
     assert re.fullmatch(rf"peak: self [\d.]+ MB set by {stages}; "
                         rf"children [\d.]+ MB set by {stages}", lines[-1])

@@ -5,9 +5,10 @@ Builds the configuration as ``tools/verdict_sweep.py`` does (master seed
 tables, then dispatches the checks in order on one ``Runner``. After
 each stage it prints ``ru_maxrss`` of this process and of its reaped
 children (the pool workers, which a check reaps before it returns), in
-MB, and at the end names the stage that set each peak: the last stage
-that raised it. CSVs go to a temporary directory that is removed
-afterwards.
+MB, and the stage's wall seconds (``tables`` counts building the
+``Runner`` and its ladder tables; ``start`` is 0). At the end it names
+the stage that set each peak: the last stage that raised it. CSVs go to
+a temporary directory that is removed afterwards.
 
 Usage (from the root of a checkout):
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,17 +44,19 @@ def _maxrss_mb() -> tuple:
 
 
 def probe(data: dict, checks, seed: int) -> list:
-    """(stage, own peak MB, children's peak MB) after the start, the ladder
-    tables and each check, in order."""
-    rows = [("start", *_maxrss_mb())]
+    """(stage, own peak MB, children's peak MB, wall s) after the start, the
+    ladder tables and each check, in order."""
+    rows = [("start", *_maxrss_mb(), 0.0)]
     with tempfile.TemporaryDirectory() as out:
+        t = time.perf_counter()
         bench = Runner(RunConfig.from_dict({**data, "master_seed": BASE_SEED + seed,
                                             "out_dir": out}))
         bench.tables
-        rows.append(("tables", *_maxrss_mb()))
+        rows.append(("tables", *_maxrss_mb(), time.perf_counter() - t))
         for check in checks:
+            t = time.perf_counter()
             bench.dispatch(check)
-            rows.append((check, *_maxrss_mb()))
+            rows.append((check, *_maxrss_mb(), time.perf_counter() - t))
     return rows
 
 
@@ -77,9 +81,9 @@ def main(argv=None) -> int:
         parser.error("--checks is required without --workload")
     data, checks = resolve(args)
     rows = probe(data, checks, args.seed)
-    print(f"{'stage':<18}{'self_mb':>10}{'children_mb':>14}")
-    for stage, own, kids in rows:
-        print(f"{stage:<18}{own:>10.1f}{kids:>14.1f}")
+    print(f"{'stage':<18}{'self_mb':>10}{'children_mb':>14}{'wall_s':>10}")
+    for stage, own, kids, wall in rows:
+        print(f"{stage:<18}{own:>10.1f}{kids:>14.1f}{wall:>10.3f}")
     own_stage, kids_stage = peak_stages(rows)
     print(f"peak: self {rows[-1][1]:.1f} MB set by {own_stage}; "
           f"children {rows[-1][2]:.1f} MB set by {kids_stage}")
