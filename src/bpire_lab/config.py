@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .env import EnvironmentModel, InvalidModelError, validate_model
-from .limit import _grid_index
 
 
 class ConfigError(ValueError):
@@ -76,16 +75,12 @@ class RunConfig:
     rate_params: list[float] = field(default_factory=lambda: [2.0])
     alpha: float = 2.0
 
-    # horizons, times, truncations
+    # horizons and truncations
     horizons: list[int] = field(default_factory=lambda: [200, 800, 3200])
     n_walk: int = 2000
-    n_small: int = 5
-    t_values: list[float] = field(default_factory=lambda: [1.0, 2.0])
     trunc_i: int = 64  # the ratio law's half-width only
     trunc_j: int = 64
     series_trunc: int = 512  # raw-series comparisons need a longer tail
-    lemma_offsets: list[int] = field(default_factory=lambda: [-2, -1, 1, 2])
-    band_eps: list[float] = field(default_factory=lambda: [0.2, 0.1, 0.05])
 
     # sampling budgets
     replicas: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_REPLICAS))
@@ -122,50 +117,11 @@ class RunConfig:
             problems.append(f"horizons: need positive integers, got {self.horizons}")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             problems.append("horizons: must be increasing")
+        # runner.LEMMA_OFFSETS and T_VALUES are held to every n_walk >= 4
         if self.n_walk < 4:
             problems.append(f"n_walk: too small, got {self.n_walk}")
-        if self.n_small < 1:
-            problems.append(f"n_small: must be >= 1, got {self.n_small}")
-        # theorem1-twodim reads Y at generations floor(N t) of these two times,
-        # N = horizons[-1], splits its band walk at floor(n_walk t), and
-        # delta() scales with the last
-        ts = list(self.t_values)
-        if len(ts) != 2 or ts[0] <= 0 or ts[1] <= ts[0]:
-            problems.append(f"t_values: need exactly two strictly increasing positives, got {ts}")
-        else:
-            if self.horizons and math.floor(self.horizons[-1] * ts[0]) < 1:
-                problems.append(f"t_values: need floor(horizons[-1] * t1) >= 1, got t1 = {ts[0]} "
-                                f"with horizons[-1] = {self.horizons[-1]}")
-            # the joint law of Y at one generation twice says nothing of two times
-            if self.horizons and len({math.floor(self.horizons[-1] * t) for t in ts}) < 2:
-                problems.append(f"t_values: need floor(horizons[-1] * t1) < floor(horizons[-1] "
-                                f"* t2), got {ts} with horizons[-1] = {self.horizons[-1]}")
-            k1, k2 = (math.floor(self.n_walk * t) for t in ts)
-            if k1 < 1:
-                problems.append(f"t_values: need floor(n_walk * t1) >= 1, got t1 = {ts[0]} "
-                                f"with n_walk = {self.n_walk}")
-            # the band compares the minima over [0, k1] and [k1, k2]
-            if k1 >= k2:
-                problems.append(f"t_values: need floor(n_walk * t1) < floor(n_walk * t2), got "
-                                f"{ts} with n_walk = {self.n_walk}")
-            # the Lévy level cannot drop between two times in one grid cell
-            if len(set(_grid_index(ts, self.delta()).tolist())) < 2:
-                problems.append(f"t_values: need t1 and t2 in different Lévy grid cells of "
-                                f"width delta = {self.delta()}, got {ts}")
-        eps = self.band_eps
-        # the band fractions must fall as eps does, and the last one is gated
-        if not eps or eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
-            problems.append(f"band_eps: need strictly decreasing positives, got {eps}")
         if self.trunc_i < 1 or self.trunc_j < 1:
             problems.append("trunc_i/trunc_j: must be >= 1")
-        # an offset reads S_{tau+i} of the free walk S_0..S_{n_walk} and S*_i
-        # of the two-sided environment, which lemma1 draws to max |i|, and
-        # names one record
-        offsets = self.lemma_offsets
-        if not offsets or len(set(offsets)) < len(offsets) or not all(
-                1 <= abs(i) <= self.n_walk for i in offsets):
-            problems.append(f"lemma_offsets: need one or more distinct integers i with 1 <= |i| "
-                            f"<= n_walk = {self.n_walk}, got {offsets}")
         if self.series_trunc < 1:
             problems.append(f"series_trunc: must be >= 1, got {self.series_trunc}")
         for key, val in self.replicas.items():
@@ -192,10 +148,6 @@ class RunConfig:
         )
         validate_model(model, strict=True)
         return model
-
-    def delta(self) -> float:
-        """Lévy grid width: 1e-3 of the last time."""
-        return 1e-3 * float(max(self.t_values))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -166,8 +166,8 @@ def _block_sums(walkers: int, rng: np.random.Generator, model: EnvironmentModel,
     return counts.sum(axis=0), np.square(counts, out=counts).sum(axis=0), capped
 
 
-def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator,
-                           budget: int = 200_000, submit=None) -> LadderTables:
+def estimate_ladder_tables(model: EnvironmentModel, rng: np.random.Generator, *,
+                           budget: int, submit=None) -> LadderTables:
     """Estimate the renewal function v by direct renewal simulation.
 
     ``budget`` is the target number of ladder epochs across all walkers

@@ -86,6 +86,20 @@ SUBCOMMANDS = (
     "all",
 )
 
+# The fixed settings at which the paper's statements are checked, each
+# suited to every config the gate accepts (last horizon >= 1, n_walk >= 4;
+# tests/test_cli.py::test_fixed_settings_suit_every_valid_config): the
+# measure-change horizon; the lemma-1 offsets i, reading S_{tau+i} of the
+# free walk and S*_i of the limit (1 <= |i| <= 4); the times of
+# theorem1-twodim, read at generations floor(N t), N the last horizon, and
+# band indices floor(n_walk t), apart in each and in the Lévy grid of step
+# DELTA; and the near-tie band widths, decreasing, the last one gated.
+N_SMALL = 5
+LEMMA_OFFSETS = (-2, -1, 1, 2)
+T_VALUES = (1.0, 2.0)
+DELTA = 1e-3 * T_VALUES[-1]
+BAND_EPS = (0.2, 0.1, 0.05)
+
 
 # ---------------------------------------------------------------------------
 # block workers (module level so process pools can pickle them)
@@ -172,9 +186,9 @@ def _ynorm_block(count, rng, model, gens):
 
 
 def _twodim_gens(cfg):
-    """The generations floor(N t), t in ``t_values``, at which
+    """The generations floor(N t), t in ``T_VALUES``, at which
     theorem1-twodim reads Y, N = ``horizons[-1]``."""
-    return [int(np.floor(cfg.horizons[-1] * t)) for t in cfg.t_values]
+    return [int(np.floor(cfg.horizons[-1] * t)) for t in T_VALUES]
 
 
 def _gamma_block(count, rng, model, I, J, tables):
@@ -288,7 +302,7 @@ class Runner:
         cfg = self.cfg
         return self._shared("free-walks", lambda: self._blocks(
             _free_walk_block, cfg.replicas["walk_stats"], "walk-stats",
-            self.model, cfg.n_walk, tuple(cfg.lemma_offsets)))
+            self.model, cfg.n_walk, LEMMA_OFFSETS))
 
     def gamma_sample(self, I: int, J: int, reps: int):
         return self._shared(("gamma", I, J, reps), lambda: self._blocks(
@@ -296,7 +310,7 @@ class Runner:
 
     def theorem1_sample(self, reps: int):
         """``reps`` paths of Y by generation, at every horizon and at
-        floor(N t) for t in ``t_values``, N = ``horizons[-1]``: the onedim
+        floor(N t) for t in ``T_VALUES``, N = ``horizons[-1]``: the onedim
         horizons and the twodim times of theorem 1 read one pass."""
         cfg = self.cfg
         gens = {*cfg.horizons, *_twodim_gens(cfg)}
@@ -405,7 +419,7 @@ class Runner:
 
     def run_measure_change(self):
         cfg = self.cfg
-        n = cfg.n_small
+        n = N_SMALL
         reps = cfg.replicas["measure_change"]
         records = []
         for side in ("positive", "negative"):
@@ -440,11 +454,11 @@ class Runner:
         # S*_i is column |i| of the side of i's sign. Under the h-transform
         # S*_1..S*_d has one law at every horizon >= d, so both sides are
         # drawn only as deep as the largest |i|
-        depth = max(abs(i) for i in cfg.lemma_offsets)
+        depth = max(abs(i) for i in LEMMA_OFFSETS)
         lim = self._side_reads(depth, reps, "lemma1-limit", lambda side, walk, rows, mu: {
-            i: walk[rows, abs(i)] for i in cfg.lemma_offsets if (i > 0) == (side == "positive")})
+            i: walk[rows, abs(i)] for i in LEMMA_OFFSETS if (i > 0) == (side == "positive")})
         records = []
-        for i in cfg.lemma_offsets:
+        for i in LEMMA_OFFSETS:
             pre = walks()[i]
             records.append(self._versus_limit(
                 f"lemma1/offset{i:+d}", pre, lim[i], reps,
@@ -589,7 +603,7 @@ class Runner:
     def run_theorem1_twodim(self):
         cfg, model = self.cfg, self.model
         reps = cfg.replicas["twodim"]
-        t1, t2 = float(cfg.t_values[0]), float(cfg.t_values[1])
+        t1, t2 = T_VALUES
         n = int(cfg.horizons[-1])
         # near-tie band of the two-segment minima under the walk scaling
         n_band = cfg.n_walk
@@ -600,7 +614,7 @@ class Runner:
         band = self._blocks(_band_block, cfg.replicas["band"], "band", model, k1, k2)
 
         p_hat = estimate_level_change_prob(
-            model.alpha, model.rho, t1, t2, cfg.delta(), cfg.replicas["level_change"],
+            model.alpha, model.rho, t1, t2, DELTA, cfg.replicas["level_change"],
             self._stream("levy-level"))
         p_exact = 1.0 - arcsine_cdf(model.rho, t1 / t2)
         records = [self._record(
@@ -620,13 +634,13 @@ class Runner:
 
         diffs = band()
         c_n = model.normalizer(n_band)
-        fracs = [float(np.mean(diffs <= e * c_n)) for e in cfg.band_eps]
+        fracs = [float(np.mean(diffs <= e * c_n)) for e in BAND_EPS]
         decreasing = all(b <= a for a, b in zip(fracs, fracs[1:]))
         # the fractions must also fall as eps does
         records.append(self._record(
             "theorem1-twodim/band-fraction", fracs[-1], 0.05, cfg.replicas["band"], decreasing,
-            eps=list(cfg.band_eps), fractions=fracs, n=n_band, decreasing=decreasing))
-        self._csv("band_fractions.csv", {"eps": list(cfg.band_eps), "fraction": fracs},
+            eps=list(BAND_EPS), fractions=fracs, n=n_band, decreasing=decreasing))
+        self._csv("band_fractions.csv", {"eps": list(BAND_EPS), "fraction": fracs},
                   "theorem1-twodim", n=n_band, replicas=cfg.replicas["band"])
         return records
 

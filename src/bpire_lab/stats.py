@@ -33,7 +33,6 @@ class Ecdf:
 
     values: np.ndarray
     cum: np.ndarray
-    n: int
 
     def evaluate(self, x) -> np.ndarray:
         idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
@@ -42,7 +41,7 @@ class Ecdf:
 
     def quantile(self, p) -> np.ndarray:
         ps = np.asarray(p, dtype=float)
-        idx = np.searchsorted(self.cum, ps, side="left").clip(0, self.n - 1)
+        idx = np.searchsorted(self.cum, ps, side="left").clip(0, len(self.values) - 1)
         return self.values[idx]
 
 
@@ -61,7 +60,7 @@ def ecdf(sample, weights=None) -> Ecdf:
             raise ValueError("weights must be nonnegative")
         cum = np.cumsum(w)
         cum /= cum[-1]
-    return Ecdf(values=values, cum=cum, n=len(values))
+    return Ecdf(values=values, cum=cum)
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def ks_two_sample(a, b, weights_a=None, weights_b=None) -> KsResult:
     fb = ecdf(b, weights_b)
     pooled = np.concatenate([fa.values, fb.values])
     d = float(np.abs(fa.evaluate(pooled) - fb.evaluate(pooled)).max())
-    return KsResult(statistic=d, n_a=fa.n, n_b=fb.n)
+    return KsResult(statistic=d, n_a=len(fa.values), n_b=len(fb.values))
 
 
 def ks_against_cdf(sample, cdf) -> KsResult:

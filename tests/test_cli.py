@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bpire_lab import ladder, runner
+from bpire_lab import ladder, limit, runner
 from bpire_lab.cli import main
 from bpire_lab.config import ConfigError, RunConfig
 from bpire_lab.env import validate_model
@@ -48,7 +48,7 @@ def test_config_defaults_and_roundtrip():
     assert again.to_dict() == cfg.to_dict()
     assert cfg.replicas["walk_stats"] == 20_000
     assert len(cfg.replicas) == 10
-    assert cfg.delta() == pytest.approx(2e-3)
+    assert runner.DELTA == pytest.approx(2e-3)
 
 
 def test_config_rejects_unknown_fields():
@@ -59,55 +59,21 @@ def test_config_rejects_unknown_fields():
 def test_config_field_level_messages():
     with pytest.raises(ConfigError, match="alpha"):
         RunConfig(alpha=3.0)
-    with pytest.raises(ConfigError, match="t_values"):
-        RunConfig(t_values=[2.0, 1.0])
-    # theorem1-twodim reads two times, and a third would widen the Lévy grid
-    with pytest.raises(ConfigError, match="t_values: need exactly two"):
-        RunConfig(t_values=[1.0, 2.0, 10.0])
-    # generation floor(20 * 0.01) = 0 holds Y = 0 on every path
-    with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) >= 1"):
-        RunConfig(horizons=[20], t_values=[0.01, 2.0])
-    # the band walk of floor(4 * 0.02) = 0 steps would end theorem1-twodim in a traceback
-    with pytest.raises(ConfigError, match=r"t_values: need floor\(n_walk \* t1\) >= 1"):
-        RunConfig(n_walk=4, t_values=[0.01, 0.02])
-    # k1 = k2 = 1 would compare a minimum with the single point S_k1
-    with pytest.raises(ConfigError,
-                       match=r"t_values: need floor\(n_walk \* t1\) < floor\(n_walk \* t2\)"):
-        RunConfig(n_walk=4, t_values=[0.3, 0.4])
-    # floor(40 * 1.0) = floor(40 * 1.01) = 40 would read Y at one generation twice
-    with pytest.raises(ConfigError, match=r"t_values: need floor\(horizons\[-1\] \* t1\) < "
-                                          r"floor\(horizons\[-1\] \* t2\)"):
-        RunConfig(horizons=[20, 40], t_values=[1.0, 1.01])
-    # generations 3200 and 3201 and band indices 2000 and 2001 differ, but
-    # both times end in Lévy grid cell 1000, where the level cannot drop
-    with pytest.raises(ConfigError, match="t_values: need t1 and t2 in different Lévy grid cells"):
-        RunConfig(t_values=[1.0, 1.0005])
+    # the times, band widths, offsets and measure-change horizon are runner
+    # constants (test_fixed_settings_suit_every_valid_config): a config that
+    # sets one names an unknown field
+    for name, value in (("t_values", [1.0, 1.0005]), ("band_eps", [0.05, 0.1, 0.2]),
+                        ("lemma_offsets", [1, 1]), ("n_small", 0)):
+        with pytest.raises(ConfigError, match=f"^unknown config fields: {name}$"):
+            RunConfig.from_dict({name: value})
     with pytest.raises(ConfigError, match="replicas.walk_stats"):
         RunConfig(replicas={"walk_stats": 1})
     with pytest.raises(ConfigError, match="workers"):
         RunConfig(workers=0)
     with pytest.raises(ConfigError, match="horizons: must be increasing"):
         RunConfig(horizons=[40, 40])
-    with pytest.raises(ConfigError, match="band_eps"):
-        RunConfig(band_eps=[])
-    with pytest.raises(ConfigError, match="band_eps"):
-        RunConfig(band_eps=[0.1, 0.0])
-    # the gated last fraction must belong to the smallest eps
-    with pytest.raises(ConfigError, match="band_eps: need strictly decreasing"):
-        RunConfig(band_eps=[0.05, 0.1, 0.2])
-    with pytest.raises(ConfigError, match="band_eps: need strictly decreasing"):
-        RunConfig(band_eps=[0.1, 0.1])
-    # each offset writes one record
-    with pytest.raises(ConfigError, match="lemma_offsets: need one or more distinct"):
-        RunConfig(lemma_offsets=[1, 1])
-    # lemma1 with no offset would write a report with no record
-    with pytest.raises(ConfigError, match="lemma_offsets: need one or more"):
-        RunConfig(lemma_offsets=[])
     with pytest.raises(ConfigError, match="out_dir: need a nonempty path"):
         RunConfig(out_dir="")
-    # S_{tau+i} of a walk of n_walk steps exists only for |i| <= n_walk
-    with pytest.raises(ConfigError, match=r"lemma_offsets: .* \|i\| <= n_walk = 4"):
-        RunConfig(n_walk=4, trunc_i=8, lemma_offsets=[-6, 6])
     with pytest.raises(ConfigError, match="rate_params"):
         RunConfig(rate_params=[])
     with pytest.raises(ConfigError, match="rate_params"):
@@ -116,6 +82,30 @@ def test_config_field_level_messages():
         RunConfig(rate_family="lognormal", rate_params=[0.0])
     with pytest.raises(ConfigError, match="rate_params"):
         RunConfig(rate_params=[1.0, -2.0, 3.0])
+
+
+def test_fixed_settings_suit_every_valid_config():
+    # the runner's fixed settings must meet, at every config the gate
+    # accepts (last horizon >= 1, n_walk >= 4), what theorem1-twodim,
+    # lemma1 and the band read of them
+    ts, eps, offsets = runner.T_VALUES, runner.BAND_EPS, runner.LEMMA_OFFSETS
+    assert ts[0] > 0 and all(a < b for a, b in zip(ts, ts[1:]))
+    # the Lévy level cannot drop between two times in one grid cell
+    assert len(set(limit._grid_index(ts, runner.DELTA).tolist())) == len(ts)
+    # Y is read at generations floor(N t) and the band walk split at indices
+    # floor(n_walk t): each >= 1 and apart. Past n = 1 / (least gap) the
+    # floors of n t always differ, so the loop covers every n
+    top = math.ceil(1 / min(b - a for a, b in zip(ts, ts[1:])))
+    for least, name in ((1, "horizons[-1]"), (4, "n_walk")):
+        for n in range(least, max(least, top) + 1):
+            ks = [math.floor(n * t) for t in ts]
+            assert ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:])), (name, n, ks)
+    # the band fractions must fall as eps does, and the last one is gated
+    assert eps[-1] > 0 and all(a > b for a, b in zip(eps, eps[1:]))
+    # each offset i names one record and reads S_{tau+i} of the shortest walk
+    assert offsets and len(set(offsets)) == len(offsets)
+    assert all(1 <= abs(i) <= 4 for i in offsets)
+    assert runner.N_SMALL >= 1
 
 
 def test_config_stable_spec_scale(tmp_path, capsys):
@@ -183,7 +173,7 @@ def test_theorem1_sample_drawn_once(tmp_path, monkeypatch):
         bench.dispatch(name)
     assert sum(reps for _, _, reps in passes) == cfg.replicas["twodim"]
     # n = 1 asks for each generation exactly; a time h/N could floor below h
-    t1, t2 = cfg.t_values
+    t1, t2 = runner.T_VALUES
     assert [(n, set(ts)) for n, ts, _ in passes] == [
         (1, {15, 22, math.floor(22 * t1), math.floor(22 * t2)})]
 
@@ -217,7 +207,7 @@ def test_series_sample_drawn_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("offsets, depth", [([-2, -1, 1, 2], 2), ([-3, 1], 3)])
 def test_lemma1_limit_drawn_to_largest_offset(tmp_path, monkeypatch, offsets, depth):
-    # lemma1 reads S*_i for i in lemma_offsets only, so both sides of its
+    # lemma1 reads S*_i for i in LEMMA_OFFSETS only, so both sides of its
     # limit environment are drawn to max |i|, not to trunc_i = 4
     draws = []
     sample = runner.sample_side
@@ -227,7 +217,8 @@ def test_lemma1_limit_drawn_to_largest_offset(tmp_path, monkeypatch, offsets, de
         return sample(model, n, reps, rng, tables, side)
 
     monkeypatch.setattr(runner, "sample_side", recording)
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, lemma_offsets=offsets))
+    monkeypatch.setattr(runner, "LEMMA_OFFSETS", tuple(offsets))
+    cfg = RunConfig.from_dict(tiny_config(tmp_path))
     records = runner.Runner(cfg).dispatch("lemma1")
     assert draws == [("positive", depth), ("negative", depth)]
     assert all(r.inputs["depth"] == depth for r in records)
@@ -238,7 +229,7 @@ def test_joint_mixture_reads_closed_form_level_change_prob(tmp_path):
     # Carlo level is checked against it on its own record
     cfg = RunConfig.from_dict(tiny_config(tmp_path))
     recs = {r.name: r for r in runner.Runner(cfg).dispatch("theorem1-twodim")}
-    t1, t2 = cfg.t_values
+    t1, t2 = runner.T_VALUES
     p_exact = 1.0 - arcsine_cdf(0.5, t1 / t2)
     assert recs["theorem1-twodim/joint-mixture"].inputs["level_change_prob"] == p_exact
     level = recs["theorem1-twodim/level-change-prob"]
@@ -434,11 +425,11 @@ def test_raising_block_leaves_no_workers(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_lemma1_offset_without_rows_fails(tmp_path, capsys):
+def test_lemma1_offset_without_rows_fails(tmp_path, capsys, monkeypatch):
     # offset +64 needs the argmin of a 64-step walk at 0; none of the ten
     # walks at seed 1 has it, so the offset fails without a KS or a CSV
-    fields = {"n_walk": 64, "trunc_i": 64, "lemma_offsets": [64, 1],
-              "replicas": {"walk_stats": 10}}
+    monkeypatch.setattr(runner, "LEMMA_OFFSETS", (64, 1))
+    fields = {"n_walk": 64, "trunc_i": 64, "replicas": {"walk_stats": 10}}
     path = write_config(tmp_path, **fields)
     assert main(["lemma1", "--config", path, "--seed", "1"]) == 1
     out = tmp_path / "out"
@@ -573,41 +564,41 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, how):
 
 
 def test_cli_coinciding_twodim_generations_exit_code(tmp_path, capsys):
-    # theorem1-twodim reads Y at floor(N t1) and floor(N t2), N = horizons[-1]:
-    # one generation read twice is a configuration error (n_walk = 200 keeps
-    # the band indices 200 and 202 apart)
+    # theorem1-twodim reads Y at floor(N t) for the runner's fixed times
+    # (test_fixed_settings_suit_every_valid_config), so times that would read
+    # one generation twice cannot be set: t_values is an unknown field
     argv = ["theorem1-twodim", "--config",
             write_config(tmp_path, horizons=[20, 40], t_values=[1.0, 1.01], n_walk=200)]
     assert main(argv) == 2
-    assert "config error: t_values: need floor(horizons[-1] * t1) <" in capsys.readouterr().err
+    assert "config error: unknown config fields: t_values" in capsys.readouterr().err
 
 
 def test_cli_twodim_times_in_one_grid_cell_exit_code(tmp_path, capsys):
-    # t1 and t2 read two generations and two band indices but share a cell
-    # of the Lévy grid, where level-change-prob would be 0 by construction
+    # times sharing a cell of the Lévy grid, where level-change-prob would be
+    # 0 by construction, cannot be set: the times are fixed in the runner
     argv = ["theorem1-twodim", "--config", write_config(
         tmp_path, horizons=[20, 3200], n_walk=2000, t_values=[1.0, 1.0005])]
     assert main(argv) == 2
-    assert "config error: t_values: need t1 and t2 in different" in capsys.readouterr().err
+    assert "config error: unknown config fields: t_values" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("offsets", [[-65], [1, 65], [0], [1.5], [True], 2])
 def test_cli_lemma_offsets_out_of_range_exit_code(tmp_path, capsys, offsets):
-    # lemma1 reads S_{tau+i} of a walk of n_walk = 64 steps, so only
-    # 1 <= |i| <= 64: any other offset, or one that is not an integer, is a
-    # configuration error, not a traceback or a silently truncated offset
+    # the offsets are fixed in the runner, within 1 <= |i| <= 4 of the
+    # shortest walk: no offset, in or out of range, can be set, and naming
+    # one is a configuration error, not a traceback or a truncated offset
     argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=offsets)]
     assert main(argv) == 2
-    assert "config error: lemma_offsets" in capsys.readouterr().err
+    assert "config error: unknown config fields: lemma_offsets" in capsys.readouterr().err
 
 
 def test_cli_empty_lemma_offsets_exit_code(tmp_path, capsys):
-    # with no offset lemma1 would write no record and no verdict, and
-    # still exit as a failed test
+    # with no offset lemma1 would write no record and no verdict; the
+    # offsets are fixed in the runner, so an empty list cannot be set
     argv = ["lemma1", "--config", write_config(tmp_path, lemma_offsets=[])]
     assert main(argv) == 2
-    assert "config error: lemma_offsets" in capsys.readouterr().err
+    assert "config error: unknown config fields: lemma_offsets" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -618,19 +609,22 @@ def test_cli_empty_out_dir_exit_code(tmp_path, capsys):
     assert "config error: out_dir" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fields, name", [
-    ({"t_values": [1, "x"]}, "t_values"),
-    ({"band_eps": ["a"]}, "band_eps"),
-    ({"trunc_i": 2.5}, "trunc_i"),
-    ({"n_walk": 64.5}, "n_walk"),
-    ({"horizons": [20, 40.5]}, "horizons"),
+@pytest.mark.parametrize("fields, err", [
+    # the times and band widths are runner constants: naming either is an
+    # unknown field, whatever its value
+    pytest.param({"t_values": [1, "x"]}, "unknown config fields: t_values",
+                 id="fields0-t_values"),
+    pytest.param({"band_eps": ["a"]}, "unknown config fields: band_eps", id="fields1-band_eps"),
+    pytest.param({"trunc_i": 2.5}, "trunc_i: need ", id="fields2-trunc_i"),
+    pytest.param({"n_walk": 64.5}, "n_walk: need ", id="fields3-n_walk"),
+    pytest.param({"horizons": [20, 40.5]}, "horizons: need ", id="fields4-horizons"),
 ])
-def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, name):
+def test_cli_mistyped_numeric_field_exit_code(tmp_path, capsys, fields, err):
     # a number field of the wrong type is a configuration error: not a
     # TypeError traceback, and not a float accepted where an integer is due
     argv = ["validate-env", "--config", write_config(tmp_path, **fields)]
     assert main(argv) == 2
-    assert f"config error: {name}: need " in capsys.readouterr().err
+    assert f"config error: {err}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -664,7 +658,11 @@ def test_every_config_field_is_type_checked(name, wrong):
 
 
 def test_config_accepts_lemma_offsets_at_trunc_i():
-    RunConfig(trunc_i=4, lemma_offsets=[-4, -1, 1, 4])
+    # trunc_i is the ratio law's half-width only and bounds no offset; the
+    # offsets are fixed in the runner, so naming them is an unknown field
+    RunConfig(trunc_i=4)
+    with pytest.raises(ConfigError, match="^unknown config fields: lemma_offsets$"):
+        RunConfig.from_dict({"trunc_i": 4, "lemma_offsets": [-4, -1, 1, 4]})
 
 
 def test_cli_missing_config_file(tmp_path):

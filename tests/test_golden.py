@@ -47,7 +47,7 @@ GOLDEN = {
         "martingale_means.csv": "f0211220d7968f2409aa7cd220409ee716bcf7391940c56949349373e85dbbc3",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "bf4680569c9346f22e98c687d5227ed7b74b9921e248165734a65ba9504083c9",
+        "report.json": "2860f0cc3b5222cdba973a3b1293c7c14e33aae53324cbadc31d4ef79d2e5dfb",
         "theorem1_onedim_ecdf.csv": "0806cc5dd809577c0ffe39b8ecae7eecd1249bcba165447419da732e74851cc3",
         "theorem1_twodim_probes.csv": "47802458440a4677c9f3e8583d56d23cfc72f8b39ac99c9d388ce52741535aca",
     },
@@ -69,7 +69,7 @@ GOLDEN = {
         "martingale_means.csv": "6224a6bda498feeee59e85b15d1537f7834f9c92b0a1c1727f80595cff12a624",
         "measure_change_negative.csv": "66114585cf002047f37d13b1fa6f0288e6a02489101ffab284f97af4fa3eb85d",
         "measure_change_positive.csv": "515acd89bcfdd365ba562cfe9e8c10c8aa5248ccac9f84e1f5972c2f230a9b2d",
-        "report.json": "ea6476764f8222c07bddde02bd2bb4ce55994f867052075e7ec59c1d13591d6f",
+        "report.json": "1871c7612091fc38a839b2c3968dac841fce718e3ec773802a0f6367f9ae75bc",
         "theorem1_onedim_ecdf.csv": "0b63f06791036c0a7bf7c7155368cb5146a542463534786722275b0b606dd5a6",
         "theorem1_twodim_probes.csv": "4750255e39e1d4bfff6c09840e18041fe08521f076893c782ec894a010cb9c4d",
     },
@@ -91,7 +91,7 @@ GOLDEN = {
         "martingale_means.csv": "00d9c6534f0bf6447053ae3d7a9a08198845b5e11909698fa041f7da4fa8012f",
         "measure_change_negative.csv": "53788bcb0258e7fb3d37eba40b1386f2b21f216fcffc967bef3739dba18afc9d",
         "measure_change_positive.csv": "eefaa00cfce8d87b7db8e57da145881add3ba1c8f83de21a8f5a079229d53a94",
-        "report.json": "24b00b35a9b6a81d892983eb449a9bb1559c4f24f75091049538c08689650f5d",
+        "report.json": "8f24c74b1f82d46a668cc50646b6c0dcffd3cb2128c2280d7ebbf0687fddd0f2",
         "theorem1_onedim_ecdf.csv": "089fd296c5149f5be1ca73b7eb17dc0f140e6433039eb03b4d06c3e4243c5b95",
         "theorem1_twodim_probes.csv": "d16a2da819900a13b35e09d30ac638c03d494107660ad82909b8a83c8b60b934",
     },
